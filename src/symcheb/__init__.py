@@ -20,7 +20,7 @@ from .cltstats import (
     sigma2_rederived,
     sigma2_reported,
 )
-from .errors import DomainError, ResourceBudgetError, UsageError
+from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .freegroup import (
     HomologyCountTable,
     Word,
@@ -56,6 +56,7 @@ __all__ = [
     "ConvergenceRow",
     "DomainError",
     "HomologyCountTable",
+    "InternalError",
     "LatticeDistribution",
     "LaurentPoly",
     "MomentReport",

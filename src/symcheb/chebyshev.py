@@ -1,9 +1,10 @@
-"""Univariate Chebyshev machinery with exact integer coefficients.
+"""Chebyshev machinery with exact integer coefficients.
 
 Both kinds satisfy the same three-term recurrence f_{n+1} = 2x f_n - f_{n-1};
 they differ in the degree-1 seed (T_1 = x, U_1 = 2x).  Coefficients are exact
 Python ints; evaluation is generic Horner, so it works with floats
-and Fractions alike.
+and Fractions alike.  ``scaled_rows`` runs the same recurrence on integer
+Laurent polynomials in k variables; every construction in the package uses it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, InternalError, UsageError
 
 
 class ChebKind(enum.Enum):
@@ -63,7 +65,7 @@ def coeff_formula_T(n: int, m: int) -> Fraction:
 
     (-1)^m * (n/(n-m)) * C(n-m, m) * 2^(n-2m-1), exact rational arithmetic
     throughout: the last factor is 2^-1 for the constant term of an even n,
-    and the product is asserted integral at the end.
+    and the product is checked to be integral at the end.
     """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"the coefficient formula needs n >= 1, got {n!r}")
@@ -75,7 +77,8 @@ def coeff_formula_T(n: int, m: int) -> Fraction:
         * math.comb(n - m, m)
         * Fraction(2) ** (n - 2 * m - 1)
     )
-    assert value.denominator == 1, f"non-integer Chebyshev coefficient at n={n}, m={m}"
+    if value.denominator != 1:
+        raise InternalError(f"non-integer Chebyshev coefficient at n={n}, m={m}")
     return value
 
 
@@ -92,3 +95,43 @@ def eval_closed_T(n: int, x: float) -> float:
         raise DomainError(f"closed form requires |x| >= 1, got x = {x}")
     root = math.sqrt(x * x - 1.0)
     return 0.5 * ((x - root) ** n + (x + root) ** n)
+
+
+def scaled_rows(a: int, g: int, q0: int, k: int, n_max: int) -> Iterator[dict[int, int]]:
+    """Yield Q_0..Q_{n_max} of Q_0 = q0, Q_1 = a S, Q_{m+1} = a S Q_m - g Q_{m-1},
+    S = sum_i (x_i + 1/x_i), over the ints.
+
+    With c = p/q, a = p and g = (kq)^2, Q_m is 2 (kq)^m T_m(A) for q0 = 2
+    and (kq)^m U_m(A) for q0 = 1; a = 1, g = 2r - 1, q0 = 2 gives the
+    free-group count polynomials.  A row maps each exponent vector, packed
+    into one int (Kronecker substitution: digits e_i + n_max in radix
+    2 n_max + 1, e_1 most significant, so key order is lexicographic order),
+    to its coefficient; coefficients that cancel may stay as zeros.
+    """
+    radix = 2 * n_max + 1
+    shifts = [radix**i for i in range(k)]
+    origin = n_max * sum(shifts)
+    prev = {origin: q0}
+    cur = {origin + sign * shift: a for shift in shifts for sign in (1, -1)}
+    yield prev
+    if n_max:
+        yield cur
+    for _ in range(n_max - 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, coeff in cur.items():
+            coeff *= a
+            for shift in shifts:
+                up, down = key + shift, key - shift
+                nxt[up] = get(up, 0) + coeff
+                nxt[down] = get(down, 0) + coeff
+        for key, coeff in prev.items():
+            nxt[key] = get(key, 0) - g * coeff
+        prev, cur = cur, nxt
+        yield cur
+
+
+def unpack_exponents(key: int, k: int, n_max: int) -> tuple[int, ...]:
+    """The exponent vector of a key of ``scaled_rows(..., k, n_max)``."""
+    radix = 2 * n_max + 1
+    return tuple(key // radix**i % radix - n_max for i in range(k - 1, -1, -1))

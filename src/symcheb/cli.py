@@ -3,8 +3,9 @@
 Every command is deterministic: identical inputs produce byte-identical
 output.  Exit codes: 0 success (including "negative coefficient found" --
 a finding is a successful computation), 1 domain error (a request that is
-undefined, e.g. a distribution over negative coefficients), 2 usage error,
-3 enumeration budget exceeded.
+undefined, e.g. a distribution over negative coefficients), 2 usage error
+(also an unwritable --out path), 3 enumeration budget exceeded, 4 internal
+error (a defect: two of the package's own routes disagree).
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from . import cltstats, freegroup, symmetrized
 from .chebyshev import ChebKind
-from .errors import DomainError, ResourceBudgetError, UsageError
+from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
 
 _KINDS = {"T": ChebKind.FIRST, "U": ChebKind.SECOND}
@@ -380,9 +381,16 @@ def run(argv: Sequence[str]) -> int:
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

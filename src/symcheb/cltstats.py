@@ -32,13 +32,14 @@ setting every other variable to 1, i.e. of
 
     T_n((c/2k)(x + 1/x) + c(k-1)/k),
 
-whose coefficient rows obey a three-term recurrence costing O(n^2) exact
-operations in total.  Exact per-coordinate moments therefore reach n in the
-hundreds even for k > 1, where materializing the full k-variate table would
-not.  Off-diagonal covariances are taken from the full table at small n;
-they vanish identically at every n because each coordinate can be mirrored
-independently, and that exact zero is what rows carry beyond the
-full-table ceiling.
+whose coefficient rows obey a three-term recurrence costing O(n^2) integer
+operations in total (rescaled as in ``chebyshev.scaled_rows``; the scale
+cancels in every moment ratio).  Exact per-coordinate moments therefore
+reach n in the hundreds even for k > 1, where materializing the full
+k-variate table would not.  Off-diagonal covariances are taken from the
+full table at small n; they vanish identically at every n because each
+coordinate can be mirrored independently, and that exact zero is what rows
+carry beyond the full-table ceiling.
 
 Float-normalized mode runs the same row recurrence in floating point,
 renormalizing every row by its sum (the running normalizer) so entries stay
@@ -55,7 +56,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .chebyshev import ChebKind, cheb_coeffs, eval_closed_T
-from .errors import DomainError, UsageError
+from .errors import DomainError, InternalError, UsageError
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import SymChebSpec, build
 
@@ -65,7 +66,6 @@ DEFAULT_EXACT_CEILING_COUNTS = 1024
 FULL_TABLE_CEILING = 32
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float_normalized"
@@ -144,7 +144,8 @@ def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
             )
         total += coeff
     normalizer = cheb_coeffs(ChebKind.FIRST, n).evaluate(c)
-    assert total == normalizer, "normalizer mismatch between build and direct evaluation"
+    if total != normalizer:
+        raise InternalError("normalizer mismatch between build and direct evaluation")
     probabilities = {exponents: coeff / normalizer for exponents, coeff in poly.terms()}
     return LatticeDistribution(arity=k, n=n, probabilities=probabilities)
 
@@ -229,7 +230,7 @@ def _exact_rows(alpha, beta, gamma, row0: list, row1: list) -> Iterator[list]:
     yield row1
     prevprev, prev, m = row0, row1, 1
     while True:
-        cur = [0 * alpha] * (2 * m + 3)
+        cur = [0] * (2 * m + 3)
         for idx, coeff in enumerate(prev):  # idx = j + m; in cur, j sits at idx + 1
             if coeff:
                 step = alpha * coeff
@@ -299,6 +300,31 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
+def _requested(rows: Iterator[list], ns: list[int]) -> Iterator[tuple[int, list]]:
+    """(n, row n) for each n in the increasing list ns; stops after the last."""
+    wanted = set(ns)
+    for m, row in enumerate(rows):
+        if m in wanted:
+            yield m, row
+        if m >= ns[-1]:
+            return
+
+
+def _check_row(row: Sequence, m: int, k: int, scale: int = 1) -> None:
+    """Raise DomainError at the first negative or non-finite entry of row m,
+    reporting entry / scale for an int row."""
+    for idx, coeff in enumerate(row):
+        if not 0 <= coeff < math.inf:
+            kind = "coefficient" if k == 1 else "marginal coefficient sum"
+            problem = "negative" if coeff < 0 else "not finite"
+            value = Fraction(coeff, scale) if isinstance(coeff, int) else coeff
+            raise DomainError(
+                f"{kind} at exponent {idx - m} of row n = {m} is "
+                f"{problem} ({value}); the distribution is undefined",
+                witness=(idx - m,),
+            )
+
+
 def _row_second_fourth(row: Sequence, m: int):
     """(sum, sum j^2 row_j, sum j^4 row_j) accumulated left to right."""
     total = row[0] * 0
@@ -330,25 +356,13 @@ def marginal_moments_exact(
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    alpha = Fraction(c, k)
-    beta = 2 * Fraction(c * (k - 1), k)
-    row1 = [alpha / 2, beta / 2, alpha / 2]
+    p, kq = c.numerator, k * c.denominator
+    beta = 2 * (k - 1) * p
     out = []
-    wanted = set(ns)
-    for m, row in enumerate(_exact_rows(alpha, beta, _ONE, [_ONE], row1)):
-        if m in wanted:
-            for idx, coeff in enumerate(row):
-                if coeff < 0:
-                    kind = "coefficient" if k == 1 else "marginal coefficient sum"
-                    raise DomainError(
-                        f"{kind} at exponent {idx - m} of row n = {m} is "
-                        f"negative ({coeff}); the distribution is undefined",
-                        witness=(idx - m,),
-                    )
-            total, second, fourth = _row_second_fourth(row, m)
-            out.append((m, second / total, fourth / total))
-        if m >= ns[-1]:
-            break
+    for m, row in _requested(_exact_rows(p, beta, kq * kq, [2], [p, beta, p]), ns):
+        _check_row(row, m, k, scale=2 * kq**m)
+        total, second, fourth = _row_second_fourth(row, m)
+        out.append((m, Fraction(second, total), Fraction(fourth, total)))
     return out
 
 
@@ -357,8 +371,9 @@ def marginal_moments_float(
 ) -> list[tuple[int, float, float]]:
     """Float-normalized (n, m2, m4) of one coordinate, per n.
 
-    No sign scan happens here: float mode is the large-n speed path and is
-    validated against exact mode, where negativity detection lives.
+    Every requested row is scanned as in ``marginal_moments_exact``; a
+    negative or non-finite entry raises DomainError with the witness
+    exponent.
     """
     ns = _check_n_list(n_list)
     c_float = float(c)
@@ -368,13 +383,10 @@ def marginal_moments_float(
     beta = 2.0 * c_float * (k - 1) / k
     row1 = [alpha / 2.0, beta / 2.0, alpha / 2.0]
     out = []
-    wanted = set(ns)
-    for m, row in enumerate(_float_rows(alpha, beta, 1.0, [1.0], row1)):
-        if m in wanted:
-            _, second, fourth = _row_second_fourth(row, m)
-            out.append((m, second, fourth))
-        if m >= ns[-1]:
-            break
+    for m, row in _requested(_float_rows(alpha, beta, 1.0, [1.0], row1), ns):
+        _check_row(row, m, k)
+        _, second, fourth = _row_second_fourth(row, m)
+        out.append((m, second, fourth))
     return out
 
 
@@ -397,15 +409,12 @@ def fg_marginal_moments_exact(
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
     beta = 2 * (r - 1)
     out = []
-    wanted = set(ns)
-    for m, row in enumerate(_exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1])):
-        if m in wanted:
-            total, second, fourth = _row_second_fourth(row, m)
-            assert total == (2 * r - 1) ** m + 1, "count total mismatch"
-            denom = total + _fg_correction(r, m)
-            out.append((m, Fraction(second, denom), Fraction(fourth, denom)))
-        if m >= ns[-1]:
-            break
+    for m, row in _requested(_exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1]), ns):
+        total, second, fourth = _row_second_fourth(row, m)
+        if total != (2 * r - 1) ** m + 1:
+            raise InternalError(f"count total mismatch at n = {m} for rank {r}")
+        denom = total + _fg_correction(r, m)
+        out.append((m, Fraction(second, denom), Fraction(fourth, denom)))
     return out
 
 
@@ -418,19 +427,14 @@ def fg_marginal_moments_float(
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
     beta = float(2 * (r - 1))
     out = []
-    wanted = set(ns)
-    for m, row in enumerate(
-        _float_rows(1.0, beta, float(2 * r - 1), [2.0], [1.0, beta, 1.0])
-    ):
-        if m in wanted:
-            _, second, fourth = _row_second_fourth(row, m)
-            # Trivial-class correction, applied as the exact ratio
-            # total / (total + correction); negligible for large n.
-            poly_total = (2 * r - 1) ** m + 1
-            factor = float(Fraction(poly_total, poly_total + _fg_correction(r, m)))
-            out.append((m, second * factor, fourth * factor))
-        if m >= ns[-1]:
-            break
+    rows = _float_rows(1.0, beta, float(2 * r - 1), [2.0], [1.0, beta, 1.0])
+    for m, row in _requested(rows, ns):
+        _, second, fourth = _row_second_fourth(row, m)
+        # Trivial-class correction, applied as the exact ratio
+        # total / (total + correction); negligible for large n.
+        poly_total = (2 * r - 1) ** m + 1
+        factor = float(Fraction(poly_total, poly_total + _fg_correction(r, m)))
+        out.append((m, second * factor, fourth * factor))
     return out
 
 
@@ -439,12 +443,39 @@ def fg_marginal_moments_float(
 # ---------------------------------------------------------------------------
 
 
-def _exact_ceiling_default(k: int) -> int:
-    return DEFAULT_EXACT_CEILING_UNIVARIATE if k == 1 else DEFAULT_EXACT_CEILING_MULTIVARIATE
+def _check_ceiling(ns: list[int], ceiling: int) -> None:
+    if ns[-1] > ceiling:
+        raise UsageError(
+            f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
+            f"use mode={MODE_FLOAT!r} or raise the ceiling"
+        )
+
+
+def _report(
+    c: float, k: int, mode: str, s2_reported: float, s2_rederived: float, rows: list[tuple]
+) -> ConvergenceReport:
+    """Assemble a report from (n, m2, m4, max_offdiag) per requested n."""
+    out = []
+    for n, m2, m4, max_offdiag in rows:
+        m2_over_n = m2 / n
+        out.append(
+            ConvergenceRow(
+                n=n,
+                m2_over_n=m2_over_n,
+                kurtosis=m4 / (m2 * m2),
+                max_offdiag=max_offdiag,
+                dist_reported=abs(float(m2_over_n) - s2_reported),
+                dist_rederived=abs(float(m2_over_n) - s2_rederived),
+            )
+        )
+    return ConvergenceReport(c, k, mode, s2_reported, s2_rederived, tuple(out))
 
 
 def _offdiag_exact(n: int, c: Fraction, k: int) -> Fraction:
-    """Max |off-diagonal covariance| from the full k-variate table."""
+    """Max |off-diagonal covariance| from the full k-variate table while it
+    is materialized (k > 1, n <= FULL_TABLE_CEILING); the exact zero beyond."""
+    if k == 1 or n > FULL_TABLE_CEILING:
+        return _ZERO
     report = moments(distribution(n, c, k))
     values = [
         abs(report.covariance[i][j]) for i in range(k) for j in range(k) if i != j
@@ -477,54 +508,21 @@ def convergence_report(
     ns = _check_n_list(n_list)
     s2_reported = sigma2_reported(c, k)
     s2_rederived = sigma2_rederived(c, k)
-    rows = []
     if mode == MODE_EXACT:
         if isinstance(c, float):
             raise UsageError("exact mode requires a rational c (int or Fraction)")
-        ceiling = exact_ceiling if exact_ceiling is not None else _exact_ceiling_default(k)
-        if ns[-1] > ceiling:
-            raise UsageError(
-                f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
-                f"use mode={MODE_FLOAT!r} or raise the ceiling"
+        if exact_ceiling is None:
+            exact_ceiling = (
+                DEFAULT_EXACT_CEILING_UNIVARIATE if k == 1 else DEFAULT_EXACT_CEILING_MULTIVARIATE
             )
-        c_exact = as_scalar(c)
-        for n, m2, m4 in marginal_moments_exact(c_exact, k, ns):
-            m2_over_n = m2 / n
-            if k > 1 and n <= FULL_TABLE_CEILING:
-                offdiag = _offdiag_exact(n, c_exact, k)
-            else:
-                offdiag = _ZERO
-            rows.append(
-                ConvergenceRow(
-                    n=n,
-                    m2_over_n=m2_over_n,
-                    kurtosis=m4 / (m2 * m2),
-                    max_offdiag=offdiag,
-                    dist_reported=abs(float(m2_over_n) - s2_reported),
-                    dist_rederived=abs(float(m2_over_n) - s2_rederived),
-                )
-            )
+        _check_ceiling(ns, exact_ceiling)
+        c = as_scalar(c)
+        rows = [
+            (n, m2, m4, _offdiag_exact(n, c, k)) for n, m2, m4 in marginal_moments_exact(c, k, ns)
+        ]
     else:
-        for n, m2, m4 in marginal_moments_float(float(c), k, ns):
-            m2_over_n = m2 / n
-            rows.append(
-                ConvergenceRow(
-                    n=n,
-                    m2_over_n=m2_over_n,
-                    kurtosis=m4 / (m2 * m2),
-                    max_offdiag=0.0,
-                    dist_reported=abs(m2_over_n - s2_reported),
-                    dist_rederived=abs(m2_over_n - s2_rederived),
-                )
-            )
-    return ConvergenceReport(
-        c=float(c),
-        k=k,
-        mode=mode,
-        sigma2_reported=s2_reported,
-        sigma2_rederived=s2_rederived,
-        rows=tuple(rows),
-    )
+        rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(float(c), k, ns)]
+    return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
 
 
 def freegroup_convergence_report(
@@ -548,44 +546,9 @@ def freegroup_convergence_report(
     c_float = r / math.sqrt(2 * r - 1)
     s2_reported = sigma2_reported(c_float, r)
     s2_rederived = 1.0 / (r - 1)
-    rows = []
     if mode == MODE_EXACT:
-        ceiling = exact_ceiling if exact_ceiling is not None else DEFAULT_EXACT_CEILING_COUNTS
-        if ns[-1] > ceiling:
-            raise UsageError(
-                f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
-                f"use mode={MODE_FLOAT!r} or raise the ceiling"
-            )
-        for n, m2, m4 in fg_marginal_moments_exact(r, ns):
-            m2_over_n = m2 / n
-            rows.append(
-                ConvergenceRow(
-                    n=n,
-                    m2_over_n=m2_over_n,
-                    kurtosis=m4 / (m2 * m2),
-                    max_offdiag=_ZERO,
-                    dist_reported=abs(float(m2_over_n) - s2_reported),
-                    dist_rederived=abs(float(m2_over_n) - s2_rederived),
-                )
-            )
+        _check_ceiling(ns, DEFAULT_EXACT_CEILING_COUNTS if exact_ceiling is None else exact_ceiling)
+        rows = [(n, m2, m4, _ZERO) for n, m2, m4 in fg_marginal_moments_exact(r, ns)]
     else:
-        for n, m2, m4 in fg_marginal_moments_float(r, ns):
-            m2_over_n = m2 / n
-            rows.append(
-                ConvergenceRow(
-                    n=n,
-                    m2_over_n=m2_over_n,
-                    kurtosis=m4 / (m2 * m2),
-                    max_offdiag=0.0,
-                    dist_reported=abs(m2_over_n - s2_reported),
-                    dist_rederived=abs(m2_over_n - s2_rederived),
-                )
-            )
-    return ConvergenceReport(
-        c=c_float,
-        k=r,
-        mode=mode,
-        sigma2_reported=s2_reported,
-        sigma2_rederived=s2_rederived,
-        rows=tuple(rows),
-    )
+        rows = [(n, m2, m4, 0.0) for n, m2, m4 in fg_marginal_moments_float(r, ns)]
+    return _report(c_float, r, mode, s2_reported, s2_rederived, rows)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the library and the CLI.
 
 The CLI maps these onto process exit codes: DomainError -> 1,
-UsageError -> 2, ResourceBudgetError -> 3.
+UsageError -> 2, ResourceBudgetError -> 3, InternalError -> 4.
 """
 
 from __future__ import annotations
@@ -26,3 +26,7 @@ class DomainError(ValueError):
 
 class ResourceBudgetError(RuntimeError):
     """An enumeration whose size exceeds the configured budget."""
+
+
+class InternalError(RuntimeError):
+    """Two of the package's own routes disagree: a defect, never a bad input."""

@@ -18,7 +18,8 @@ Two independent counting routes are provided:
   (2r-1) W_{m-1}, with S = sum_i (x_i + 1/x_i).  W_n is the Dickson-style
   rescaling 2 (sqrt(2r-1))^n T_n(S / (2 sqrt(2r-1))): the rescaled
   recurrence keeps every intermediate value an integer, so no quadratic
-  irrationality ever enters the computation.
+  irrationality ever enters the computation.  It is the package's integer
+  kernel ``chebyshev.scaled_rows`` with a = 1, g = 2r - 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .chebyshev import scaled_rows, unpack_exponents
 from .errors import ResourceBudgetError, UsageError
 
 DEFAULT_ENUM_BUDGET = 10**8
@@ -114,15 +116,15 @@ def _check_rank_length(r: int, n: int) -> None:
 
 def resolve_enum_budget(budget: int | None = None) -> int:
     """Explicit argument, else the SYMCHEB_ENUM_BUDGET variable, else 10^8."""
-    if budget is not None:
-        return budget
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    if raw is not None:
+    if budget is None:
+        raw = os.environ.get(ENUM_BUDGET_ENV, str(DEFAULT_ENUM_BUDGET))
         try:
-            return int(raw)
+            budget = int(raw)
         except ValueError as exc:
             raise UsageError(f"{ENUM_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    return DEFAULT_ENUM_BUDGET
+    if budget < 1:
+        raise UsageError(f"the enumeration budget must be positive, got {budget}")
+    return budget
 
 
 def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCountTable:
@@ -181,18 +183,6 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
     return HomologyCountTable(r=r, n=n, counts=counts)
 
 
-def _mul_by_s(table: dict[HomologyClass, int], r: int) -> dict[HomologyClass, int]:
-    """Multiply an integer Laurent table by S = sum_i (x_i + 1/x_i)."""
-    out: dict[HomologyClass, int] = {}
-    for key, coeff in table.items():
-        for i in range(r):
-            head, mid, tail = key[:i], key[i], key[i + 1 :]
-            for sign in (1, -1):
-                shifted = head + (mid + sign,) + tail
-                out[shifted] = out.get(shifted, 0) + coeff
-    return out
-
-
 def counts_by_formula(r: int, n: int) -> HomologyCountTable:
     """Word counts from the rescaled generating-function recurrence.
 
@@ -201,20 +191,10 @@ def counts_by_formula(r: int, n: int) -> HomologyCountTable:
     over the integers.
     """
     _check_rank_length(r, n)
-    d = 2 * r - 1
+    for row in scaled_rows(1, 2 * r - 1, 2, r, n):
+        pass
+    counts = {unpack_exponents(key, r, n): coeff for key, coeff in row.items() if coeff}
     zero = (0,) * r
-    cur = {key: 1 for key in _mul_by_s({zero: 1}, r)}  # W_1 = S
-    prev: dict[HomologyClass, int] = {zero: 2}  # W_0 = 2
-    for _ in range(n - 1):
-        nxt = _mul_by_s(cur, r)
-        for key, coeff in prev.items():
-            value = nxt.get(key, 0) - d * coeff
-            if value:
-                nxt[key] = value
-            else:
-                nxt.pop(key, None)
-        prev, cur = cur, nxt
-    counts = {key: coeff for key, coeff in cur.items() if coeff}
     correction = (r - 1) * (1 + (-1) ** n)
     if correction:
         counts[zero] = counts.get(zero, 0) + correction

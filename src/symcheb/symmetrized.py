@@ -7,8 +7,10 @@ For a rational parameter c and arity k, let
 The symmetrized polynomials are T_n(A) (first kind) and U_n(A) (second
 kind): Laurent polynomials in k variables, symmetric under every x_i -> 1/x_i
 and under permutations of the variables.  The canonical construction is the
-three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, which costs O(n) sparse
-multiplications by the fixed 2k-term polynomial 2A.
+three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, run on integers by
+``chebyshev.scaled_rows``: with c = p/q it computes Q_m = s_m P_m(A) for
+the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind), and only the
+rows a caller reads are divided by s_m into Fractions.
 
 For k = 1 and c > 1 all coefficients on the parity support (|j| <= n,
 n - j even) are strictly positive; for c < -1 every coefficient has sign
@@ -25,10 +27,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
-from .chebyshev import ChebKind
+from .chebyshev import ChebKind, scaled_rows, unpack_exponents
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
@@ -122,66 +123,51 @@ class SurveyRow:
     witness: SurveyWitness | None
 
 
-def iter_polys(kind: ChebKind, c: Scalar, k: int) -> Iterator[LaurentPoly]:
-    """Yield P_0, P_1, P_2, ... indefinitely via the three-term recurrence."""
+def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int, dict, int]]:
+    """(m, Q_m, s_m) for m = 0..n_max, where P_m(A) = Q_m / s_m."""
     c = as_scalar(c)
     if not isinstance(k, int) or k < 1:
         raise UsageError(f"k must be a positive integer, got {k!r}")
-    half = Fraction(c, 2 * k)
-    argument = LaurentPoly(
-        k,
-        [
-            ((0,) * i + (sign,) + (0,) * (k - 1 - i), half)
-            for i in range(k)
-            for sign in (1, -1)
-        ],
-    )
-    doubled = 2 * argument
-    prev = LaurentPoly.constant(k, 1)
-    cur = argument if kind is ChebKind.FIRST else doubled
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, doubled * cur - prev
+    if not isinstance(n_max, int) or n_max < 0:
+        raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    kq = k * c.denominator
+    q0 = 2 if kind is ChebKind.FIRST else 1
+    rows = scaled_rows(c.numerator, kq * kq, q0, k, n_max)
+    return ((m, row, q0 * kq**m) for m, row in enumerate(rows))
+
+
+def _poly(row: dict[int, int], scale: int, k: int, n_max: int) -> LaurentPoly:
+    table = {unpack_exponents(key, k, n_max): Fraction(v, scale) for key, v in row.items() if v}
+    return LaurentPoly._raw(k, table)
 
 
 def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[LaurentPoly]:
     """The polynomials for n = 0..n_max, sharing one recurrence pass."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    return list(islice(iter_polys(kind, c, k), n_max + 1))
+    return [_poly(row, scale, k, n_max) for _, row, scale in _scaled(kind, c, k, n_max)]
 
 
 def build(spec: SymChebSpec) -> LaurentPoly:
     """Construct T_n(A) or U_n(A) exactly."""
-    return next(islice(iter_polys(spec.kind, spec.c, spec.k), spec.n, None))
+    for _, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+        pass
+    return _poly(row, scale, spec.k, spec.n)
 
 
 def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTable:
-    """Fill rows 0..n_max of the k = 1 coefficient table by the row recurrence.
+    """Rows 0..n_max of the k = 1 coefficient table, read off the kernel.
 
-    a_{n+1}^j = c (a_n^{j-1} + a_n^{j+1}) - a_{n-1}^j, seeded with row 0 = (1)
-    and row 1 = (c, 0, c) for the second kind, (c/2, 0, c/2) for the first.
-    Row n agrees exactly with the coefficients of build().
+    Row n holds the coefficients of x^-n..x^n of T_n(A) or U_n(A) and agrees
+    exactly with the coefficients of build().
     """
     c = as_scalar(c)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-    if n_max >= 1:
-        edge = c if kind is ChebKind.SECOND else Fraction(c, 2)
-        rows.append((edge, _ZERO, edge))
-    for m in range(1, n_max):
-        prev, prevprev = rows[m], rows[m - 1]
-        cur = [_ZERO] * (2 * m + 3)
-        for idx, coeff in enumerate(prev):  # idx = j + m
+    rows = []
+    for m, row, scale in _scaled(kind, c, 1, n_max):
+        dense = [_ZERO] * (2 * m + 1)
+        for key, coeff in row.items():
             if coeff:
-                cur[idx] += c * coeff  # j - 1 neighbour
-                cur[idx + 2] += c * coeff  # j + 1 neighbour
-        for idx, coeff in enumerate(prevprev):  # idx = j + m - 1
-            if coeff:
-                cur[idx + 2] -= coeff
-        rows.append(tuple(cur))
+                (j,) = unpack_exponents(key, 1, n_max)
+                dense[j + m] = Fraction(coeff, scale)
+        rows.append(tuple(dense))
     return UnivariateCoeffTable(kind=kind, c=c, rows=tuple(rows))
 
 
@@ -250,18 +236,17 @@ def sign_survey(
         c = as_scalar(c)
         nonneg_ok, alternating_ok = True, True
         witness = None
-        for n, poly in enumerate(build_sequence(kind, c, k, n_max)):
-            sign_wanted = -1 if n % 2 else 1
-            for exponents, coeff in poly.terms():
-                killed = False
-                if nonneg_ok and coeff < 0:
-                    nonneg_ok = False
-                    killed = True
-                if alternating_ok and (coeff > 0) != (sign_wanted > 0):
-                    alternating_ok = False
-                    killed = True
-                if killed and not nonneg_ok and not alternating_ok:
-                    witness = SurveyWitness(n=n, exponents=exponents, value=coeff)
+        for n, row, scale in _scaled(kind, c, k, n_max):
+            positive_wanted = n % 2 == 0
+            for key in sorted(row):
+                coeff = row[key]
+                if not coeff:
+                    continue
+                nonneg_ok = nonneg_ok and coeff > 0
+                alternating_ok = alternating_ok and (coeff > 0) == positive_wanted
+                if not nonneg_ok and not alternating_ok:
+                    exponents = unpack_exponents(key, k, n_max)
+                    witness = SurveyWitness(n, exponents, Fraction(coeff, scale))
                     break
             if witness is not None:
                 break

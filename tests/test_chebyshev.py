@@ -3,8 +3,27 @@ from fractions import Fraction as F
 import pytest
 
 from symcheb import ChebKind, DomainError, UsageError, cheb_coeffs, coeff_formula_T, eval_closed_T
+from symcheb.chebyshev import scaled_rows, unpack_exponents
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
+
+
+class TestScaledRows:
+    def test_univariate_rows(self):
+        # c = 3/2, k = 1: Q_m = 2 * 2^m T_m((3/4)(x + 1/x)); Q_2 = 9x^2 + 10 + 9x^-2
+        rows = [
+            {unpack_exponents(key, 1, 2)[0]: v for key, v in row.items() if v}
+            for row in scaled_rows(3, 4, 2, 1, 2)
+        ]
+        assert rows == [{0: 2}, {1: 3, -1: 3}, {2: 9, 0: 10, -2: 9}]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_key_order_is_lexicographic_order(self, k):
+        for n_max in (0, 1, 3):
+            for row in scaled_rows(1, 2 * k - 1, 2, k, n_max):
+                vectors = [unpack_exponents(key, k, n_max) for key in sorted(row)]
+                assert vectors == sorted(vectors)
+                assert all(sum(map(abs, e)) <= n_max for e in vectors)
 
 
 class TestCoeffVectors:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from symcheb import InternalError, symmetrized
 from symcheb.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -56,6 +57,35 @@ class TestExitCodes:
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
         code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "5", "--method", "oracle"])
         assert code == 3 and "resource error" in err
+
+    def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
+        code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"])
+        assert code == 2 and err.startswith("usage error:")
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = capture(
+            capsys, ["coeffs", "--kind", "T", "--n", "2", "--c", "2", "--out", str(target)]
+        )
+        assert code == 2 and out == "" and not target.exists()
+        assert err.startswith("usage error: cannot write --out") and err.count("\n") == 1
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def broken(spec):
+            raise InternalError("routes disagree")
+
+        monkeypatch.setattr(symmetrized, "build", broken)
+        code, out, err = capture(capsys, ["coeffs", "--kind", "T", "--n", "2", "--c", "2"])
+        assert (code, out, err) == (4, "", "internal error: routes disagree\n")
+
+    def test_float_mode_rejects_what_exact_mode_rejects(self, capsys):
+        argv = ["clt", "--k", "2", "--n", "4,8"]
+        code_f, out_f, err_f = capture(capsys, argv + ["--c", "1.05", "--mode", "float_normalized"])
+        code_e, _, err_e = capture(capsys, argv + ["--c", "21/20"])
+        assert code_f == code_e == 1 and out_f == ""
+        prefix = "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"
+        assert err_f.startswith(prefix) and err_e.startswith(prefix)
 
     def test_clt_needs_parameters(self, capsys):
         assert capture(capsys, ["clt", "--n", "4"])[0] == 2

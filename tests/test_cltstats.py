@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symcheb import (
     ChebKind,
@@ -171,6 +173,31 @@ class TestMarginalEngine:
     def test_negative_row_raises_for_k1(self):
         with pytest.raises(DomainError):
             marginal_moments_exact(F(1, 2), 1, [2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 40), q=st.integers(1, 9), n=st.integers(1, 6))
+    def test_matches_full_distribution_k2(self, p, q, n):
+        c = F(p, q)
+        assume(c > 1)
+        try:
+            report = moments(distribution(n, c, 2))
+        except DomainError:
+            assume(False)  # a negative joint coefficient: no distribution to compare
+        (_, m2, m4), = marginal_moments_exact(c, 2, [n])
+        assert m2 == report.covariance[0][0]
+        assert m4 == report.fourth_moment_diag[0]
+
+    def test_float_rows_are_scanned_like_exact_rows(self):
+        with pytest.raises(DomainError) as exact:
+            marginal_moments_exact(F(21, 20), 2, [4, 8])
+        with pytest.raises(DomainError) as approx:
+            marginal_moments_float(1.05, 2, [4, 8])
+        assert approx.value.witness == exact.value.witness == (-1,)
+
+    def test_float_rows_reject_non_finite_entries(self):
+        # at c = 1e308 the float recurrence overflows to inf and then nan
+        with pytest.raises(DomainError, match="not finite"):
+            marginal_moments_float(1e308, 2, [4])
 
     def test_c_below_k_works_when_rows_stay_nonnegative(self):
         # c = 3/2 < k = 2: joint nonnegativity holds here (verified against

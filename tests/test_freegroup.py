@@ -103,6 +103,14 @@ class TestEnumeration:
         with pytest.raises(UsageError):
             enumerate_counts(2, 3)
 
+    @pytest.mark.parametrize("budget", [-5, 0])
+    def test_nonpositive_budget_is_usage_error(self, monkeypatch, budget):
+        with pytest.raises(UsageError, match="must be positive"):
+            enumerate_counts(2, 3, budget=budget)
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", str(budget))
+        with pytest.raises(UsageError, match="must be positive"):
+            enumerate_counts(2, 3)
+
     def test_argument_validation(self):
         with pytest.raises(UsageError):
             enumerate_counts(1, 3)

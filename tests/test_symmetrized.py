@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcheb import (
     ChebKind,
@@ -20,6 +22,33 @@ from symcheb import (
 )
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
+
+
+def laurent_recurrence(kind, c, k, n_max):
+    """Oracle: P_0..P_{n_max} by P_{m+1} = 2A P_m - P_{m-1} in LaurentPoly
+    arithmetic over the rationals, independent of the integer kernel."""
+    half = F(c, 2 * k)
+    argument = LaurentPoly(
+        k,
+        [((0,) * i + (sign,) + (0,) * (k - 1 - i), half) for i in range(k) for sign in (1, -1)],
+    )
+    doubled = 2 * argument
+    polys = [LaurentPoly.constant(k, 1), argument if kind is T else doubled]
+    while len(polys) <= n_max:
+        polys.append(doubled * polys[-1] - polys[-2])
+    return polys[: n_max + 1]
+
+
+def survey_oracle(polys):
+    """Classification and witness from the first violation of each pattern."""
+    scan = [(n, e, v) for n, poly in enumerate(polys) for e, v in poly.terms()]
+    negative = [i for i, (_, _, v) in enumerate(scan) if v < 0]
+    off_sign = [i for i, (n, _, v) in enumerate(scan) if (v > 0) != (n % 2 == 0)]
+    if not negative:
+        return SignClass.ALL_NONNEG, None
+    if not off_sign:
+        return SignClass.ALTERNATING, None
+    return SignClass.MIXED, scan[max(negative[0], off_sign[0])]
 
 
 def uni(terms):
@@ -100,6 +129,32 @@ class TestBuild:
             SymChebSpec(T, 2, F(2), 0)
         with pytest.raises(UsageError):
             SymChebSpec(T, 2, 1.5, 1)
+
+
+class TestKernelDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from([T, U]),
+        p=st.integers(-9, 9),
+        q=st.integers(1, 9),
+        k=st.integers(1, 3),
+        n_max=st.integers(0, 8),
+    )
+    def test_matches_laurent_recurrence(self, kind, p, q, k, n_max):
+        c = F(p, q)
+        polys = build_sequence(kind, c, k, n_max)
+        oracle = laurent_recurrence(kind, c, k, n_max)
+        assert polys == oracle
+        assert build(SymChebSpec(kind, n_max, c, k)) == oracle[-1]
+        for n, poly in enumerate(polys):
+            assert poly.evaluate((1,) * k) == cheb_coeffs(kind, n).evaluate(c)
+        (row,) = sign_survey(kind, k, n_max, [c])
+        classification, witness = survey_oracle(oracle)
+        assert row.classification is classification
+        if witness is None:
+            assert row.witness is None
+        else:
+            assert (row.witness.n, row.witness.exponents, row.witness.value) == witness
 
 
 class TestUnivariateTable:
