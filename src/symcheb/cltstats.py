@@ -30,22 +30,32 @@ Marginal reduction: the distribution of one coordinate l_1 is the
 coefficient distribution of the univariate Laurent polynomial obtained by
 setting every other variable to 1, i.e. of
 
-    T_n((c/2k)(x + 1/x) + c(k-1)/k),
+    T_n((c/2k)(x + 1/x) + c(k-1)/k).
 
-whose coefficient rows obey a three-term recurrence costing O(n^2) integer
-operations in total (rescaled as in ``chebyshev.scaled_rows``; the scale
-cancels in every moment ratio).  Exact per-coordinate moments therefore
-reach n in the hundreds even for k > 1, where materializing the full
-k-variate table would not.  Off-diagonal covariances are taken from the
-full table at small n; they vanish identically at every n because each
-coordinate can be mirrored independently, and that exact zero is what rows
-carry beyond the full-table ceiling.
+Rescaled as in ``chebyshev.scaled_rows``, its rows obey
+P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints, and because every
+row is symmetric the moments M_d = sum_j j^d P_m[j] obey a closed recurrence
+of their own:
 
-Float-normalized mode runs the same row recurrence in floating point,
+    M0' = (2a + b) M0 - g M0^-
+    M2' = a (2 M2 + 2 M0) + b M2 - g M2^-
+    M4' = a (2 M4 + 12 M2 + 2 M0) + b M4 - g M4^-
+
+so exact per-coordinate moments cost O(n) big-int steps for any k (the
+scale cancels in every moment ratio).  At every requested n the exact
+identities M0 = 2 (kq)^n T_n(c) and m2 = n (c/k) U_{n-1}(c) / T_n(c) are
+checked against a scalar recurrence.  The coefficient rows themselves are
+walked (O(n^2)) only where a sign can fail, k > 1 with 1 < c < k; for
+c >= k they are nonnegative, the region this package relies on throughout
+(see ``symmetrized``).  While n <= 32 the integer kernel's full
+k-variate row is scanned to certify joint nonnegativity; off-diagonal
+covariances vanish identically at every n because each coordinate can be
+mirrored independently, and that exact zero is what rows carry.
+
+Float-normalized mode runs the row recurrence in floating point,
 renormalizing every row by its sum (the running normalizer) so entries stay
 within [0, 1]; sums accumulate left to right over the support.  Exact mode
-is capped (128 for k = 1, 32 for k > 1 by default) because coefficient bit
-lengths grow linearly with n; the cap is a parameter.
+is capped (128 for k = 1, 32 for k > 1 by default); the cap is a parameter.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .chebyshev import ChebKind, cheb_coeffs, eval_closed_T
+from .chebyshev import ChebKind, cheb_coeffs, scaled_rows, unpack_exponents
 from .errors import DomainError, InternalError, UsageError
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import SymChebSpec, build
@@ -184,9 +194,10 @@ def moments(dist: LatticeDistribution) -> MomentReport:
 def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     """Characteristic function T_n((c/k) sum cos theta_j) / T_n(c).
 
-    The numerator uses the square-root closed form when its argument has
-    modulus >= 1 and Horner evaluation of the exact coefficient vector
-    otherwise; the denominator always qualifies for the closed form.
+    Evaluated as a ratio, without cancellation or overflow at any n: with
+    rho(x) = |x| + sqrt(x^2 - 1), T_n(x) = sign(x)^n (rho^n + rho^-n) / 2 for
+    |x| >= 1 and cos(n acos x) for |x| < 1, so the result is assembled from
+    (rho_y / rho_c)^n and powers of 1/rho_c, all at most about 1.
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
@@ -196,11 +207,14 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     if len(theta) != k:
         raise UsageError(f"theta has length {len(theta)}, expected k = {k}")
     y = (c_float / k) * sum(math.cos(t) for t in theta)
-    if abs(y) >= 1.0:
-        numerator = eval_closed_T(n, y)
-    else:
-        numerator = cheb_coeffs(ChebKind.FIRST, n).evaluate(y)
-    return numerator / eval_closed_T(n, c_float)
+    rho_c = c_float + math.sqrt(c_float * c_float - 1.0)
+    inv_c = (1.0 / rho_c) ** n
+    if abs(y) < 1.0:
+        return math.cos(n * math.acos(y)) * 2.0 * inv_c / (1.0 + inv_c * inv_c)
+    rho_y = abs(y) + math.sqrt(y * y - 1.0)
+    sign = -1.0 if y < 0 and n % 2 else 1.0
+    inv_y = (1.0 / rho_y) ** n
+    return sign * (rho_y / rho_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
 
 
 def sigma2_reported(c: Scalar | float, k: int) -> float:
@@ -289,6 +303,31 @@ def _float_rows(
         m += 1
 
 
+def _moment_rows(a: int, b: int, g: int) -> Iterator[tuple[int, int, int]]:
+    """(M0, M2, M4) of rows 0, 1, 2, ... of the row recurrence with rows [2]
+    and [a, b, a], where M_d = sum_j j^d row_j; odd moments vanish by symmetry."""
+    prev, cur = (2, 0, 0), (2 * a + b, 2 * a, 2 * a)
+    yield prev
+    while True:
+        yield cur
+        m0, m2, m4 = cur
+        prev, cur = cur, (
+            (2 * a + b) * m0 - g * prev[0],
+            a * (2 * m2 + 2 * m0) + b * m2 - g * prev[1],
+            a * (2 * m4 + 12 * m2 + 2 * m0) + b * m4 - g * prev[2],
+        )
+
+
+def _scalar_rows(p: int, g: int, x0: int, x1: int) -> Iterator[int]:
+    """x_0, x_1, x_{m+1} = 2p x_m - g x_{m-1}.  With g = q^2, seeds (1, p)
+    give t_m = q^m T_m(p/q) and seeds (0, 1) give q^(m-1) U_(m-1)(p/q)."""
+    prev, cur = x0, x1
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, 2 * p * cur - g * prev
+
+
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
     ns = list(n_list)
     if not ns:
@@ -345,24 +384,35 @@ def marginal_moments_exact(
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Exact (n, m2, m4) of one coordinate of the distribution, per n.
 
-    Every requested row is scanned for negative entries; a negative raises
-    DomainError with the witness exponent.  For k = 1 the rows are the
-    actual coefficients, so the scan is definitive; for k > 1 they are
-    marginal sums, a necessary condition only -- joint nonnegativity is
-    guaranteed for c >= k and certified by ``distribution`` wherever the
-    full table is materialized.
+    Runs the O(n) moment recurrence and checks, at every requested n, the
+    normalizer M0 = 2 k^n t_n and the identity M2 = 2 n p k^(n-1) u_(n-1)
+    (t_m = q^m T_m(c), u_m = q^m U_m(c)); a mismatch raises InternalError.
+    For k > 1 and c < k every requested marginal row is scanned for negative
+    entries, raising DomainError with the witness exponent.  The scan is a
+    necessary condition only -- joint nonnegativity is certified by
+    ``convergence_report`` wherever the full table is affordable -- and it
+    is skipped for c >= k (every k = 1 case), where no coefficient is
+    negative.
     """
     ns = _check_n_list(n_list)
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    p, kq = c.numerator, k * c.denominator
-    beta = 2 * (k - 1) * p
+    p, q = c.numerator, c.denominator
+    kq, beta = k * q, 2 * (k - 1) * p
+    if c < k:
+        for m, row in _requested(_exact_rows(p, beta, kq * kq, [2], [p, beta, p]), ns):
+            _check_row(row, m, k, scale=2 * kq**m)
+    rows = zip(
+        _moment_rows(p, beta, kq * kq),
+        _scalar_rows(p, q * q, 1, p),  # t_m
+        _scalar_rows(p, q * q, 0, 1),  # u_(m-1)
+    )
     out = []
-    for m, row in _requested(_exact_rows(p, beta, kq * kq, [2], [p, beta, p]), ns):
-        _check_row(row, m, k, scale=2 * kq**m)
-        total, second, fourth = _row_second_fourth(row, m)
-        out.append((m, Fraction(second, total), Fraction(fourth, total)))
+    for m, ((m0, m2, m4), t, u_prev) in _requested(rows, ns):
+        if m0 != 2 * k**m * t or m2 != 2 * m * p * k ** (m - 1) * u_prev:
+            raise InternalError(f"moment identity mismatch at n = {m} for c = {c}, k = {k}")
+        out.append((m, Fraction(m2, m0), Fraction(m4, m0)))
     return out
 
 
@@ -400,21 +450,20 @@ def fg_marginal_moments_exact(
     """Exact (n, m2, m4) of one coordinate of the cyclically-reduced-word
     count distribution in rank r, trivial-class correction included.
 
-    Runs the integer marginal of the rescaled count recurrence
-    (V_{m+1} = (x + 1/x + 2(r-1)) V_m - (2r-1) V_{m-1}, V_0 = 2), divides
-    by the corrected total (2r-1)^n + 1 + (r-1)(1 + (-1)^n).
+    Runs the moment recurrence of the integer marginal of the rescaled count
+    recurrence (V_{m+1} = (x + 1/x + 2(r-1)) V_m - (2r-1) V_{m-1}, V_0 = 2),
+    checks the total (2r-1)^n + 1, and divides by the corrected total
+    (2r-1)^n + 1 + (r-1)(1 + (-1)^n).
     """
     ns = _check_n_list(n_list)
     if not isinstance(r, int) or r < 2:
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
-    beta = 2 * (r - 1)
     out = []
-    for m, row in _requested(_exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1]), ns):
-        total, second, fourth = _row_second_fourth(row, m)
-        if total != (2 * r - 1) ** m + 1:
+    for m, (m0, m2, m4) in _requested(_moment_rows(1, 2 * (r - 1), 2 * r - 1), ns):
+        if m0 != (2 * r - 1) ** m + 1:
             raise InternalError(f"count total mismatch at n = {m} for rank {r}")
-        denom = total + _fg_correction(r, m)
-        out.append((m, Fraction(second, denom), Fraction(fourth, denom)))
+        denom = m0 + _fg_correction(r, m)
+        out.append((m, Fraction(m2, denom), Fraction(m4, denom)))
     return out
 
 
@@ -471,16 +520,36 @@ def _report(
     return ConvergenceReport(c, k, mode, s2_reported, s2_rederived, tuple(out))
 
 
-def _offdiag_exact(n: int, c: Fraction, k: int) -> Fraction:
-    """Max |off-diagonal covariance| from the full k-variate table while it
-    is materialized (k > 1, n <= FULL_TABLE_CEILING); the exact zero beyond."""
-    if k == 1 or n > FULL_TABLE_CEILING:
-        return _ZERO
-    report = moments(distribution(n, c, k))
-    values = [
-        abs(report.covariance[i][j]) for i in range(k) for j in range(k) if i != j
-    ]
-    return max(values, default=_ZERO)
+def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
+    """Certify joint nonnegativity on the integer kernel's full k-variate
+    rows at every requested n <= FULL_TABLE_CEILING (k > 1).
+
+    Raises the DomainError of ``distribution`` at the lexicographically
+    first negative coefficient, and checks the row sum against T_n(c).
+    """
+    table_ns = [n for n in ns if n <= FULL_TABLE_CEILING] if k > 1 else []
+    if not table_ns:
+        return
+    p, kq = c.numerator, k * c.denominator
+    top = table_ns[-1]
+    for n, row in _requested(scaled_rows(p, kq * kq, 2, k, top), table_ns):
+        scale = 2 * kq**n
+        if min(row.values()) < 0:
+            key = min(key for key, coeff in row.items() if coeff < 0)
+            exponents = unpack_exponents(key, k, top)
+            raise DomainError(
+                f"coefficient at {list(exponents)} is negative "
+                f"({Fraction(row[key], scale)}); "
+                "the coefficient distribution is undefined",
+                witness=exponents,
+            )
+        if sum(row.values()) != scale * cheb_coeffs(ChebKind.FIRST, n).evaluate(c):
+            raise InternalError("normalizer mismatch between build and direct evaluation")
+
+
+def _check_exact_ceiling(exact_ceiling: int | None) -> None:
+    if exact_ceiling is not None and (not isinstance(exact_ceiling, int) or exact_ceiling < 1):
+        raise UsageError(f"the exact-mode ceiling must be a positive integer, got {exact_ceiling!r}")
 
 
 def convergence_report(
@@ -494,18 +563,20 @@ def convergence_report(
     candidate limit constants.
 
     Exact mode requires a rational c and every n at or below the ceiling
-    (128 for k = 1, 32 for k > 1 unless overridden); beyond it, use
-    float-normalized mode.  Off-diagonal covariances come from the full
-    k-variate table while n <= 32, which also certifies joint nonnegativity
-    there; above that the exact structural zero is reported (each
-    coordinate can be mirrored independently, forcing E[l_i l_j] = 0 at
-    every n).
+    (128 for k = 1, 32 for k > 1 unless overridden; an explicit ceiling must
+    be a positive integer); beyond it, use float-normalized mode.  Exact
+    moments come from the O(n) moment recurrence with its identity checks.
+    For k > 1 the integer kernel's full k-variate row certifies joint
+    nonnegativity while n <= 32.  Off-diagonal covariances are reported as
+    the exact structural zero (each coordinate can be mirrored
+    independently, forcing E[l_i l_j] = 0 at every n).
     """
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
     if not isinstance(k, int) or k < 1:
         raise UsageError(f"k must be a positive integer, got {k!r}")
     ns = _check_n_list(n_list)
+    _check_exact_ceiling(exact_ceiling)
     s2_reported = sigma2_reported(c, k)
     s2_rederived = sigma2_rederived(c, k)
     if mode == MODE_EXACT:
@@ -517,9 +588,8 @@ def convergence_report(
             )
         _check_ceiling(ns, exact_ceiling)
         c = as_scalar(c)
-        rows = [
-            (n, m2, m4, _offdiag_exact(n, c, k)) for n, m2, m4 in marginal_moments_exact(c, k, ns)
-        ]
+        rows = [(n, m2, m4, _ZERO) for n, m2, m4 in marginal_moments_exact(c, k, ns)]
+        _certify_joint(c, k, ns)
     else:
         rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(float(c), k, ns)]
     return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
@@ -543,6 +613,7 @@ def freegroup_convergence_report(
     if not isinstance(r, int) or r < 2:
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
     ns = _check_n_list(n_list)
+    _check_exact_ceiling(exact_ceiling)
     c_float = r / math.sqrt(2 * r - 1)
     s2_reported = sigma2_reported(c_float, r)
     s2_rederived = 1.0 / (r - 1)

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcheb import ChebKind, DomainError, UsageError, cheb_coeffs, coeff_formula_T, eval_closed_T
 from symcheb.chebyshev import scaled_rows, unpack_exponents
@@ -24,6 +27,24 @@ class TestScaledRows:
                 vectors = [unpack_exponents(key, k, n_max) for key in sorted(row)]
                 assert vectors == sorted(vectors)
                 assert all(sum(map(abs, e)) <= n_max for e in vectors)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.integers(-9, 9),
+        g=st.integers(-20, 20),
+        q0=st.sampled_from([1, 2]),
+        k=st.integers(1, 3),
+        n_max=st.integers(0, 7),
+    )
+    def test_mirror_permutation_and_parity(self, a, g, q0, k, n_max):
+        for m, row in enumerate(scaled_rows(a, g, q0, k, n_max)):
+            table = {unpack_exponents(key, k, n_max): v for key, v in row.items() if v}
+            for e, value in table.items():
+                assert sum(map(abs, e)) <= m and (m - sum(e)) % 2 == 0
+                for i in range(k):
+                    assert table.get(e[:i] + (-e[i],) + e[i + 1 :]) == value
+                for perm in permutations(range(k)):
+                    assert table.get(tuple(e[j] for j in perm)) == value
 
 
 class TestCoeffVectors:

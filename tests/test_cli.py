@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from symcheb import InternalError, symmetrized
+from symcheb import InternalError, cltstats, symmetrized
 from symcheb.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -78,6 +78,36 @@ class TestExitCodes:
         monkeypatch.setattr(symmetrized, "build", broken)
         code, out, err = capture(capsys, ["coeffs", "--kind", "T", "--n", "2", "--c", "2"])
         assert (code, out, err) == (4, "", "internal error: routes disagree\n")
+
+    def test_moment_identity_mismatch_exit_4(self, capsys, monkeypatch):
+        original = cltstats._moment_rows
+
+        def off_by_one(a, b, g):
+            for m0, m2, m4 in original(a, b, g):
+                yield m0, m2 + 1, m4
+
+        monkeypatch.setattr(cltstats, "_moment_rows", off_by_one)
+        code, out, err = capture(capsys, ["clt", "--c", "2", "--k", "1", "--n", "4"])
+        assert (code, out) == (4, "")
+        assert err == "internal error: moment identity mismatch at n = 4 for c = 2, k = 1\n"
+
+    def test_joint_negative_keeps_witness_line(self, capsys):
+        code, out, err = capture(capsys, ["clt", "--c", "11/10", "--k", "2", "--n", "3"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "domain error: coefficient at [-1, 0] is negative (-1221/16000); "
+            "the coefficient distribution is undefined\n"
+        )
+
+    @pytest.mark.parametrize("ceiling", ["-5", "0"])
+    def test_nonpositive_exact_ceiling_exit_2(self, capsys, ceiling):
+        for params in (["--c", "2", "--k", "1"], ["--fg-r", "2", "--mode", "exact"]):
+            argv = ["clt", *params, "--n", "4", "--exact-ceiling", ceiling]
+            code, out, err = capture(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"usage error: the exact-mode ceiling must be a positive integer, got {ceiling}\n"
+            )
 
     def test_float_mode_rejects_what_exact_mode_rejects(self, capsys):
         argv = ["clt", "--k", "2", "--n", "4,8"]

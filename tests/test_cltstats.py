@@ -21,6 +21,8 @@ from symcheb import (
 from symcheb.cltstats import (
     MODE_EXACT,
     MODE_FLOAT,
+    _exact_rows,
+    _row_second_fourth,
     fg_marginal_moments_exact,
     fg_marginal_moments_float,
     marginal_moments_exact,
@@ -28,6 +30,25 @@ from symcheb.cltstats import (
 )
 
 T = ChebKind.FIRST
+
+
+def scaled_cheb(n, c):
+    """Oracle: (d^n T_n(c), d^(n-1) U_(n-1)(c), d) for c = a/d and n >= 1, by an
+    integer scalar loop."""
+    a, d = c.numerator, c.denominator
+    t_prev, t, u_prev, u = 1, a, 0, 1
+    for _ in range(n - 1):
+        t_prev, t = t, 2 * a * t - d * d * t_prev
+        u_prev, u = u, 2 * a * u - d * d * u_prev
+    return t, u, d
+
+
+def marginal_rows(c, k, n_max):
+    """Oracle: the integer c-marginal rows 0..n_max, entry by entry."""
+    p, kq = c.numerator, k * c.denominator
+    beta = 2 * (k - 1) * p
+    rows = _exact_rows(p, beta, kq * kq, [2], [p, beta, p])
+    return [next(rows) for _ in range(n_max + 1)]
 
 
 class TestDistribution:
@@ -127,6 +148,31 @@ class TestCharFn:
         with pytest.raises(DomainError):
             char_fn(3, F(1), 1, [0.0])
 
+    @pytest.mark.parametrize(
+        "n,c,k,theta",
+        [
+            (100, F(2), 1, [1.3]),
+            (600, F(11, 10), 1, [0.4]),
+            (600, F(3, 2), 1, [3.0]),
+            (601, F(3, 2), 1, [3.0]),
+            (1000, F(11, 10), 1, [1.0]),
+            (1000, F(2), 2, [0.1, 0.3]),
+            (1000, F(9, 8), 3, [0.2, 2.0, 2.5]),
+        ],
+    )
+    def test_large_n_matches_exact_ratio(self, n, c, k, theta):
+        y = (float(c) / k) * sum(math.cos(t) for t in theta)
+        t_y, _, d_y = scaled_cheb(n, F(y))
+        t_c, _, d_c = scaled_cheb(n, c)
+        exact = F(t_y * d_c**n, d_y**n * t_c)
+        bound = float(F(d_c**n, t_c))  # |T_n(y)| <= 1 for |y| < 1
+        assert char_fn(n, c, k, theta) == pytest.approx(float(exact), rel=1e-9, abs=1e-9 * bound)
+
+    def test_no_overflow_at_large_n(self):
+        assert char_fn(540, F(2), 1, [0.0]) == pytest.approx(1.0, rel=1e-12)
+        assert char_fn(5000, F(3), 2, [0.0, 0.0]) == pytest.approx(1.0, rel=1e-9)
+        assert char_fn(5000, F(2), 1, [1.0]) == 0.0
+
 
 class TestVarianceConstants:
     def test_reported_values(self):
@@ -224,6 +270,78 @@ class TestMarginalEngine:
             marginal_moments_exact(F(2), 1, [])
         with pytest.raises(UsageError):
             marginal_moments_exact(F(2), 1, [0, 2])
+
+
+class TestMomentRecurrence:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 40), q=st.integers(1, 9), k=st.integers(1, 3), n=st.integers(1, 40))
+    def test_matches_row_oracle(self, p, q, k, n):
+        c = F(p, q)
+        assume(c > 1)
+        rows = marginal_rows(c, k, n)
+        ns = sorted({1, (n + 1) // 2, n})
+        try:
+            got = marginal_moments_exact(c, k, ns)
+        except DomainError:
+            # only the c < k sign scan may refuse, and only on a negative row
+            assert c < k and any(min(rows[m]) < 0 for m in ns)
+            return
+        for m, m2, m4 in got:
+            total, second, fourth = _row_second_fourth(rows[m], m)
+            assert (m2, m4) == (F(second, total), F(fourth, total))
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(2, 5), n=st.integers(1, 60))
+    def test_fg_matches_row_oracle(self, r, n):
+        beta = 2 * (r - 1)
+        rows = _exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1])
+        ns = sorted({1, (n + 1) // 2, n})
+        got = dict((m, (m2, m4)) for m, m2, m4 in fg_marginal_moments_exact(r, ns))
+        for m in range(n + 1):
+            total, second, fourth = _row_second_fourth(next(rows), m)
+            if m in got:
+                denom = total + (r - 1) * (1 + (-1) ** m)
+                assert got[m] == (F(second, denom), F(fourth, denom))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), num=st.integers(0, 30), den=st.integers(1, 9))
+    def test_rows_nonnegative_for_c_at_least_k(self, k, num, den):
+        c = k + F(num, den)
+        assume(c > 1)
+        assert all(min(row) >= 0 for row in marginal_rows(c, k, 60))
+
+    def test_joint_witness_is_kept(self):
+        with pytest.raises(DomainError) as info:
+            convergence_report(F(11, 10), 2, [3], mode=MODE_EXACT)
+        assert info.value.witness == (-1, 0)
+        assert str(info.value) == (
+            "coefficient at [-1, 0] is negative (-1221/16000); "
+            "the coefficient distribution is undefined"
+        )
+
+    def test_exact_at_ten_thousand(self):
+        n = 10_000
+        (row,) = convergence_report(F(2), 1, [n], mode=MODE_EXACT, exact_ceiling=n).rows
+        t, u, _ = scaled_cheb(n, F(2))
+        assert row.m2_over_n == F(2 * u, t)  # (c/k) U_(n-1)(c) / T_n(c)
+        assert row.dist_rederived < 1e-12
+        assert abs(float(row.kurtosis) - 3.0) < 1e-2
+        assert row.max_offdiag == 0
+
+    def test_fg_exact_at_ten_thousand(self):
+        n = 10_000
+        report = freegroup_convergence_report(2, [n - 1, n], mode=MODE_EXACT, exact_ceiling=n)
+        for row in report.rows:
+            assert abs(float(row.m2_over_n) - 1.0) < 1e-3
+            assert abs(float(row.kurtosis) - 3.0) < 1e-2
+            assert row.max_offdiag == 0
+
+    def test_nonpositive_ceiling_is_usage_error(self):
+        for ceiling in (0, -5, 2.5):
+            with pytest.raises(UsageError, match="must be a positive integer"):
+                convergence_report(F(2), 1, [4], mode=MODE_EXACT, exact_ceiling=ceiling)
+            with pytest.raises(UsageError, match="must be a positive integer"):
+                freegroup_convergence_report(2, [4], mode=MODE_EXACT, exact_ceiling=ceiling)
 
 
 class TestConvergenceReport:

@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcheb import (
     HomologyCountTable,
@@ -133,6 +135,11 @@ class TestFormula:
     def test_matches_oracle(self, r, n_max):
         for n in range(1, n_max + 1):
             assert counts_by_formula(r, n) == enumerate_counts(r, n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(r=st.sampled_from([2, 3]), n=st.integers(1, 5))
+    def test_formula_matches_enumeration(self, r, n):
+        assert counts_by_formula(r, n) == enumerate_counts(r, n)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_totals(self, r):

@@ -157,6 +157,17 @@ class TestKernelDifferential:
             assert (row.witness.n, row.witness.exponents, row.witness.value) == witness
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(-9, 9).filter(bool), q=st.integers(1, 9), n_max=st.integers(1, 9))
+    def test_univariate_matches_fullform(self, p, q, n_max):
+        c = F(p, q)
+        for n, poly in enumerate(build_sequence(T, c, 1, n_max)):
+            if n:
+                assert all(abs(e[0]) <= n for e, _ in poly.terms())
+                for j in range(-n, n + 1):
+                    assert poly.coeff((j,)) == fullform_coeff(n, c, j)
+
+
 class TestUnivariateTable:
     def test_u_kind_base_rows(self):
         table = univariate_table(U, F(2), 2)
