@@ -85,7 +85,8 @@ def coeff_formula_T(n: int, m: int) -> Fraction:
 def eval_closed_T(n: int, x: float) -> float:
     """T_n(x) for |x| >= 1 via the square-root closed form.
 
-    0.5 * ((x - sqrt(x^2-1))^n + (x + sqrt(x^2-1))^n).  Callers needing
+    sign(x)^n (rho^n + rho^-n) / 2 with rho = |x| + sqrt(x^2-1); where that
+    exceeds the float range the result is sign(x)^n inf.  Callers needing
     |x| < 1 should evaluate the coefficient vector instead.
     """
     if not isinstance(n, int) or n < 0:
@@ -93,8 +94,12 @@ def eval_closed_T(n: int, x: float) -> float:
     x = float(x)
     if abs(x) < 1.0:
         raise DomainError(f"closed form requires |x| >= 1, got x = {x}")
-    root = math.sqrt(x * x - 1.0)
-    return 0.5 * ((x - root) ** n + (x + root) ** n)
+    rho = abs(x) + math.sqrt(x * x - 1.0)
+    sign = -1.0 if x < 0 and n % 2 else 1.0
+    try:
+        return sign * 0.5 * (rho**n + rho**-n)
+    except OverflowError:
+        return sign * math.inf
 
 
 def scaled_rows(a: int, g: int, q0: int, k: int, n_max: int) -> Iterator[dict[int, int]]:

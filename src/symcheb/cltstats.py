@@ -52,10 +52,11 @@ k-variate row is scanned to certify joint nonnegativity; off-diagonal
 covariances vanish identically at every n because each coordinate can be
 mirrored independently, and that exact zero is what rows carry.
 
-Float-normalized mode runs the row recurrence in floating point,
-renormalizing every row by its sum (the running normalizer) so entries stay
-within [0, 1]; sums accumulate left to right over the support.  Exact mode
-is capped (128 for k = 1, 32 for k > 1 by default); the cap is a parameter.
+Float-normalized mode runs the same moment recurrence in floats, in an
+increment form that keeps M2/M0 and M4/M0 within a few ulp unless c is
+near 1 (see ``_float_moment_rows``), and walks float rows, each divided by
+its sum, only for the same c < k sign scan.  Exact mode is capped (128 for
+k = 1, 32 for k > 1 by default); the cap is a parameter.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
-from .chebyshev import ChebKind, cheb_coeffs, scaled_rows, unpack_exponents
+from .chebyshev import ChebKind, scaled_rows, unpack_exponents
 from .errors import DomainError, InternalError, UsageError
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import SymChebSpec, build
@@ -153,7 +155,8 @@ def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
                 witness=exponents,
             )
         total += coeff
-    normalizer = cheb_coeffs(ChebKind.FIRST, n).evaluate(c)
+    p, q = c.numerator, c.denominator
+    normalizer = Fraction(next(islice(_scalar_rows(p, q * q, 1, p), n, None)), q**n)  # T_n(c)
     if total != normalizer:
         raise InternalError("normalizer mismatch between build and direct evaluation")
     probabilities = {exponents: coeff / normalizer for exponents, coeff in poly.terms()}
@@ -240,9 +243,13 @@ def sigma2_rederived(c: Scalar | float, k: int) -> float:
 
 
 def _exact_rows(alpha, beta, gamma, row0: list, row1: list) -> Iterator[list]:
+    """Rows 0, 1, 2, ... of the row recurrence, exact for int input.  For
+    float input each new row is divided, together with the row before it,
+    by its sum, so rows stay probability-scaled and never overflow."""
     yield row0
     yield row1
     prevprev, prev, m = row0, row1, 1
+    normalize = isinstance(alpha, float)
     while True:
         cur = [0] * (2 * m + 3)
         for idx, coeff in enumerate(prev):  # idx = j + m; in cur, j sits at idx + 1
@@ -255,49 +262,10 @@ def _exact_rows(alpha, beta, gamma, row0: list, row1: list) -> Iterator[list]:
         for idx, coeff in enumerate(prevprev):  # idx = j + m - 1; in cur, j at idx + 2
             if coeff:
                 cur[idx + 2] -= gamma * coeff
-        yield cur
-        prevprev, prev = prev, cur
-        m += 1
-
-
-def _float_rows(
-    alpha: float, beta: float, gamma: float, row0: list[float], row1: list[float]
-) -> Iterator[list[float]]:
-    """Like _exact_rows but renormalizing every row by its sum.
-
-    Yields probability rows directly.  The scale ratio between consecutive
-    rows is tracked so the recurrence stays consistent after normalization.
-    """
-    sum0 = 0.0
-    for value in row0:
-        sum0 += value
-    prevprev = [v / sum0 for v in row0]
-    sum1 = 0.0
-    for value in row1:
-        sum1 += value
-    prev = [v / sum1 for v in row1]
-    ratio = sum0 / sum1  # s_{m-1} / s_m
-    yield prevprev
-    yield prev
-    m = 1
-    while True:
-        cur = [0.0] * (2 * m + 3)
-        for idx, coeff in enumerate(prev):
-            if coeff:
-                step = alpha * coeff
-                cur[idx] += step
-                cur[idx + 2] += step
-                if beta:
-                    cur[idx + 1] += beta * coeff
-        scaled_gamma = gamma * ratio
-        for idx, coeff in enumerate(prevprev):
-            if coeff:
-                cur[idx + 2] -= scaled_gamma * coeff
-        row_sum = 0.0
-        for value in cur:  # left-to-right over the support, by contract
-            row_sum += value
-        cur = [value / row_sum for value in cur]
-        ratio = 1.0 / row_sum
+        if normalize:
+            total = sum(cur)
+            prev = [value / total for value in prev]
+            cur = [value / total for value in cur]
         yield cur
         prevprev, prev = prev, cur
         m += 1
@@ -326,6 +294,48 @@ def _scalar_rows(p: int, g: int, x0: int, x1: int) -> Iterator[int]:
     while True:
         yield cur
         prev, cur = cur, 2 * p * cur - g * prev
+
+
+def _float_moment_rows(a: float, b: float, g: float) -> Iterator[tuple[float, float, float]]:
+    """(rho, M2/M0, M4/M0) of rows 0, 1, 2, ... of ``_moment_rows`` in floats,
+    rho = M0 / M0^- (M0^- = 1 at row 0), by the increment form
+
+        rho' = A - g / rho,  d2' = (2a + g d2 / rho) / rho',
+        d4' = (a (12 M2/M0 + 2) + g d4 / rho) / rho',  A = 2a + b,
+
+    d being a ratio's step from the previous row.  Every term is
+    nonnegative, the d-map contracts and the steps are Kahan-summed, so
+    rounding error does not build up; ``_moment_rows`` divided by M0 leaves
+    M2/M0 on a neutral mode whose error grows linearly in n.
+    """
+    big_a = 2 * a + b
+    yield 2.0, 0.0, 0.0
+    rho = big_a / 2
+    d2 = d4 = m2 = m4 = 2 * a / big_a
+    e2 = e4 = 0.0  # Kahan compensations of m2 and m4
+    while True:
+        yield rho, m2, m4
+        rho_next = big_a - g / rho
+        d4 = (a * (12 * m2 + 2) + g * d4 / rho) / rho_next
+        d2 = (2 * a + g * d2 / rho) / rho_next
+        rho = rho_next
+        y2, y4 = d2 - e2, d4 - e4
+        s2, s4 = m2 + y2, m4 + y4
+        e2, e4 = (s2 - m2) - y2, (s4 - m4) - y4
+        m2, m4 = s2, s4
+
+
+def _float_moments(a: float, b: float, g: float, ns: list[int]) -> list[tuple[int, float, float]]:
+    """(n, m2, m4) per n in ns; DomainError where the float range is exceeded."""
+    out = []
+    for m, (rho, m2, m4) in _requested(_float_moment_rows(a, b, g), ns):
+        if not math.isfinite(rho + m2 + m4):  # all nonnegative: finite iff each is
+            raise DomainError(
+                f"float moments of row n = {m} are not finite (row sum ratio {rho}, "
+                f"m2 {m2}, m4 {m4}); the distribution is undefined"
+            )
+        out.append((m, m2, m4))
+    return out
 
 
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
@@ -362,21 +372,6 @@ def _check_row(row: Sequence, m: int, k: int, scale: int = 1) -> None:
                 f"{problem} ({value}); the distribution is undefined",
                 witness=(idx - m,),
             )
-
-
-def _row_second_fourth(row: Sequence, m: int):
-    """(sum, sum j^2 row_j, sum j^4 row_j) accumulated left to right."""
-    total = row[0] * 0
-    second = total
-    fourth = total
-    for idx, value in enumerate(row):
-        j = idx - m
-        total += value
-        if j:
-            jj = j * j
-            second += jj * value
-            fourth += jj * jj * value
-    return total, second, fourth
 
 
 def marginal_moments_exact(
@@ -421,23 +416,20 @@ def marginal_moments_float(
 ) -> list[tuple[int, float, float]]:
     """Float-normalized (n, m2, m4) of one coordinate, per n.
 
-    Every requested row is scanned as in ``marginal_moments_exact``; a
-    negative or non-finite entry raises DomainError with the witness
-    exponent.
-    """
+    Runs the O(n) moment recurrence in floats.  For k > 1 and c < k the
+    requested rows are scanned as in ``marginal_moments_exact`` (float rows
+    normalized by their sum); a negative or non-finite entry, or a moment
+    that is not finite, raises DomainError."""
     ns = _check_n_list(n_list)
     c_float = float(c)
     if c_float <= 1.0:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c_float}")
     alpha = c_float / k
     beta = 2.0 * c_float * (k - 1) / k
-    row1 = [alpha / 2.0, beta / 2.0, alpha / 2.0]
-    out = []
-    for m, row in _requested(_float_rows(alpha, beta, 1.0, [1.0], row1), ns):
-        _check_row(row, m, k)
-        _, second, fourth = _row_second_fourth(row, m)
-        out.append((m, second, fourth))
-    return out
+    if c_float < k:
+        for m, row in _requested(_exact_rows(alpha, beta, 1.0, [2.0], [alpha, beta, alpha]), ns):
+            _check_row(row, m, k)
+    return _float_moments(alpha, beta, 1.0, ns)
 
 
 def _fg_correction(r: int, n: int) -> int:
@@ -474,16 +466,13 @@ def fg_marginal_moments_float(
     ns = _check_n_list(n_list)
     if not isinstance(r, int) or r < 2:
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
-    beta = float(2 * (r - 1))
     out = []
-    rows = _float_rows(1.0, beta, float(2 * r - 1), [2.0], [1.0, beta, 1.0])
-    for m, row in _requested(rows, ns):
-        _, second, fourth = _row_second_fourth(row, m)
+    for m, m2, m4 in _float_moments(1.0, float(2 * (r - 1)), float(2 * r - 1), ns):
         # Trivial-class correction, applied as the exact ratio
         # total / (total + correction); negligible for large n.
         poly_total = (2 * r - 1) ** m + 1
         factor = float(Fraction(poly_total, poly_total + _fg_correction(r, m)))
-        out.append((m, second * factor, fourth * factor))
+        out.append((m, m2 * factor, m4 * factor))
     return out
 
 
@@ -530,9 +519,11 @@ def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
     table_ns = [n for n in ns if n <= FULL_TABLE_CEILING] if k > 1 else []
     if not table_ns:
         return
-    p, kq = c.numerator, k * c.denominator
+    p, q = c.numerator, c.denominator
+    kq = k * q
     top = table_ns[-1]
-    for n, row in _requested(scaled_rows(p, kq * kq, 2, k, top), table_ns):
+    rows = zip(scaled_rows(p, kq * kq, 2, k, top), _scalar_rows(p, q * q, 1, p))
+    for n, (row, t_n) in _requested(rows, table_ns):
         scale = 2 * kq**n
         if min(row.values()) < 0:
             key = min(key for key, coeff in row.items() if coeff < 0)
@@ -543,7 +534,7 @@ def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
                 "the coefficient distribution is undefined",
                 witness=exponents,
             )
-        if sum(row.values()) != scale * cheb_coeffs(ChebKind.FIRST, n).evaluate(c):
+        if sum(row.values()) != 2 * k**n * t_n:
             raise InternalError("normalizer mismatch between build and direct evaluation")
 
 

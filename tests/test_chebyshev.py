@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -143,6 +144,10 @@ class TestClosedForm:
             for x in (1.0, 1.5, 2.0, -1.25, -3.0):
                 exact = float(cheb_coeffs(T, n).evaluate(F(x)))
                 assert eval_closed_T(n, x) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("n,x,expected", [(1000, 2.0, math.inf), (1001, -2.0, -math.inf)])
+    def test_overflow_is_signed_infinity(self, n, x, expected):
+        assert eval_closed_T(n, x) == expected
 
 
 def test_boundedness_on_unit_interval():

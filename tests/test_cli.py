@@ -251,3 +251,22 @@ def test_console_entry_point():
         {"e": [-1], "coeff": "3/4"},
         {"e": [1], "coeff": "3/4"},
     ]
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["--c", "1e308", "--n", "4"], "not finite"),
+        (["--c", "1.05", "--n", "4,8"],
+         "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"),
+    ],
+)
+def test_float_domain_checks_survive_optimized_python(params, message):
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "symcheb", "clt", "--k", "2", *params,
+         "--mode", "float_normalized"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert message in result.stderr and result.stderr.count("\n") == 1

@@ -22,7 +22,6 @@ from symcheb.cltstats import (
     MODE_EXACT,
     MODE_FLOAT,
     _exact_rows,
-    _row_second_fourth,
     fg_marginal_moments_exact,
     fg_marginal_moments_float,
     marginal_moments_exact,
@@ -41,6 +40,12 @@ def scaled_cheb(n, c):
         t_prev, t = t, 2 * a * t - d * d * t_prev
         u_prev, u = u, 2 * a * u - d * d * u_prev
     return t, u, d
+
+
+def row_moments(row, m):
+    """Oracle: (sum, sum j^2 row_j, sum j^4 row_j) of row m, j = -m..m."""
+    pairs = list(enumerate(row, -m))
+    return sum(row), sum(j**2 * v for j, v in pairs), sum(j**4 * v for j, v in pairs)
 
 
 def marginal_rows(c, k, n_max):
@@ -234,14 +239,17 @@ class TestMarginalEngine:
         assert m4 == report.fourth_moment_diag[0]
 
     def test_float_rows_are_scanned_like_exact_rows(self):
-        with pytest.raises(DomainError) as exact:
-            marginal_moments_exact(F(21, 20), 2, [4, 8])
-        with pytest.raises(DomainError) as approx:
-            marginal_moments_float(1.05, 2, [4, 8])
-        assert approx.value.witness == exact.value.witness == (-1,)
+        cases = [(F(21, 20), 1.05, 2, [4, 8], (-1,))]
+        cases += [(F(11, 10), 1.1, k, [2, 3, 4, 8, 16], (0,)) for k in (2, 3)]
+        for c_exact, c_float, k, ns, witness in cases:
+            with pytest.raises(DomainError) as exact:
+                marginal_moments_exact(c_exact, k, ns)
+            with pytest.raises(DomainError) as approx:
+                marginal_moments_float(c_float, k, ns)
+            assert approx.value.witness == exact.value.witness == witness
 
     def test_float_rows_reject_non_finite_entries(self):
-        # at c = 1e308 the float recurrence overflows to inf and then nan
+        # at c = 1e308 the float moment recurrence overflows
         with pytest.raises(DomainError, match="not finite"):
             marginal_moments_float(1e308, 2, [4])
 
@@ -253,9 +261,11 @@ class TestMarginalEngine:
         assert report.covariance[0][0] == m2
         assert report.fourth_moment_diag[0] == m4
 
-    @pytest.mark.parametrize("c,k", [(2.0, 1), (1.5, 1), (2.0, 2)])
+    @pytest.mark.parametrize("c,k", [(2.0, 1), (1.5, 1), (2.0, 2), (1.5, 2)])
     def test_float_matches_exact(self, c, k):
-        ns = [1, 2, 4, 8, 16, 32, 64]
+        # at c = 1.5, k = 2 the float rows are scanned past n ~ 740, where
+        # rows that were not normalized would overflow
+        ns = [1, 2, 4, 8, 16, 32, 64, 800]
         exact = marginal_moments_exact(F(c), k, ns)
         approx = marginal_moments_float(c, k, ns)
         for (n1, m2e, m4e), (n2, m2f, m4f) in zip(exact, approx):
@@ -287,7 +297,7 @@ class TestMomentRecurrence:
             assert c < k and any(min(rows[m]) < 0 for m in ns)
             return
         for m, m2, m4 in got:
-            total, second, fourth = _row_second_fourth(rows[m], m)
+            total, second, fourth = row_moments(rows[m], m)
             assert (m2, m4) == (F(second, total), F(fourth, total))
 
     @settings(max_examples=40, deadline=None)
@@ -298,7 +308,7 @@ class TestMomentRecurrence:
         ns = sorted({1, (n + 1) // 2, n})
         got = dict((m, (m2, m4)) for m, m2, m4 in fg_marginal_moments_exact(r, ns))
         for m in range(n + 1):
-            total, second, fourth = _row_second_fourth(next(rows), m)
+            total, second, fourth = row_moments(next(rows), m)
             if m in got:
                 denom = total + (r - 1) * (1 + (-1) ** m)
                 assert got[m] == (F(second, denom), F(fourth, denom))
@@ -342,6 +352,44 @@ class TestMomentRecurrence:
                 convergence_report(F(2), 1, [4], mode=MODE_EXACT, exact_ceiling=ceiling)
             with pytest.raises(UsageError, match="must be a positive integer"):
                 freegroup_convergence_report(2, [4], mode=MODE_EXACT, exact_ceiling=ceiling)
+
+
+class TestFloatMomentRecurrence:
+    EPS = 2.0**-52
+    NS = [64, 448, 1152, 4096]
+
+    def max_rel_error(self, approx, exact):
+        return max(
+            abs(F(value) - oracle) / oracle
+            for (_, *values), (_, *oracles) in zip(approx, exact)
+            for value, oracle in zip(values, oracles)
+        )
+
+    @pytest.mark.parametrize(
+        "c,k",
+        [(c, 1) for c in (1 + 2**-10, 1 + 2**-6, 1.0625, 1.5, 2.0, 2.375)]
+        + [(c, 2) for c in (2.625, 2.875, 5.0)]
+        + [(3.0, 3), (3.5, 3)],
+    )
+    def test_accuracy_against_exact(self, c, k):
+        # dyadic c is an exact float, so the exact moments of the same c are
+        # the oracle; m2 has condition number about 1/(c^2 - 1) in c near 1
+        approx = marginal_moments_float(c, k, self.NS)
+        exact = marginal_moments_exact(F(c), k, self.NS)
+        assert [n for n, *_ in approx] == self.NS
+        assert self.max_rel_error(approx, exact) <= max(16, 1 / (c * c - 1)) * self.EPS
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_fg_accuracy_against_exact(self, r):
+        approx = fg_marginal_moments_float(r, self.NS)
+        exact = fg_marginal_moments_exact(r, self.NS)
+        assert self.max_rel_error(approx, exact) <= 16 * self.EPS
+
+    def test_hundred_thousand(self):
+        (row,) = convergence_report(2.0, 1, [100_000], mode=MODE_FLOAT).rows
+        assert abs(row.m2_over_n - 2 / math.sqrt(3)) < 1e-12
+        (row,) = freegroup_convergence_report(2, [100_000], mode=MODE_FLOAT).rows
+        assert abs(row.m2_over_n - 1.0) < 1e-12
 
 
 class TestConvergenceReport:
