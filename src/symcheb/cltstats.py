@@ -64,13 +64,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
-from .chebyshev import ChebKind, scaled_rows, unpack_exponents
+from .chebyshev import ChebKind
 from .errors import DomainError, InternalError, UsageError
 from .laurent import Exponents, Scalar, as_scalar
-from .symmetrized import SymChebSpec, build
+from .symmetrized import _first_negative, _fractions, _scaled
 
 DEFAULT_EXACT_CEILING_UNIVARIATE = 128
 DEFAULT_EXACT_CEILING_MULTIVARIATE = 32
@@ -135,32 +134,18 @@ class ConvergenceReport:
 def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
     """The exact coefficient distribution of T_n(A) on Z^k.
 
-    Requires c > 1.  Every stored coefficient is checked; a negative one
-    raises DomainError carrying the witness exponent (the distribution is
-    undefined there).  The normalizer is cross-checked against the exact
-    evaluation T_n(c).
+    Requires c > 1.  Read off the integer kernel row Q_n = s_n T_n(A): a
+    negative entry raises DomainError carrying the witness exponent (the
+    distribution is undefined there), the row sum is checked against the
+    exact s_n T_n(c), and each probability is one entry over that sum.
     """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    poly = build(SymChebSpec(kind=ChebKind.FIRST, n=n, c=c, k=k))
-    total = _ZERO
-    for exponents, coeff in poly.terms():
-        if coeff < 0:
-            raise DomainError(
-                f"coefficient at {list(exponents)} is negative ({coeff}); "
-                "the coefficient distribution is undefined",
-                witness=exponents,
-            )
-        total += coeff
-    p, q = c.numerator, c.denominator
-    normalizer = Fraction(next(islice(_scalar_rows(p, q * q, 1, p), n, None)), q**n)  # T_n(c)
-    if total != normalizer:
-        raise InternalError("normalizer mismatch between build and direct evaluation")
-    probabilities = {exponents: coeff / normalizer for exponents, coeff in poly.terms()}
-    return LatticeDistribution(arity=k, n=n, probabilities=probabilities)
+    ((_, row, total),) = _certified_rows(c, k, [n])
+    return LatticeDistribution(arity=k, n=n, probabilities=_fractions(row, total, k, n))
 
 
 def moments(dist: LatticeDistribution) -> MomentReport:
@@ -204,7 +189,7 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    c_float = float(c)
+    c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"characteristic function needs c > 1, got c = {c_float}")
     if len(theta) != k:
@@ -220,20 +205,30 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     return sign * (rho_y / rho_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
 
 
-def sigma2_reported(c: Scalar | float, k: int) -> float:
-    """(c/k) [1 + sqrt((c+1)/(c-1))]: the originally reported variance constant."""
-    c_float = float(c)
+def _to_float(value: Scalar | float, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for float arithmetic") from None
+
+
+def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
+    c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"variance constant is defined for c > 1 only, got c = {c_float}")
-    return (c_float / k) * (1.0 + math.sqrt((c_float + 1.0) / (c_float - 1.0)))
+    return c_float, _to_float(k, "k")
+
+
+def sigma2_reported(c: Scalar | float, k: int) -> float:
+    """(c/k) [1 + sqrt((c+1)/(c-1))]: the originally reported variance constant."""
+    c_float, k_float = _variance_args(c, k)
+    return (c_float / k_float) * (1.0 + math.sqrt((c_float + 1.0) / (c_float - 1.0)))
 
 
 def sigma2_rederived(c: Scalar | float, k: int) -> float:
     """c / (k sqrt(c^2-1)): the variance constant the exact moments converge to."""
-    c_float = float(c)
-    if c_float <= 1.0:
-        raise DomainError(f"variance constant is defined for c > 1 only, got c = {c_float}")
-    return c_float / (k * math.sqrt(c_float * c_float - 1.0))
+    c_float, k_float = _variance_args(c, k)
+    return c_float / (k_float * math.sqrt(c_float * c_float - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def marginal_moments_float(
     normalized by their sum); a negative or non-finite entry, or a moment
     that is not finite, raises DomainError."""
     ns = _check_n_list(n_list)
-    c_float = float(c)
+    c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c_float}")
     alpha = c_float / k
@@ -509,33 +504,35 @@ def _report(
     return ConvergenceReport(c, k, mode, s2_reported, s2_rederived, tuple(out))
 
 
-def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
-    """Certify joint nonnegativity on the integer kernel's full k-variate
-    rows at every requested n <= FULL_TABLE_CEILING (k > 1).
-
-    Raises the DomainError of ``distribution`` at the lexicographically
-    first negative coefficient, and checks the row sum against T_n(c).
-    """
-    table_ns = [n for n in ns if n <= FULL_TABLE_CEILING] if k > 1 else []
-    if not table_ns:
-        return
+def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, dict, int]]:
+    """(n, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n = 2 (kq)^n
+    T_n(A), keyed with n_max = ns[-1].  Raises the DomainError of
+    ``distribution`` at the lexicographically first negative coefficient,
+    and InternalError unless the row sum is 2 k^n t_n = 2 (kq)^n T_n(c)."""
     p, q = c.numerator, c.denominator
-    kq = k * q
-    top = table_ns[-1]
-    rows = zip(scaled_rows(p, kq * kq, 2, k, top), _scalar_rows(p, q * q, 1, p))
-    for n, (row, t_n) in _requested(rows, table_ns):
-        scale = 2 * kq**n
-        if min(row.values()) < 0:
-            key = min(key for key, coeff in row.items() if coeff < 0)
-            exponents = unpack_exponents(key, k, top)
+    rows = zip(_scaled(ChebKind.FIRST, c, k, ns[-1]), _scalar_rows(p, q * q, 1, p))
+    for n, ((_, row, scale), t_n) in _requested(rows, ns):
+        negative = _first_negative(row, k, ns[-1])
+        if negative is not None:
+            exponents, coeff = negative
             raise DomainError(
-                f"coefficient at {list(exponents)} is negative "
-                f"({Fraction(row[key], scale)}); "
+                f"coefficient at {list(exponents)} is negative ({Fraction(coeff, scale)}); "
                 "the coefficient distribution is undefined",
                 witness=exponents,
             )
-        if sum(row.values()) != 2 * k**n * t_n:
+        total = sum(row.values())
+        if total != 2 * k**n * t_n:
             raise InternalError("normalizer mismatch between build and direct evaluation")
+        yield n, row, total
+
+
+def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
+    """Certify joint nonnegativity on the integer kernel's full k-variate
+    rows at every requested n <= FULL_TABLE_CEILING (k > 1)."""
+    table_ns = [n for n in ns if n <= FULL_TABLE_CEILING]
+    if k > 1 and table_ns:
+        for _ in _certified_rows(c, k, table_ns):
+            pass
 
 
 def _check_exact_ceiling(exact_ceiling: int | None) -> None:
@@ -605,7 +602,7 @@ def freegroup_convergence_report(
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
     ns = _check_n_list(n_list)
     _check_exact_ceiling(exact_ceiling)
-    c_float = r / math.sqrt(2 * r - 1)
+    c_float = _to_float(r, "r") / math.sqrt(_to_float(2 * r - 1, "2r - 1"))
     s2_reported = sigma2_reported(c_float, r)
     s2_rederived = 1.0 / (r - 1)
     if mode == MODE_EXACT:

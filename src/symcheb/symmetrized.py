@@ -136,21 +136,30 @@ def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int
     return ((m, row, q0 * kq**m) for m, row in enumerate(rows))
 
 
-def _poly(row: dict[int, int], scale: int, k: int, n_max: int) -> LaurentPoly:
-    table = {unpack_exponents(key, k, n_max): Fraction(v, scale) for key, v in row.items() if v}
-    return LaurentPoly._raw(k, table)
+def _fractions(row: dict[int, int], divisor: int, k: int, n_max: int) -> dict[Exponents, Fraction]:
+    """The nonzero entries of a kernel row over divisor, by exponents in lexicographic order."""
+    keys = filter(row.get, sorted(row))
+    return {unpack_exponents(key, k, n_max): Fraction(row[key], divisor) for key in keys}
+
+
+def _first_negative(row: dict[int, int], k: int, n_max: int) -> tuple[Exponents, int] | None:
+    """(exponents, entry) at the smallest negative key, which is the
+    lexicographically first, or None."""
+    key = min((key for key, coeff in row.items() if coeff < 0), default=None)
+    return None if key is None else (unpack_exponents(key, k, n_max), row[key])
 
 
 def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[LaurentPoly]:
     """The polynomials for n = 0..n_max, sharing one recurrence pass."""
-    return [_poly(row, scale, k, n_max) for _, row, scale in _scaled(kind, c, k, n_max)]
+    rows = _scaled(kind, c, k, n_max)
+    return [LaurentPoly._raw(k, _fractions(row, scale, k, n_max)) for _, row, scale in rows]
 
 
 def build(spec: SymChebSpec) -> LaurentPoly:
     """Construct T_n(A) or U_n(A) exactly."""
     for _, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
         pass
-    return _poly(row, scale, spec.k, spec.n)
+    return LaurentPoly._raw(spec.k, _fractions(row, scale, spec.k, spec.n))
 
 
 def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTable:
@@ -162,12 +171,8 @@ def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTa
     c = as_scalar(c)
     rows = []
     for m, row, scale in _scaled(kind, c, 1, n_max):
-        dense = [_ZERO] * (2 * m + 1)
-        for key, coeff in row.items():
-            if coeff:
-                (j,) = unpack_exponents(key, 1, n_max)
-                dense[j + m] = Fraction(coeff, scale)
-        rows.append(tuple(dense))
+        fractions = _fractions(row, scale, 1, n_max)
+        rows.append(tuple(fractions.get((j,), _ZERO) for j in range(-m, m + 1)))
     return UnivariateCoeffTable(kind=kind, c=c, rows=tuple(rows))
 
 
@@ -200,24 +205,21 @@ def fullform_coeff(n: int, c: Scalar, j: int) -> Fraction:
 
 
 def positivity_report(spec: SymChebSpec) -> PositivityReport:
-    """Scan every stored coefficient of build(spec) for sign violations."""
-    poly = build(spec)
-    witness: Exponents | None = None
-    for exponents, coeff in poly.terms():
-        if coeff < 0:
-            witness = exponents
-            break
-    pattern_ok: bool | None = None
-    if spec.k == 1:
-        pattern_ok = all(
-            (poly.coeff((j,)) > 0) if (spec.n - j) % 2 == 0 else (poly.coeff((j,)) == 0)
-            for j in range(-spec.n, spec.n + 1)
-        )
+    """Sign scan of T_n(A) or U_n(A), read off its integer kernel row (scale
+    s_n > 0).  Rows keep cancelled zeros, so the minimum is taken over
+    nonzero entries; it is the only Fraction made."""
+    for _, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+        pass
+    negative = _first_negative(row, spec.k, spec.n)
+    pattern_ok = None if spec.k > 1 else all(  # x^j has key j + n: n - j even iff key even
+        row.get(key, 0) > 0 if key % 2 == 0 else not row.get(key, 0)
+        for key in range(2 * spec.n + 1)
+    )
     return PositivityReport(
-        all_nonnegative=witness is None,
+        all_nonnegative=negative is None,
         pattern_ok=pattern_ok,
-        min_coefficient=poly.min_coefficient(),
-        witness=witness,
+        min_coefficient=Fraction(min((v for v in row.values() if v), default=0), scale),
+        witness=None if negative is None else negative[0],
     )
 
 

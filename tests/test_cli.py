@@ -9,6 +9,12 @@ from symcheb import InternalError, cltstats, symmetrized
 from symcheb.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+HUGE = "1" + "0" * 400  # beyond the float range
+OVERFLOW_ARGVS = [
+    ["clt", "--fg-r", HUGE, "--n", "4"],
+    ["clt", "--c", HUGE, "--k", "1", "--n", "4"],
+    ["clt", "--c", "3", "--k", HUGE, "--n", "4"],
+]
 
 
 def capture(capsys, argv):
@@ -98,6 +104,12 @@ class TestExitCodes:
             "domain error: coefficient at [-1, 0] is negative (-1221/16000); "
             "the coefficient distribution is undefined\n"
         )
+
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGVS)
+    def test_float_overflow_is_one_line_domain_error(self, capsys, argv):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("ceiling", ["-5", "0"])
     def test_nonpositive_exact_ceiling_exit_2(self, capsys, ceiling):
@@ -256,17 +268,19 @@ def test_console_entry_point():
 @pytest.mark.parametrize(
     "params,message",
     [
-        (["--c", "1e308", "--n", "4"], "not finite"),
-        (["--c", "1.05", "--n", "4,8"],
+        (["clt", "--k", "2", "--c", "1e308", "--n", "4", "--mode", "float_normalized"],
+         "not finite"),
+        (["clt", "--k", "2", "--c", "1.05", "--n", "4,8", "--mode", "float_normalized"],
          "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"),
+        (["clt", "--c", "11/10", "--k", "2", "--n", "3"],
+         "domain error: coefficient at [-1, 0] is negative (-1221/16000); "
+         "the coefficient distribution is undefined\n"),
+        (OVERFLOW_ARGVS[0], "domain error: r is too large for float arithmetic\n"),
     ],
 )
 def test_float_domain_checks_survive_optimized_python(params, message):
     result = subprocess.run(
-        [sys.executable, "-O", "-m", "symcheb", "clt", "--k", "2", *params,
-         "--mode", "float_normalized"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-O", "-m", "symcheb", *params], capture_output=True, text=True
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert message in result.stderr and result.stderr.count("\n") == 1

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from symcheb import (
     ChebKind,
     DomainError,
+    InternalError,
+    SymChebSpec,
     UsageError,
+    build,
     char_fn,
     cheb_coeffs,
+    cltstats,
     convergence_report,
     distribution,
     freegroup_convergence_report,
@@ -85,6 +89,44 @@ class TestDistribution:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(UsageError):
             distribution(0, F(2), 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        num=st.integers(1, 30),
+        den=st.integers(1, 9),
+        k=st.integers(1, 3),
+        n=st.integers(1, 8),
+    )
+    def test_matches_fraction_polynomial(self, num, den, k, n):
+        # Oracle: the Fraction polynomial build(spec), divided by its sum,
+        # or the first negative term in its lexicographic term order.
+        c = 1 + F(num, den)
+        terms = list(build(SymChebSpec(T, n, c, k)).terms())
+        negative = [(e, v) for e, v in terms if v < 0]
+        if negative:
+            exponents, value = negative[0]
+            with pytest.raises(DomainError) as info:
+                distribution(n, c, k)
+            assert info.value.witness == exponents
+            assert str(info.value) == (
+                f"coefficient at {list(exponents)} is negative ({value}); "
+                "the coefficient distribution is undefined"
+            )
+        else:
+            total = sum(v for _, v in terms)
+            got = distribution(n, c, k).probabilities
+            assert list(got.items()) == [(e, v / total) for e, v in terms]
+
+    def test_normalizer_mismatch_is_internal_error(self, monkeypatch):
+        original = cltstats._scalar_rows
+
+        def off_by_one(p, g, x0, x1):
+            return (x + 1 for x in original(p, g, x0, x1))
+
+        monkeypatch.setattr(cltstats, "_scalar_rows", off_by_one)
+        with pytest.raises(InternalError) as info:
+            distribution(3, F(2), 1)
+        assert str(info.value) == "normalizer mismatch between build and direct evaluation"
 
 
 class TestMoments:

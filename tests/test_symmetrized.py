@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from symcheb import (
     ChebKind,
     LaurentPoly,
+    PositivityReport,
     SignClass,
     SymChebSpec,
     UsageError,
@@ -49,6 +50,19 @@ def survey_oracle(polys):
     if not off_sign:
         return SignClass.ALTERNATING, None
     return SignClass.MIXED, scan[max(negative[0], off_sign[0])]
+
+
+def positivity_oracle(spec):
+    """Oracle: the report computed on the Fraction polynomial build(spec)."""
+    poly = build(spec)
+    witness = next((e for e, v in poly.terms() if v < 0), None)
+    pattern_ok = None
+    if spec.k == 1:
+        pattern_ok = all(
+            poly.coeff((j,)) > 0 if (spec.n - j) % 2 == 0 else poly.coeff((j,)) == 0
+            for j in range(-spec.n, spec.n + 1)
+        )
+    return PositivityReport(witness is None, pattern_ok, poly.min_coefficient(), witness)
 
 
 def uni(terms):
@@ -272,6 +286,30 @@ class TestPositivity:
         for n in range(0, 21):
             report = positivity_report(SymChebSpec(kind, n, c, 1))
             assert report.all_nonnegative and report.pattern_ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from([T, U]),
+        p=st.integers(-9, 9),
+        q=st.integers(1, 9),
+        k=st.integers(1, 3),
+        n=st.integers(0, 8),
+    )
+    def test_matches_fraction_polynomial(self, kind, p, q, k, n):
+        spec = SymChebSpec(kind, n, F(p, q), k)
+        assert positivity_report(spec) == positivity_oracle(spec)
+
+    @pytest.mark.parametrize("c", [F(0), F(1)])
+    def test_matches_fraction_polynomial_at_cancelling_c(self, c):
+        # At c = 1 the kernel rows store cancelled zeros (row 4 at k = 1 is
+        # {8: 1, 6: 0, 4: 0, 2: 0, 0: 1}); at c = 0 odd rows are all zero.
+        for kind in (T, U):
+            for k in (1, 2, 3):
+                for n in range(9):
+                    spec = SymChebSpec(kind, n, c, k)
+                    assert positivity_report(spec) == positivity_oracle(spec), (kind, k, n)
+        assert positivity_report(SymChebSpec(T, 4, F(1), 1)).min_coefficient == F(1, 2)
+        assert positivity_report(SymChebSpec(T, 3, F(0), 2)).min_coefficient == 0
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_multivariate_nonnegative_at_c_equals_k(self, k):
