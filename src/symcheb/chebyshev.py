@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import DomainError, InternalError, UsageError
+from .errors import (
+    ENUM_BUDGET_ENV,
+    DomainError,
+    InternalError,
+    ResourceBudgetError,
+    UsageError,
+    resolve_enum_budget,
+)
 
 
 class ChebKind(enum.Enum):
@@ -26,8 +32,13 @@ class ChebKind(enum.Enum):
     SECOND = "U"
 
 
-@dataclass(frozen=True)
-class ChebCoeffVector:
+def check_kind(kind: ChebKind) -> None:
+    """Reject anything but a ChebKind, such as the letter "T"."""
+    if not isinstance(kind, ChebKind):
+        raise UsageError(f"kind must be a ChebKind, got {kind!r}")
+
+
+class ChebCoeffVector(NamedTuple):
     """Dense coefficient vector of T_n or U_n; index j = coefficient of x^j."""
 
     n: int
@@ -44,6 +55,7 @@ class ChebCoeffVector:
 @lru_cache(maxsize=None)
 def cheb_coeffs(kind: ChebKind, n: int) -> ChebCoeffVector:
     """Exact coefficients of T_n (FIRST) or U_n (SECOND) via the recurrence."""
+    check_kind(kind)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"degree must be a nonnegative integer, got {n!r}")
     if n == 0:
@@ -102,6 +114,39 @@ def eval_closed_T(n: int, x: float) -> float:
         return sign * math.inf
 
 
+def row_size(k: int, n: int) -> int:
+    """The number of keys of row n of ``scaled_rows`` in k variables.
+
+    Row n has a key for every e in Z^k with |e|_1 <= n and |e|_1 = n (mod 2).
+    That is half of sum_i 2^i C(k, i) C(n, i), the count of all e with
+    |e|_1 <= n, plus sum_i C(k-1, i) C(n-i+k-1, k-1), the coefficient of x^n
+    in (1 + x)^(k-1) / (1 - x)^k, which counts them with sign (-1)^(n-|e|_1).
+    """
+    within = sum(2**i * math.comb(k, i) * math.comb(n, i) for i in range(min(k, n) + 1))
+    signed = sum(
+        math.comb(k - 1, i) * math.comb(n - i + k - 1, n - i) for i in range(min(k - 1, n) + 1)
+    )
+    return (within + signed) // 2
+
+
+def _check_row_size(k: int, n_max: int) -> None:
+    """Raise ResourceBudgetError when row n_max has more keys than the
+    enumeration budget allows, before any row is allocated."""
+    budget = resolve_enum_budget()
+    m = min(k, n_max)
+    if m >= budget.bit_length():  # row n_max has at least 2^m keys (i = m above)
+        size = f"at least 2^{m}"
+    else:
+        count = row_size(k, n_max)
+        if count <= budget:
+            return
+        size = str(count) if count.bit_length() <= 128 else f"more than 2^{count.bit_length() - 1}"
+    raise ResourceBudgetError(
+        f"row {n_max} of the recurrence has {size} terms, over the budget of {budget} "
+        f"(raise {ENUM_BUDGET_ENV})"
+    )
+
+
 def scaled_rows(a: int, g: int, q0: int, k: int, n_max: int) -> Iterator[dict[int, int]]:
     """Yield Q_0..Q_{n_max} of Q_0 = q0, Q_1 = a S, Q_{m+1} = a S Q_m - g Q_{m-1},
     S = sum_i (x_i + 1/x_i), over the ints.
@@ -111,8 +156,10 @@ def scaled_rows(a: int, g: int, q0: int, k: int, n_max: int) -> Iterator[dict[in
     free-group count polynomials.  A row maps each exponent vector, packed
     into one int (Kronecker substitution: digits e_i + n_max in radix
     2 n_max + 1, e_1 most significant, so key order is lexicographic order),
-    to its coefficient; coefficients that cancel may stay as zeros.
+    to its coefficient; coefficients that cancel may stay as zeros.  Raises
+    ResourceBudgetError when row n_max would exceed the enumeration budget.
     """
+    _check_row_size(k, n_max)
     radix = 2 * n_max + 1
     shifts = [radix**i for i in range(k)]
     origin = n_max * sum(shifts)

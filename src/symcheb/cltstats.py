@@ -62,9 +62,8 @@ k = 1, 32 for k > 1 by default); the cap is a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .chebyshev import ChebKind
 from .errors import DomainError, InternalError, UsageError
@@ -82,8 +81,7 @@ MODE_EXACT = "exact"
 MODE_FLOAT = "float_normalized"
 
 
-@dataclass(frozen=True)
-class LatticeDistribution:
+class LatticeDistribution(NamedTuple):
     """Normalized coefficient distribution of one T_n(A) on Z^k."""
 
     arity: int
@@ -91,8 +89,7 @@ class LatticeDistribution:
     probabilities: dict[Exponents, Fraction]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Exact moments of a lattice distribution, with float summaries."""
 
     n: int
@@ -103,8 +100,7 @@ class MomentReport:
     kurtosis: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One n of a convergence report.
 
     In exact mode ``m2_over_n``, ``kurtosis`` and ``max_offdiag`` are
@@ -121,8 +117,7 @@ class ConvergenceRow:
     dist_rederived: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     c: float
     k: int
     mode: str

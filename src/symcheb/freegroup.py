@@ -24,15 +24,16 @@ Two independent counting routes are provided:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .chebyshev import scaled_rows, unpack_exponents
-from .errors import ResourceBudgetError, UsageError
-
-DEFAULT_ENUM_BUDGET = 10**8
-ENUM_BUDGET_ENV = "SYMCHEB_ENUM_BUDGET"
+from .errors import (  # the budget names stay importable from this module too
+    DEFAULT_ENUM_BUDGET,
+    ENUM_BUDGET_ENV,
+    ResourceBudgetError,
+    UsageError,
+    resolve_enum_budget,
+)
 
 HomologyClass = tuple[int, ...]
 
@@ -42,20 +43,28 @@ def inverse_letter(code: int) -> int:
     return code ^ 1
 
 
-@dataclass(frozen=True)
-class Word:
-    """A sequence of letter codes in the rank-r free group."""
-
+class _WordFields(NamedTuple):
     letters: tuple[int, ...]
     rank: int
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise UsageError(f"rank must be a positive integer, got {self.rank!r}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for code in self.letters:
-            if not isinstance(code, int) or not 0 <= code < 2 * self.rank:
-                raise UsageError(f"letter code {code!r} out of range for rank {self.rank}")
+
+class Word(_WordFields):
+    """A sequence of letter codes in the rank-r free group."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[int, ...], rank: int):
+        if not isinstance(rank, int) or rank < 1:
+            raise UsageError(f"rank must be a positive integer, got {rank!r}")
+        letters = tuple(letters)
+        for code in letters:
+            if not isinstance(code, int) or not 0 <= code < 2 * rank:
+                raise UsageError(f"letter code {code!r} out of range for rank {rank}")
+        return super().__new__(cls, letters, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -87,17 +96,24 @@ def homology_of(word: Word) -> HomologyClass:
     return tuple(exponents)
 
 
-@dataclass
-class HomologyCountTable:
+class _HomologyCountFields(NamedTuple):
+    r: int
+    n: int
+    counts: dict[HomologyClass, int]
+
+
+class HomologyCountTable(_HomologyCountFields):
     """Word counts of one (rank, length) pair, keyed by homology class.
 
     Classes with zero count are not stored, so tables compare equal iff
-    they tally identically.
+    they tally identically.  Each table made without ``counts`` gets its
+    own empty dict.
     """
 
-    r: int
-    n: int
-    counts: dict[HomologyClass, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, r: int, n: int, counts: dict[HomologyClass, int] | None = None):
+        return super().__new__(cls, r, n, {} if counts is None else counts)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -112,19 +128,6 @@ def _check_rank_length(r: int, n: int) -> None:
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"word length must be an integer >= 1, got {n!r}")
-
-
-def resolve_enum_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the SYMCHEB_ENUM_BUDGET variable, else 10^8."""
-    if budget is None:
-        raw = os.environ.get(ENUM_BUDGET_ENV, str(DEFAULT_ENUM_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"{ENUM_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if budget < 1:
-        raise UsageError(f"the enumeration budget must be positive, got {budget}")
-    return budget
 
 
 def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCountTable:

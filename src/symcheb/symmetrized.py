@@ -25,36 +25,42 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, scaled_rows, unpack_exponents
+from .chebyshev import ChebKind, check_kind, scaled_rows, unpack_exponents
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SymChebSpec:
-    """Which polynomial to build: kind, degree n, parameter c, arity k."""
-
+class _SymChebSpecFields(NamedTuple):
     kind: ChebKind
     n: int
     c: Fraction
     k: int
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise UsageError(f"n must be a nonnegative integer, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise UsageError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "c", as_scalar(self.c))
+
+class SymChebSpec(_SymChebSpecFields):
+    """Which polynomial to build: kind, degree n, parameter c, arity k."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ChebKind, n: int, c: Scalar, k: int):
+        check_kind(kind)
+        if not isinstance(n, int) or n < 0:
+            raise UsageError(f"n must be a nonnegative integer, got {n!r}")
+        if not isinstance(k, int) or k < 1:
+            raise UsageError(f"k must be a positive integer, got {k!r}")
+        return super().__new__(cls, kind, n, as_scalar(c), k)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Sign scan of one polynomial's coefficients.
 
     ``pattern_ok`` (univariate only, None for k > 1) additionally demands
@@ -69,8 +75,7 @@ class PositivityReport:
     witness: Exponents | None
 
 
-@dataclass(frozen=True)
-class UnivariateCoeffTable:
+class UnivariateCoeffTable(NamedTuple):
     """Rows 0..n_max of coefficient vectors of T_n(A) or U_n(A) at k = 1.
 
     Row n holds 2n+1 entries for j = -n..n; ``value`` returns exact zero
@@ -107,8 +112,7 @@ class SignClass(enum.Enum):
     MIXED = "MIXED"
 
 
-@dataclass(frozen=True)
-class SurveyWitness:
+class SurveyWitness(NamedTuple):
     """First coefficient incompatible with every remaining sign pattern."""
 
     n: int
@@ -116,8 +120,7 @@ class SurveyWitness:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     c: Fraction
     classification: SignClass
     witness: SurveyWitness | None
@@ -125,6 +128,7 @@ class SurveyRow:
 
 def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int, dict, int]]:
     """(m, Q_m, s_m) for m = 0..n_max, where P_m(A) = Q_m / s_m."""
+    check_kind(kind)
     c = as_scalar(c)
     if not isinstance(k, int) or k < 1:
         raise UsageError(f"k must be a positive integer, got {k!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -6,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcheb import ChebKind, DomainError, UsageError, cheb_coeffs, coeff_formula_T, eval_closed_T
-from symcheb.chebyshev import scaled_rows, unpack_exponents
+from symcheb import (
+    ChebKind,
+    DomainError,
+    ResourceBudgetError,
+    UsageError,
+    cheb_coeffs,
+    coeff_formula_T,
+    eval_closed_T,
+)
+from symcheb.chebyshev import row_size, scaled_rows, unpack_exponents
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
 
@@ -46,6 +55,35 @@ class TestScaledRows:
                     assert table.get(e[:i] + (-e[i],) + e[i + 1 :]) == value
                 for perm in permutations(range(k)):
                     assert table.get(tuple(e[j] for j in perm)) == value
+
+
+class TestRowBudget:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_row_size_counts_the_keys(self, k):
+        for n_max in range(9):
+            *_, row = scaled_rows(3, 4, 2, k, n_max)
+            assert row_size(k, n_max) == len(row)
+
+    def test_row_size_closed_forms(self):
+        # k = 1: the n + 1 exponents of one parity; k = 2: a rotated (n + 1)^2 square
+        assert [row_size(1, n) for n in range(6)] == [1, 2, 3, 4, 5, 6]
+        assert [row_size(2, n) for n in range(6)] == [1, 4, 9, 16, 25, 36]
+
+    def test_row_over_budget_fails_before_the_first_row(self, monkeypatch):
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
+        with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
+            next(scaled_rows(1, 1, 2, 2, 3))
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "16")
+        assert len(list(scaled_rows(1, 1, 2, 2, 3))[-1]) == 16
+
+    @pytest.mark.parametrize(
+        "k,n_max,size",
+        [(10**300, 4, "more than 2^3985"), (40, 40, "at least 2^40"), (2, 10**6, "1000002000001")],
+        ids=["huge-k", "k-and-n-40", "huge-n"],
+    )
+    def test_huge_rows_fail_fast(self, k, n_max, size):
+        with pytest.raises(ResourceBudgetError, match=re.escape(f"has {size} terms")):
+            next(scaled_rows(1, 1, 2, k, n_max))
 
 
 class TestCoeffVectors:

@@ -15,6 +15,13 @@ OVERFLOW_ARGVS = [
     ["clt", "--c", HUGE, "--k", "1", "--n", "4"],
     ["clt", "--c", "3", "--k", HUGE, "--n", "4"],
 ]
+ARITY = "1" + "0" * 300  # fits a float, but no row in that many variables fits memory
+HUGE_ARITY_ARGVS = [
+    ["clt", "--c", "3", "--k", ARITY, "--n", "4"],
+    ["positivity", "--kind", "T", "--n", "4", "--c", "2", "--k", ARITY],
+    ["coeffs", "--kind", "U", "--n", "3", "--c", "2", "--k", ARITY],
+    ["fgcount", "--r", ARITY, "--n", "4"],
+]
 
 
 def capture(capsys, argv):
@@ -63,6 +70,22 @@ class TestExitCodes:
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
         code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "5", "--method", "oracle"])
         assert code == 3 and "resource error" in err
+
+    @pytest.mark.parametrize("argv", HUGE_ARITY_ARGVS, ids=lambda argv: argv[0])
+    def test_huge_arity_is_a_budget_error(self, capsys, argv):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource error: row ") and err.count("\n") == 1
+
+    def test_row_budget_error_names_the_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        argv = ["positivity", "--kind", "T", "--n", "3", "--c", "2", "--k", "2"]
+        assert capture(capsys, argv) == (
+            3,
+            "",
+            "resource error: row 3 of the recurrence has 16 terms, over the budget of 10 "
+            "(raise SYMCHEB_ENUM_BUDGET)\n",
+        )
 
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")

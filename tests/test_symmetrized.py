@@ -144,6 +144,23 @@ class TestBuild:
         with pytest.raises(UsageError):
             SymChebSpec(T, 2, 1.5, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kind: SymChebSpec(kind, 2, F(2), 1),
+            lambda kind: build_sequence(kind, F(2), 1, 2),
+            lambda kind: univariate_table(kind, F(2), 2),
+            lambda kind: sign_survey(kind, 1, 2, [F(2)]),
+            lambda kind: cheb_coeffs(kind, 3),
+        ],
+        ids=["SymChebSpec", "build_sequence", "univariate_table", "sign_survey", "cheb_coeffs"],
+    )
+    @pytest.mark.parametrize("kind", ["T", "U", "X", None, 1])
+    def test_kind_is_validated(self, call, kind):
+        # a non-ChebKind used to select the second kind silently
+        with pytest.raises(UsageError, match="kind must be a ChebKind"):
+            call(kind)
+
 
 class TestKernelDifferential:
     @settings(max_examples=150, deadline=None)
