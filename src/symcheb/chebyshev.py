@@ -38,6 +38,12 @@ def check_kind(kind: ChebKind) -> None:
         raise UsageError(f"kind must be a ChebKind, got {kind!r}")
 
 
+def check_arity(k: int) -> None:
+    """Reject an arity k that is not a positive int."""
+    if not isinstance(k, int) or k < 1:
+        raise UsageError(f"k must be a positive integer, got {k!r}")
+
+
 class ChebCoeffVector(NamedTuple):
     """Dense coefficient vector of T_n or U_n; index j = coefficient of x^j."""
 

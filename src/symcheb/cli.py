@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import cltstats, freegroup, symmetrized
 from .chebyshev import ChebKind
@@ -51,25 +51,32 @@ def _csv_lines(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _terms_text(fmt: str, head: dict, key: str, name: str, k: int, terms: Iterable) -> str:
+    """A list of (exponents, value) terms: in JSON, under ``key`` after the
+    ``head`` fields; in CSV, as columns e1..ek and ``name``."""
+    if fmt == "json":
+        return json.dumps({**head, key: [{"e": list(e), name: value} for e, value in terms]}) + "\n"
+    header = ",".join([*(f"e{i + 1}" for i in range(k)), name])
+    return _csv_lines(header, [",".join([*map(str, e), str(value)]) for e, value in terms])
+
+
+def _spec_head(args: argparse.Namespace) -> tuple[symmetrized.SymChebSpec, dict]:
+    """The polynomial that ``coeffs`` and ``positivity`` name, and its JSON fields."""
+    spec = symmetrized.SymChebSpec(kind=args.kind, n=args.n, c=args.c, k=args.k)
+    return spec, {"kind": args.kind.value, "n": args.n, "c": format_exact(args.c), "k": args.k}
+
+
+def _exact_or_float(value: Fraction | float) -> str | float:
+    return format_exact(value) if isinstance(value, Fraction) else value
+
+
 # --- per-command handlers (each returns the full output text) --------------
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> str:
-    spec = symmetrized.SymChebSpec(kind=args.kind, n=args.n, c=args.c, k=args.k)
-    poly = symmetrized.build(spec)
-    terms = [(list(e), format_exact(coeff)) for e, coeff in poly.terms()]
-    if args.format == "json":
-        payload = {
-            "kind": args.kind.value,
-            "n": args.n,
-            "c": format_exact(args.c),
-            "k": args.k,
-            "terms": [{"e": e, "coeff": coeff} for e, coeff in terms],
-        }
-        return json.dumps(payload) + "\n"
-    header = ",".join([*(f"e{i + 1}" for i in range(args.k)), "coeff"])
-    rows = [",".join([*(str(x) for x in e), coeff]) for e, coeff in terms]
-    return _csv_lines(header, rows)
+    spec, head = _spec_head(args)
+    terms = [(e, format_exact(coeff)) for e, coeff in symmetrized.build(spec).terms()]
+    return _terms_text(args.format, head, "terms", "coeff", args.k, terms)
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
@@ -94,15 +101,12 @@ def _cmd_table(args: argparse.Namespace) -> str:
 
 
 def _cmd_positivity(args: argparse.Namespace) -> str:
-    spec = symmetrized.SymChebSpec(kind=args.kind, n=args.n, c=args.c, k=args.k)
+    spec, head = _spec_head(args)
     report = symmetrized.positivity_report(spec)
     witness = list(report.witness) if report.witness is not None else None
     if args.format == "json":
         payload = {
-            "kind": args.kind.value,
-            "n": args.n,
-            "c": format_exact(args.c),
-            "k": args.k,
+            **head,
             "all_nonnegative": report.all_nonnegative,
             "pattern_ok": report.pattern_ok,
             "min_coefficient": format_exact(report.min_coefficient),
@@ -158,26 +162,13 @@ def _cmd_sign_survey(args: argparse.Namespace) -> str:
     return _csv_lines("c,classification,witness_n,witness_e,witness_value", lines)
 
 
-def _count_table_text(table: freegroup.HomologyCountTable, fmt: str) -> str:
-    items = list(table.sorted_items())
-    if fmt == "json":
-        payload = {
-            "r": table.r,
-            "n": table.n,
-            "counts": [{"e": list(e), "count": count} for e, count in items],
-        }
-        return json.dumps(payload) + "\n"
-    header = ",".join([*(f"e{i + 1}" for i in range(table.r)), "count"])
-    rows = [",".join([*(str(x) for x in e), str(count)]) for e, count in items]
-    return _csv_lines(header, rows)
-
-
 def _cmd_fgcount(args: argparse.Namespace) -> str:
     if args.method == "oracle":
         table = freegroup.enumerate_counts(args.r, args.n)
     else:
         table = freegroup.counts_by_formula(args.r, args.n)
-    return _count_table_text(table, args.format)
+    head = {"r": table.r, "n": table.n}
+    return _terms_text(args.format, head, "counts", "count", table.r, table.sorted_items())
 
 
 def _cmd_fgverify(args: argparse.Namespace) -> str:
@@ -250,15 +241,9 @@ def _cmd_clt(args: argparse.Namespace) -> str:
             "rows": [
                 {
                     "n": row.n,
-                    "m2_over_n": format_exact(row.m2_over_n)
-                    if isinstance(row.m2_over_n, Fraction)
-                    else row.m2_over_n,
-                    "kurtosis": format_exact(row.kurtosis)
-                    if isinstance(row.kurtosis, Fraction)
-                    else row.kurtosis,
-                    "max_offdiag": format_exact(row.max_offdiag)
-                    if isinstance(row.max_offdiag, Fraction)
-                    else row.max_offdiag,
+                    "m2_over_n": _exact_or_float(row.m2_over_n),
+                    "kurtosis": _exact_or_float(row.kurtosis),
+                    "max_offdiag": _exact_or_float(row.max_offdiag),
                     "dist_paper": row.dist_reported,
                     "dist_rederived": row.dist_rederived,
                 }
@@ -285,6 +270,13 @@ def _cmd_clt(args: argparse.Namespace) -> str:
 # --- parser -----------------------------------------------------------------
 
 
+def _add_spec(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--c", type=parse_exact, required=True, metavar="p/q")
+    parser.add_argument("--k", type=int, default=1)
+
+
 def _add_common(parser: argparse.ArgumentParser, default_format: str = "json") -> None:
     parser.add_argument("--format", choices=("json", "csv"), default=default_format)
     parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
@@ -300,10 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="emit the term list of T_n(A) or U_n(A)")
-    p.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=parse_exact, required=True, metavar="p/q")
-    p.add_argument("--k", type=int, default=1)
+    _add_spec(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_coeffs)
 
@@ -315,10 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("positivity", help="coefficient sign report for one polynomial")
-    p.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=parse_exact, required=True, metavar="p/q")
-    p.add_argument("--k", type=int, default=1)
+    _add_spec(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_positivity)
 

@@ -55,8 +55,10 @@ mirrored independently, and that exact zero is what rows carry.
 Float-normalized mode runs the same moment recurrence in floats, in an
 increment form that keeps M2/M0 and M4/M0 within a few ulp unless c is
 near 1 (see ``_float_moment_rows``), and walks float rows, each divided by
-its sum, only for the same c < k sign scan.  Exact mode is capped (128 for
-k = 1, 32 for k > 1 by default); the cap is a parameter.
+its sum, only for the same c < k sign scan; joint nonnegativity for n <= 32
+is certified on the integer kernel at the float's exact rational value.
+Exact mode is capped (128 for k = 1, 32 for k > 1 by default); the cap is a
+parameter.
 """
 
 from __future__ import annotations
@@ -65,15 +67,15 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind
+from .chebyshev import ChebKind, check_arity
 from .errors import DomainError, InternalError, UsageError
+from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import _first_negative, _fractions, _scaled
 
 DEFAULT_EXACT_CEILING_UNIVARIATE = 128
-DEFAULT_EXACT_CEILING_MULTIVARIATE = 32
 DEFAULT_EXACT_CEILING_COUNTS = 1024
-FULL_TABLE_CEILING = 32
+FULL_TABLE_CEILING = 32  # also k > 1's default exact ceiling: exact mode answers what it certifies
 
 _ZERO = Fraction(0)
 
@@ -184,6 +186,7 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
+    check_arity(k)
     c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"characteristic function needs c > 1, got c = {c_float}")
@@ -208,6 +211,7 @@ def _to_float(value: Scalar | float, name: str) -> float:
 
 
 def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
+    check_arity(k)
     c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"variance constant is defined for c > 1 only, got c = {c_float}")
@@ -379,6 +383,7 @@ def marginal_moments_exact(
     is skipped for c >= k (every k = 1 case), where no coefficient is
     negative.
     """
+    check_arity(k)
     ns = _check_n_list(n_list)
     c = as_scalar(c)
     if c <= 1:
@@ -410,6 +415,7 @@ def marginal_moments_float(
     requested rows are scanned as in ``marginal_moments_exact`` (float rows
     normalized by their sum); a negative or non-finite entry, or a moment
     that is not finite, raises DomainError."""
+    check_arity(k)
     ns = _check_n_list(n_list)
     c_float = _to_float(c, "c")
     if c_float <= 1.0:
@@ -420,10 +426,6 @@ def marginal_moments_float(
         for m, row in _requested(_exact_rows(alpha, beta, 1.0, [2.0], [alpha, beta, alpha]), ns):
             _check_row(row, m, k)
     return _float_moments(alpha, beta, 1.0, ns)
-
-
-def _fg_correction(r: int, n: int) -> int:
-    return (r - 1) * (1 + (-1) ** n)
 
 
 def fg_marginal_moments_exact(
@@ -438,14 +440,13 @@ def fg_marginal_moments_exact(
     (2r-1)^n + 1 + (r-1)(1 + (-1)^n).
     """
     ns = _check_n_list(n_list)
-    if not isinstance(r, int) or r < 2:
-        raise UsageError(f"rank must be an integer >= 2, got {r!r}")
+    check_rank(r)
     out = []
     for m, (m0, m2, m4) in _requested(_moment_rows(1, 2 * (r - 1), 2 * r - 1), ns):
-        if m0 != (2 * r - 1) ** m + 1:
+        total = total_count(r, m)
+        if m0 + trivial_class_correction(r, m) != total:
             raise InternalError(f"count total mismatch at n = {m} for rank {r}")
-        denom = m0 + _fg_correction(r, m)
-        out.append((m, Fraction(m2, denom), Fraction(m4, denom)))
+        out.append((m, Fraction(m2, total), Fraction(m4, total)))
     return out
 
 
@@ -454,14 +455,13 @@ def fg_marginal_moments_float(
 ) -> list[tuple[int, float, float]]:
     """Float-normalized counterpart of fg_marginal_moments_exact."""
     ns = _check_n_list(n_list)
-    if not isinstance(r, int) or r < 2:
-        raise UsageError(f"rank must be an integer >= 2, got {r!r}")
+    check_rank(r)
     out = []
     for m, m2, m4 in _float_moments(1.0, float(2 * (r - 1)), float(2 * r - 1), ns):
-        # Trivial-class correction, applied as the exact ratio
-        # total / (total + correction); negligible for large n.
-        poly_total = (2 * r - 1) ** m + 1
-        factor = float(Fraction(poly_total, poly_total + _fg_correction(r, m)))
+        # Trivial-class correction, applied as the correctly rounded ratio
+        # (total - correction) / total; negligible for large n.
+        total = total_count(r, m)
+        factor = (total - trivial_class_correction(r, m)) / total
         out.append((m, m2 * factor, m4 * factor))
     return out
 
@@ -471,7 +471,8 @@ def fg_marginal_moments_float(
 # ---------------------------------------------------------------------------
 
 
-def _check_ceiling(ns: list[int], ceiling: int) -> None:
+def _check_ceiling(ns: list[int], exact_ceiling: int | None, default: int) -> None:
+    ceiling = default if exact_ceiling is None else exact_ceiling
     if ns[-1] > ceiling:
         raise UsageError(
             f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
@@ -550,14 +551,14 @@ def convergence_report(
     be a positive integer); beyond it, use float-normalized mode.  Exact
     moments come from the O(n) moment recurrence with its identity checks.
     For k > 1 the integer kernel's full k-variate row certifies joint
-    nonnegativity while n <= 32.  Off-diagonal covariances are reported as
+    nonnegativity while n <= 32, in float mode too when c < k (at the
+    exact value of the float c).  Off-diagonal covariances are reported as
     the exact structural zero (each coordinate can be mirrored
     independently, forcing E[l_i l_j] = 0 at every n).
     """
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
-    if not isinstance(k, int) or k < 1:
-        raise UsageError(f"k must be a positive integer, got {k!r}")
+    check_arity(k)
     ns = _check_n_list(n_list)
     _check_exact_ceiling(exact_ceiling)
     s2_reported = sigma2_reported(c, k)
@@ -565,16 +566,17 @@ def convergence_report(
     if mode == MODE_EXACT:
         if isinstance(c, float):
             raise UsageError("exact mode requires a rational c (int or Fraction)")
-        if exact_ceiling is None:
-            exact_ceiling = (
-                DEFAULT_EXACT_CEILING_UNIVARIATE if k == 1 else DEFAULT_EXACT_CEILING_MULTIVARIATE
-            )
-        _check_ceiling(ns, exact_ceiling)
+        _check_ceiling(
+            ns, exact_ceiling, DEFAULT_EXACT_CEILING_UNIVARIATE if k == 1 else FULL_TABLE_CEILING
+        )
         c = as_scalar(c)
         rows = [(n, m2, m4, _ZERO) for n, m2, m4 in marginal_moments_exact(c, k, ns)]
         _certify_joint(c, k, ns)
     else:
-        rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(float(c), k, ns)]
+        c = float(c)
+        rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(c, k, ns)]
+        if c < k:  # certify joint signs exactly at the float's own value
+            _certify_joint(Fraction(c), k, ns)
     return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
 
 
@@ -593,15 +595,14 @@ def freegroup_convergence_report(
     """
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
-    if not isinstance(r, int) or r < 2:
-        raise UsageError(f"rank must be an integer >= 2, got {r!r}")
+    check_rank(r)
     ns = _check_n_list(n_list)
     _check_exact_ceiling(exact_ceiling)
     c_float = _to_float(r, "r") / math.sqrt(_to_float(2 * r - 1, "2r - 1"))
     s2_reported = sigma2_reported(c_float, r)
     s2_rederived = 1.0 / (r - 1)
     if mode == MODE_EXACT:
-        _check_ceiling(ns, DEFAULT_EXACT_CEILING_COUNTS if exact_ceiling is None else exact_ceiling)
+        _check_ceiling(ns, exact_ceiling, DEFAULT_EXACT_CEILING_COUNTS)
         rows = [(n, m2, m4, _ZERO) for n, m2, m4 in fg_marginal_moments_exact(r, ns)]
     else:
         rows = [(n, m2, m4, 0.0) for n, m2, m4 in fg_marginal_moments_float(r, ns)]

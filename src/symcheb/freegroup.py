@@ -27,13 +27,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .chebyshev import scaled_rows, unpack_exponents
-from .errors import (  # the budget names stay importable from this module too
-    DEFAULT_ENUM_BUDGET,
-    ENUM_BUDGET_ENV,
-    ResourceBudgetError,
-    UsageError,
-    resolve_enum_budget,
-)
+from .errors import ENUM_BUDGET_ENV, ResourceBudgetError, UsageError, resolve_enum_budget
 
 HomologyClass = tuple[int, ...]
 
@@ -123,9 +117,14 @@ class HomologyCountTable(_HomologyCountFields):
             yield key, self.counts[key]
 
 
-def _check_rank_length(r: int, n: int) -> None:
+def check_rank(r: int) -> None:
+    """Reject a rank r that is not an int >= 2."""
     if not isinstance(r, int) or r < 2:
         raise UsageError(f"rank must be an integer >= 2, got {r!r}")
+
+
+def _check_rank_length(r: int, n: int) -> None:
+    check_rank(r)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"word length must be an integer >= 1, got {n!r}")
 
@@ -148,12 +147,11 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
     counts: dict[HomologyClass, int] = {}
     alphabet = range(2 * r)
     exponents = [0] * r
-    last_excluded = [-1]  # inverse of the first letter, set per DFS root
 
-    def extend(pos: int, prev: int) -> None:
+    def extend(pos: int, prev: int, excluded: int) -> None:  # excluded: inverse of the first letter
         if pos == n - 1:
             for code in alphabet:
-                if code == prev ^ 1 or code == last_excluded[0]:
+                if code == prev ^ 1 or code == excluded:
                     continue
                 gen, sign = code >> 1, 1 - 2 * (code & 1)
                 exponents[gen] += sign
@@ -166,23 +164,10 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
                 continue
             gen, sign = code >> 1, 1 - 2 * (code & 1)
             exponents[gen] += sign
-            extend(pos + 1, code)
+            extend(pos + 1, code, excluded if pos else code ^ 1)
             exponents[gen] -= sign
 
-    if n == 1:
-        for code in alphabet:
-            gen, sign = code >> 1, 1 - 2 * (code & 1)
-            exponents[gen] += sign
-            key = tuple(exponents)
-            counts[key] = counts.get(key, 0) + 1
-            exponents[gen] -= sign
-    else:
-        for first in alphabet:
-            gen, sign = first >> 1, 1 - 2 * (first & 1)
-            exponents[gen] += sign
-            last_excluded[0] = first ^ 1
-            extend(1, first)
-            exponents[gen] -= sign
+    extend(0, -1, -1)  # at the root, -1 and -1 ^ 1 = -2 rule out no letter
     return HomologyCountTable(r=r, n=n, counts=counts)
 
 
@@ -198,12 +183,18 @@ def counts_by_formula(r: int, n: int) -> HomologyCountTable:
         pass
     counts = {unpack_exponents(key, r, n): coeff for key, coeff in row.items() if coeff}
     zero = (0,) * r
-    correction = (r - 1) * (1 + (-1) ** n)
+    correction = trivial_class_correction(r, n)
     if correction:
         counts[zero] = counts.get(zero, 0) + correction
         if not counts[zero]:
             del counts[zero]
     return HomologyCountTable(r=r, n=n, counts=counts)
+
+
+def trivial_class_correction(r: int, n: int) -> int:
+    """(r-1)(1 + (-1)^n): what the trivial class's count adds to the
+    constant coefficient of W_n."""
+    return (r - 1) * (1 + (-1) ** n)
 
 
 def total_count(r: int, n: int) -> int:
@@ -214,4 +205,4 @@ def total_count(r: int, n: int) -> int:
     the rescaled evaluation to (2r-1)^n + 1.
     """
     _check_rank_length(r, n)
-    return (2 * r - 1) ** n + 1 + (r - 1) * (1 + (-1) ** n)
+    return (2 * r - 1) ** n + 1 + trivial_class_correction(r, n)

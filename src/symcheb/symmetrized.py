@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_kind, scaled_rows, unpack_exponents
+from .chebyshev import ChebKind, check_arity, check_kind, scaled_rows, unpack_exponents
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
@@ -51,8 +51,7 @@ class SymChebSpec(_SymChebSpecFields):
         check_kind(kind)
         if not isinstance(n, int) or n < 0:
             raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-        if not isinstance(k, int) or k < 1:
-            raise UsageError(f"k must be a positive integer, got {k!r}")
+        check_arity(k)
         return super().__new__(cls, kind, n, as_scalar(c), k)
 
     @classmethod
@@ -126,14 +125,17 @@ class SurveyRow(NamedTuple):
     witness: SurveyWitness | None
 
 
-def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int, dict, int]]:
-    """(m, Q_m, s_m) for m = 0..n_max, where P_m(A) = Q_m / s_m."""
+def _check_rows_args(kind: ChebKind, k: int, n_max: int) -> None:
     check_kind(kind)
-    c = as_scalar(c)
-    if not isinstance(k, int) or k < 1:
-        raise UsageError(f"k must be a positive integer, got {k!r}")
+    check_arity(k)
     if not isinstance(n_max, int) or n_max < 0:
         raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
+
+
+def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int, dict, int]]:
+    """(m, Q_m, s_m) for m = 0..n_max, where P_m(A) = Q_m / s_m."""
+    _check_rows_args(kind, k, n_max)
+    c = as_scalar(c)
     kq = k * c.denominator
     q0 = 2 if kind is ChebKind.FIRST else 1
     rows = scaled_rows(c.numerator, kq * kq, q0, k, n_max)
@@ -237,6 +239,7 @@ def sign_survey(
     holds; the witness records the first (n, exponent) ruling out the last
     surviving pattern, scanning n upward and exponents lexicographically.
     """
+    _check_rows_args(kind, k, n_max)
     out = []
     for c in c_grid:
         c = as_scalar(c)

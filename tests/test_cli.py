@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from symcheb import InternalError, cltstats, symmetrized
-from symcheb.cli import run
+from symcheb.cli import build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 400  # beyond the float range
@@ -14,6 +15,16 @@ OVERFLOW_ARGVS = [
     ["clt", "--fg-r", HUGE, "--n", "4"],
     ["clt", "--c", HUGE, "--k", "1", "--n", "4"],
     ["clt", "--c", "3", "--k", HUGE, "--n", "4"],
+]
+FLOAT_JOINT_ARGVS = [  # marginals nonnegative, but a joint coefficient is negative
+    (["clt", "--c", "1.1", "--k", "2", "--n", "3", "--mode", "float_normalized"],
+     "domain error: coefficient at [-1, 0] is negative "
+     "(-13941355462351795156307011975578610204523806851/"
+     "182687704666362864775460604089535377456991567872); "
+     "the coefficient distribution is undefined\n"),
+    (["clt", "--c", "1.5", "--k", "3", "--n", "2,3", "--mode", "float_normalized"],
+     "domain error: coefficient at [0, 0, 0] is negative (-1/4); "
+     "the coefficient distribution is undefined\n"),
 ]
 ARITY = "1" + "0" * 300  # fits a float, but no row in that many variables fits memory
 HUGE_ARITY_ARGVS = [
@@ -151,6 +162,11 @@ class TestExitCodes:
         assert code_f == code_e == 1 and out_f == ""
         prefix = "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"
         assert err_f.startswith(prefix) and err_e.startswith(prefix)
+
+    @pytest.mark.parametrize("argv,message", FLOAT_JOINT_ARGVS)
+    def test_float_mode_certifies_joint_signs(self, capsys, argv, message):
+        # float mode used to return numbers where exact mode gives the witness
+        assert capture(capsys, argv) == (1, "", message)
 
     def test_clt_needs_parameters(self, capsys):
         assert capture(capsys, ["clt", "--n", "4"])[0] == 2
@@ -299,6 +315,7 @@ def test_console_entry_point():
          "domain error: coefficient at [-1, 0] is negative (-1221/16000); "
          "the coefficient distribution is undefined\n"),
         (OVERFLOW_ARGVS[0], "domain error: r is too large for float arithmetic\n"),
+        FLOAT_JOINT_ARGVS[0],
     ],
 )
 def test_float_domain_checks_survive_optimized_python(params, message):
@@ -307,3 +324,93 @@ def test_float_domain_checks_survive_optimized_python(params, message):
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert message in result.stderr and result.stderr.count("\n") == 1
+
+
+# (option strings, dest, default, required, choices, metavar, action class, type)
+# of every action per subcommand; --help wording varies across Python versions.
+PARSER_STRUCTURE = {
+    "coeffs": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
+        (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "table": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--n-max",), "n_max", None, True, None, None, "_StoreAction", "int"),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "positivity": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
+        (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "sign-survey": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
+        (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
+        (("--n-max",), "n_max", None, True, None, None, "_StoreAction", "int"),
+        (("--c",), "c", None, True, None, "p/q", "_AppendAction", "parse_exact"),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "fgcount": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--r",), "r", None, True, None, None, "_StoreAction", "int"),
+        (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
+        (("--method",), "method", "formula", False, ("formula", "oracle"), None,
+         "_StoreAction", None),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "fgverify": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--r",), "r", None, True, None, None, "_StoreAction", "int"),
+        (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
+        (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+    "clt": [
+        (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
+        (("--c",), "c", None, False, None, "p/q", "_StoreAction", None),
+        (("--k",), "k", None, False, None, None, "_StoreAction", "int"),
+        (("--fg-r",), "fg_r", None, False, None, None, "_StoreAction", "int"),
+        (("--n",), "n", None, True, None, "N1,N2,...", "_StoreAction", "_parse_n_list"),
+        (("--mode",), "mode", "exact", False, ("exact", "float_normalized"), None,
+         "_StoreAction", None),
+        (("--exact-ceiling",), "exact_ceiling", None, False, None, None, "_StoreAction", "int"),
+        (("--format",), "format", "csv", False, ("json", "csv"), None, "_StoreAction", None),
+        (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
+    ],
+}
+
+
+def test_parser_structure_is_pinned():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    structure = {
+        name: [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.default,
+                a.required,
+                None if a.choices is None else tuple(a.choices),
+                a.metavar,
+                type(a).__name__,
+                None if a.type is None else a.type.__name__,
+            )
+            for a in parser._actions
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert structure == PARSER_STRUCTURE

@@ -12,6 +12,7 @@ from symcheb import (
     SymChebSpec,
     UsageError,
     build,
+    build_sequence,
     char_fn,
     cheb_coeffs,
     cltstats,
@@ -21,6 +22,7 @@ from symcheb import (
     moments,
     sigma2_rederived,
     sigma2_reported,
+    sign_survey,
 )
 from symcheb.cltstats import (
     MODE_EXACT,
@@ -33,6 +35,40 @@ from symcheb.cltstats import (
 )
 
 T = ChebKind.FIRST
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: SymChebSpec(T, 2, F(2), k),
+        lambda k: build_sequence(T, F(2), k, 2),
+        lambda k: sign_survey(T, k, 2, [F(2)]),
+        lambda k: convergence_report(F(2), k, [4]),
+        lambda k: convergence_report(2.0, k, [4], mode=MODE_FLOAT),
+        lambda k: marginal_moments_exact(F(2), k, [4]),
+        lambda k: marginal_moments_float(2.0, k, [4]),
+        lambda k: sigma2_reported(2, k),
+        lambda k: sigma2_rederived(2, k),
+        lambda k: char_fn(3, 2, k, []),
+    ],
+    ids=[
+        "SymChebSpec",
+        "build_sequence",
+        "sign_survey",
+        "convergence_report",
+        "convergence_report_float",
+        "marginal_moments_exact",
+        "marginal_moments_float",
+        "sigma2_reported",
+        "sigma2_rederived",
+        "char_fn",
+    ],
+)
+@pytest.mark.parametrize("k", [0, -1, 2.5, "2"])
+def test_arity_is_validated(call, k):
+    # k = -1 used to give a negative variance and k = 0 a ZeroDivisionError
+    with pytest.raises(UsageError, match=f"^k must be a positive integer, got {k!r}$"):
+        call(k)
 
 
 def scaled_cheb(n, c):

@@ -151,15 +151,36 @@ class TestBuild:
             lambda kind: build_sequence(kind, F(2), 1, 2),
             lambda kind: univariate_table(kind, F(2), 2),
             lambda kind: sign_survey(kind, 1, 2, [F(2)]),
+            lambda kind: sign_survey(kind, 1, 2, []),
             lambda kind: cheb_coeffs(kind, 3),
         ],
-        ids=["SymChebSpec", "build_sequence", "univariate_table", "sign_survey", "cheb_coeffs"],
+        ids=[
+            "SymChebSpec",
+            "build_sequence",
+            "univariate_table",
+            "sign_survey",
+            "sign_survey_empty_grid",
+            "cheb_coeffs",
+        ],
     )
     @pytest.mark.parametrize("kind", ["T", "U", "X", None, 1])
     def test_kind_is_validated(self, call, kind):
         # a non-ChebKind used to select the second kind silently
         with pytest.raises(UsageError, match="kind must be a ChebKind"):
             call(kind)
+
+    @pytest.mark.parametrize(
+        "k,n_max,message",
+        [
+            (-1, -1, "k must be a positive integer, got -1"),
+            (0, 2, "k must be a positive integer, got 0"),
+            (1, -1, "n_max must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_sign_survey_validates_an_empty_grid(self, k, n_max, message):
+        # the checks used to run only inside the per-c loop
+        with pytest.raises(UsageError, match=message):
+            sign_survey(T, k, n_max, [])
 
 
 class TestKernelDifferential:
