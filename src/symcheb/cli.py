@@ -383,6 +383,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # exact output is printed whatever its length (no int/str limit before 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

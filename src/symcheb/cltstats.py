@@ -33,32 +33,36 @@ setting every other variable to 1, i.e. of
     T_n((c/2k)(x + 1/x) + c(k-1)/k).
 
 Rescaled as in ``chebyshev.scaled_rows``, its rows obey
-P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints, and because every
-row is symmetric the moments M_d = sum_j j^d P_m[j] obey a closed recurrence
-of their own:
+P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints from P_0 = 2
+(a = p, b = 2(k-1)p, g = (kq)^2 for c = p/q; a = 1, b = 2(r-1), g = 2r-1
+for rank-r word counts), so row n is the Lucas polynomial
+V_n(a(x + 1/x) + b, g).  Applying x d/dx at x = 1 gives its moments
+M_d = sum_j j^d P_n[j] from the Lucas pair (U_n, V_n) of (P, g), with
+P = 2a + b and D = P^2 - 4g:
 
-    M0' = (2a + b) M0 - g M0^-
-    M2' = a (2 M2 + 2 M0) + b M2 - g M2^-
-    M4' = a (2 M4 + 12 M2 + 2 M0) + b M4 - g M4^-
+    M0 = V_n,  M2 = 2a n U_n,  M4 = M2 + 12 a^2 n (n V_n - P U_n) / D,
 
-so exact per-coordinate moments cost O(n) big-int steps for any k (the
-scale cancels in every moment ratio).  At every requested n the exact
-identities M0 = 2 (kq)^n T_n(c) and m2 = n (c/k) U_{n-1}(c) / T_n(c) are
-checked against a scalar recurrence.  The coefficient rows themselves are
-walked (O(n^2)) only where a sign can fail, k > 1 with 1 < c < k; for
-c >= k they are nonnegative, the region this package relies on throughout
-(see ``symmetrized``).  While n <= 32 the integer kernel's full
-k-variate row is scanned to certify joint nonnegativity; off-diagonal
-covariances vanish identically at every n because each coordinate can be
-mirrored independently, and that exact zero is what rows carry.
+the division exact; for c, M0 = 2 (kq)^n T_n(c), and the scale cancels in
+every moment ratio.  The pair steps from one requested n to the next:
+O(log n) multiplications for a sparse n list, a short step per n for a
+dense one.  Checked: the division at every n, V_n^2 - D U_n^2 = 4 g^n at
+the last, and M0 against the kernel's row sum or the word total.
 
-Float-normalized mode runs the same moment recurrence in floats, in an
-increment form that keeps M2/M0 and M4/M0 within a few ulp unless c is
-near 1 (see ``_float_moment_rows``), and walks float rows, each divided by
-its sum, only for the same c < k sign scan; joint nonnegativity for n <= 32
-is certified on the integer kernel at the float's exact rational value.
-Exact mode is capped (128 for k = 1, 32 for k > 1 by default); the cap is a
-parameter.
+The coefficient rows themselves are walked (O(n^2)) only where a sign can
+fail, k > 1 with 1 < c < k; for c >= k they are nonnegative, the region
+this package relies on throughout (see ``symmetrized``).  While n <= 32 the
+integer kernel's full k-variate row is scanned to certify joint
+nonnegativity; off-diagonal covariances vanish identically at every n
+because each coordinate can be mirrored independently, and that exact zero
+is what rows carry.
+
+Float-normalized mode runs, in floats, the three-term recurrence that the
+moments of consecutive symmetric rows obey, in an increment form that keeps
+M2/M0 and M4/M0 within a few ulp unless c is near 1 (see
+``_float_moment_rows``), and walks float rows, each divided by its sum, only
+for the same c < k sign scan; joint nonnegativity for n <= 32 is certified
+on the integer kernel at the float's exact rational value.  Exact mode is
+capped (128 for k = 1, 32 for k > 1 by default); the cap is a parameter.
 """
 
 from __future__ import annotations
@@ -205,9 +209,12 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
 
 def _to_float(value: Scalar | float, name: str) -> float:
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
         raise DomainError(f"{name} is too large for float arithmetic") from None
+    if not math.isfinite(result):  # nan would pass every "c <= 1" test
+        raise DomainError(f"{name} must be a finite number, got {result}")
+    return result
 
 
 def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
@@ -265,41 +272,48 @@ def _exact_rows(alpha, beta, gamma, row0: list, row1: list) -> Iterator[list]:
         m += 1
 
 
-def _moment_rows(a: int, b: int, g: int) -> Iterator[tuple[int, int, int]]:
-    """(M0, M2, M4) of rows 0, 1, 2, ... of the row recurrence with rows [2]
-    and [a, b, a], where M_d = sum_j j^d row_j; odd moments vanish by symmetry."""
-    prev, cur = (2, 0, 0), (2 * a + b, 2 * a, 2 * a)
-    yield prev
-    while True:
-        yield cur
-        m0, m2, m4 = cur
-        prev, cur = cur, (
-            (2 * a + b) * m0 - g * prev[0],
-            a * (2 * m2 + 2 * m0) + b * m2 - g * prev[1],
-            a * (2 * m4 + 12 * m2 + 2 * m0) + b * m4 - g * prev[2],
-        )
+def _lucas(big_p: int, g: int, n: int) -> tuple[int, int]:
+    """(U_n, V_n) of x_{m+1} = P x_m - g x_{m-1}, U_0, U_1 = 0, 1 and
+    V_0, V_1 = 2, P, by doubling."""
+    big_d = big_p * big_p - 4 * g
+    u, v = 0, 2
+    for bit in bin(n)[2:]:
+        u, v = u * v, (v * v + big_d * u * u) >> 1  # m -> 2m
+        if bit == "1":
+            u, v = (big_p * u + v) >> 1, (big_d * u + big_p * v) >> 1  # 2m -> 2m + 1
+    return u, v
 
 
-def _scalar_rows(p: int, g: int, x0: int, x1: int) -> Iterator[int]:
-    """x_0, x_1, x_{m+1} = 2p x_m - g x_{m-1}.  With g = q^2, seeds (1, p)
-    give t_m = q^m T_m(p/q) and seeds (0, 1) give q^(m-1) U_(m-1)(p/q)."""
-    prev, cur = x0, x1
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, 2 * p * cur - g * prev
+def _moments(a: int, b: int, g: int, ns: list[int], where: str) -> Iterator[tuple]:
+    """(n, M0, M2, M4) per n in ns by the closed form of the module docstring;
+    InternalError ``where`` unless its checks hold."""
+    big_p = 2 * a + b
+    big_d = big_p * big_p - 4 * g
+    m, u, v, d, du, dv = 0, 0, 2, 0, 0, 2
+    for n in ns:
+        if n - m != d:  # equal gaps, as in a dense list, reuse (U_d, V_d)
+            d = n - m
+            du, dv = _lucas(big_p, g, d)
+        m, u, v = n, (u * dv + du * v) >> 1, (v * dv + big_d * u * du) >> 1  # addition formulas
+        quotient, rest = divmod(n * v - big_p * u, big_d)
+        if rest or n == ns[-1] and v * v - big_d * u * u != 4 * g**n:
+            raise InternalError(f"moment identity mismatch at n = {n} {where}")
+        m2 = 2 * a * n * u
+        yield n, v, m2, m2 + 12 * a * a * n * quotient
 
 
 def _float_moment_rows(a: float, b: float, g: float) -> Iterator[tuple[float, float, float]]:
-    """(rho, M2/M0, M4/M0) of rows 0, 1, 2, ... of ``_moment_rows`` in floats,
-    rho = M0 / M0^- (M0^- = 1 at row 0), by the increment form
+    """(rho, M2/M0, M4/M0) of rows 0, 1, 2, ... in floats, rho = M0 / M0^-
+    (M0^- = 1 at row 0).  With A = 2a + b the moments obey M0' = A M0 - g M0^-,
+    M2' = A M2 + 2a M0 - g M2^- and M4' = A M4 + a (12 M2 + 2 M0) - g M4^-,
+    run in the increment form
 
         rho' = A - g / rho,  d2' = (2a + g d2 / rho) / rho',
-        d4' = (a (12 M2/M0 + 2) + g d4 / rho) / rho',  A = 2a + b,
+        d4' = (a (12 M2/M0 + 2) + g d4 / rho) / rho',
 
     d being a ratio's step from the previous row.  Every term is
     nonnegative, the d-map contracts and the steps are Kahan-summed, so
-    rounding error does not build up; ``_moment_rows`` divided by M0 leaves
+    rounding error does not build up; the recurrence divided by M0 leaves
     M2/M0 on a neutral mode whose error grows linearly in n.
     """
     big_a = 2 * a + b
@@ -373,12 +387,11 @@ def marginal_moments_exact(
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Exact (n, m2, m4) of one coordinate of the distribution, per n.
 
-    Runs the O(n) moment recurrence and checks, at every requested n, the
-    normalizer M0 = 2 k^n t_n and the identity M2 = 2 n p k^(n-1) u_(n-1)
-    (t_m = q^m T_m(c), u_m = q^m U_m(c)); a mismatch raises InternalError.
-    For k > 1 and c < k every requested marginal row is scanned for negative
-    entries, raising DomainError with the witness exponent.  The scan is a
-    necessary condition only -- joint nonnegativity is certified by
+    Closed form in the Lucas pair of the integer marginal rows (module
+    docstring); a failed check raises InternalError.  For k > 1 and c < k
+    every requested marginal row is scanned for negative entries, raising
+    DomainError with the witness exponent.  The scan is a necessary
+    condition only -- joint nonnegativity is certified by
     ``convergence_report`` wherever the full table is affordable -- and it
     is skipped for c >= k (every k = 1 case), where no coefficient is
     negative.
@@ -393,17 +406,10 @@ def marginal_moments_exact(
     if c < k:
         for m, row in _requested(_exact_rows(p, beta, kq * kq, [2], [p, beta, p]), ns):
             _check_row(row, m, k, scale=2 * kq**m)
-    rows = zip(
-        _moment_rows(p, beta, kq * kq),
-        _scalar_rows(p, q * q, 1, p),  # t_m
-        _scalar_rows(p, q * q, 0, 1),  # u_(m-1)
-    )
-    out = []
-    for m, ((m0, m2, m4), t, u_prev) in _requested(rows, ns):
-        if m0 != 2 * k**m * t or m2 != 2 * m * p * k ** (m - 1) * u_prev:
-            raise InternalError(f"moment identity mismatch at n = {m} for c = {c}, k = {k}")
-        out.append((m, Fraction(m2, m0), Fraction(m4, m0)))
-    return out
+    return [
+        (m, Fraction(m2, m0), Fraction(m4, m0))
+        for m, m0, m2, m4 in _moments(p, beta, kq * kq, ns, f"for c = {c}, k = {k}")
+    ]
 
 
 def marginal_moments_float(
@@ -434,15 +440,15 @@ def fg_marginal_moments_exact(
     """Exact (n, m2, m4) of one coordinate of the cyclically-reduced-word
     count distribution in rank r, trivial-class correction included.
 
-    Runs the moment recurrence of the integer marginal of the rescaled count
-    recurrence (V_{m+1} = (x + 1/x + 2(r-1)) V_m - (2r-1) V_{m-1}, V_0 = 2),
-    checks the total (2r-1)^n + 1, and divides by the corrected total
-    (2r-1)^n + 1 + (r-1)(1 + (-1)^n).
+    Closed form in the Lucas pair of the rescaled count recurrence's
+    integer marginal, V_{m+1} = (x + 1/x + 2(r-1)) V_m - (2r-1) V_{m-1},
+    with M0 = (2r-1)^n + 1 checked against the total count, divided by the
+    corrected total (2r-1)^n + 1 + (r-1)(1 + (-1)^n).
     """
     ns = _check_n_list(n_list)
     check_rank(r)
     out = []
-    for m, (m0, m2, m4) in _requested(_moment_rows(1, 2 * (r - 1), 2 * r - 1), ns):
+    for m, m0, m2, m4 in _moments(1, 2 * (r - 1), 2 * r - 1, ns, f"for rank {r}"):
         total = total_count(r, m)
         if m0 + trivial_class_correction(r, m) != total:
             raise InternalError(f"count total mismatch at n = {m} for rank {r}")
@@ -504,10 +510,11 @@ def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, d
     """(n, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n = 2 (kq)^n
     T_n(A), keyed with n_max = ns[-1].  Raises the DomainError of
     ``distribution`` at the lexicographically first negative coefficient,
-    and InternalError unless the row sum is 2 k^n t_n = 2 (kq)^n T_n(c)."""
-    p, q = c.numerator, c.denominator
-    rows = zip(_scaled(ChebKind.FIRST, c, k, ns[-1]), _scalar_rows(p, q * q, 1, p))
-    for n, ((_, row, scale), t_n) in _requested(rows, ns):
+    and InternalError unless the row sum is M0 = 2 (kq)^n T_n(c)."""
+    p, kq = c.numerator, k * c.denominator
+    rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
+    sums = _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
+    for (n, (_, row, scale)), (_, m0, _, _) in zip(rows, sums):
         negative = _first_negative(row, k, ns[-1])
         if negative is not None:
             exponents, coeff = negative
@@ -517,7 +524,7 @@ def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, d
                 witness=exponents,
             )
         total = sum(row.values())
-        if total != 2 * k**n * t_n:
+        if total != m0:
             raise InternalError("normalizer mismatch between build and direct evaluation")
         yield n, row, total
 
@@ -549,7 +556,7 @@ def convergence_report(
     Exact mode requires a rational c and every n at or below the ceiling
     (128 for k = 1, 32 for k > 1 unless overridden; an explicit ceiling must
     be a positive integer); beyond it, use float-normalized mode.  Exact
-    moments come from the O(n) moment recurrence with its identity checks.
+    moments come from the closed form in the Lucas pair, with its checks.
     For k > 1 the integer kernel's full k-variate row certifies joint
     nonnegativity while n <= 32, in float mode too when c < k (at the
     exact value of the float c).  Off-diagonal covariances are reported as

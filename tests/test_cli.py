@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,13 +121,13 @@ class TestExitCodes:
         assert (code, out, err) == (4, "", "internal error: routes disagree\n")
 
     def test_moment_identity_mismatch_exit_4(self, capsys, monkeypatch):
-        original = cltstats._moment_rows
+        original = cltstats._lucas
 
-        def off_by_one(a, b, g):
-            for m0, m2, m4 in original(a, b, g):
-                yield m0, m2 + 1, m4
+        def off_by_one(big_p, g, n):
+            u, v = original(big_p, g, n)
+            return u + 1, v
 
-        monkeypatch.setattr(cltstats, "_moment_rows", off_by_one)
+        monkeypatch.setattr(cltstats, "_lucas", off_by_one)
         code, out, err = capture(capsys, ["clt", "--c", "2", "--k", "1", "--n", "4"])
         assert (code, out) == (4, "")
         assert err == "internal error: moment identity mismatch at n = 4 for c = 2, k = 1\n"
@@ -144,6 +145,13 @@ class TestExitCodes:
         code, out, err = capture(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith("domain error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("c", ["nan", "1e400"])
+    def test_non_finite_float_c_is_one_line_domain_error(self, capsys, c):
+        argv = ["clt", "--c", c, "--k", "1", "--n", "4", "--mode", "float_normalized"]
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: c must be a finite number") and err.count("\n") == 1
 
     @pytest.mark.parametrize("ceiling", ["-5", "0"])
     def test_nonpositive_exact_ceiling_exit_2(self, capsys, ceiling):
@@ -302,6 +310,28 @@ def test_console_entry_point():
         {"e": [-1], "coeff": "3/4"},
         {"e": [1], "coeff": "3/4"},
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--c", "2", "--k", "1", "--n", "4000", "--exact-ceiling", "4000", "--format", "json"],
+        ["clt", "--fg-r", "100000", "--n", "1000", "--mode", "exact", "--format", "json"],
+        ["coeffs", "--kind", "T", "--n", "300", "--c", "1/1000000000000000000000"],
+        ["positivity", "--kind", "T", "--n", "300", "--c", "1/1000000000000000000000"],
+        ["clt", "--c", "2", "--k", "1", "--n", "10000", "--exact-ceiling", "10000",
+         "--format", "json"],
+    ],
+    ids=["clt_c", "clt_fg", "coeffs", "positivity", "clt_n10000"],
+)
+def test_exact_output_past_int_str_digit_limit(argv):
+    # each output holds an integer longer than CPython's default int -> str
+    # limit of 4300 digits
+    result = subprocess.run(
+        [sys.executable, "-m", "symcheb", *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert max(map(len, re.findall(r"\d+", result.stdout))) > 4300
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -69,6 +70,50 @@ def test_arity_is_validated(call, k):
     # k = -1 used to give a negative variance and k = 0 a ZeroDivisionError
     with pytest.raises(UsageError, match=f"^k must be a positive integer, got {k!r}$"):
         call(k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: sigma2_reported(c, 1),
+        lambda c: sigma2_rederived(c, 2),
+        lambda c: char_fn(4, c, 1, [0.0]),
+        lambda c: marginal_moments_float(c, 1, [4]),
+        lambda c: convergence_report(c, 1, [4], mode=MODE_FLOAT),
+    ],
+    ids=["sigma2_reported", "sigma2_rederived", "char_fn", "marginal_moments_float",
+         "convergence_report_float"],
+)
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_c_is_rejected(call, c):
+    # nan used to pass every "c <= 1" test and come back as a nan result
+    with pytest.raises(DomainError, match="^c must be a finite number, got "):
+        call(c)
+
+
+def moment_rows(a, b, g):
+    """Oracle: (M0, M2, M4) of rows 0, 1, 2, ... of the row recurrence with
+    rows [2] and [a, b, a], M_d = sum_j j^d row_j, by the recurrence the
+    moments of consecutive symmetric rows obey (odd moments vanish)."""
+    prev, cur = (2, 0, 0), (2 * a + b, 2 * a, 2 * a)
+    yield prev
+    while True:
+        yield cur
+        m0, m2, m4 = cur
+        prev, cur = cur, (
+            (2 * a + b) * m0 - g * prev[0],
+            a * (2 * m2 + 2 * m0) + b * m2 - g * prev[1],
+            a * (2 * m4 + 12 * m2 + 2 * m0) + b * m4 - g * prev[2],
+        )
+
+
+@st.composite
+def n_lists(draw):
+    """A dense list 1..n_max or a sparse sorted one, n_max <= 300."""
+    n_max = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        return list(range(1, n_max + 1))
+    return sorted(draw(st.sets(st.integers(1, n_max), min_size=1, max_size=6)) | {n_max})
 
 
 def scaled_cheb(n, c):
@@ -154,12 +199,15 @@ class TestDistribution:
             assert list(got.items()) == [(e, v / total) for e, v in terms]
 
     def test_normalizer_mismatch_is_internal_error(self, monkeypatch):
-        original = cltstats._scalar_rows
+        # a sign flip of the Lucas pair keeps its own identities; only the
+        # kernel's row sum can see it
+        original = cltstats._lucas
 
-        def off_by_one(p, g, x0, x1):
-            return (x + 1 for x in original(p, g, x0, x1))
+        def sign_flipped(big_p, g, n):
+            u, v = original(big_p, g, n)
+            return -u, -v
 
-        monkeypatch.setattr(cltstats, "_scalar_rows", off_by_one)
+        monkeypatch.setattr(cltstats, "_lucas", sign_flipped)
         with pytest.raises(InternalError) as info:
             distribution(3, F(2), 1)
         assert str(info.value) == "normalizer mismatch between build and direct evaluation"
@@ -390,6 +438,32 @@ class TestMomentRecurrence:
             if m in got:
                 denom = total + (r - 1) * (1 + (-1) ** m)
                 assert got[m] == (F(second, denom), F(fourth, denom))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 60), q=st.integers(1, 9), k=st.integers(1, 4), ns=n_lists())
+    def test_matches_moment_recurrence(self, p, q, k, ns):
+        c = F(p, q)
+        assume(c > 1)
+        kq, beta = k * q, 2 * (k - 1) * p
+        oracle = list(islice(moment_rows(p, beta, kq * kq), ns[-1] + 1))
+        try:
+            got = marginal_moments_exact(c, k, ns)
+        except DomainError:
+            assert c < k  # only the sign scan may refuse
+            return
+        assert got == [(n, F(oracle[n][1], oracle[n][0]), F(oracle[n][2], oracle[n][0]))
+                       for n in ns]
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(2, 6), ns=n_lists())
+    def test_fg_matches_moment_recurrence(self, r, ns):
+        oracle = list(islice(moment_rows(1, 2 * (r - 1), 2 * r - 1), ns[-1] + 1))
+        want = []
+        for n in ns:
+            m0, m2, m4 = oracle[n]
+            total = m0 + (r - 1) * (1 + (-1) ** n)
+            want.append((n, F(m2, total), F(m4, total)))
+        assert fg_marginal_moments_exact(r, ns) == want
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 3), num=st.integers(0, 30), den=st.integers(1, 9))

@@ -57,3 +57,21 @@ def test_cli_import_leaves_slow_modules_unloaded(flags):
     )
     assert result.stdout == "\n"
 
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no int <-> str digit limit before Python 3.10.7",
+)
+def test_cli_run_leaves_int_digit_limit_alone():
+    # only cli.main() lifts the limit, for the process it owns
+    code = """
+import contextlib, io, sys
+before = sys.get_int_max_str_digits()
+import symcheb.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    symcheb.cli.run(["clt", "--c", "2", "--k", "1", "--n", "4", "--format", "json"])
+print(before, sys.get_int_max_str_digits())
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = result.stdout.split()
+    assert before == after
