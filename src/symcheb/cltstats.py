@@ -1,8 +1,8 @@
 """Coefficient distributions of symmetrized Chebyshev polynomials and their
 Gaussian limit.
 
-For c > 1 the coefficients of T_n(A), A = (c/2k) sum_i (x_i + 1/x_i), are
-nonnegative, so dividing by the normalizer T_n(c) (the value at
+Where the coefficients of T_n(A), A = (c/2k) sum_i (x_i + 1/x_i), c > 1,
+are nonnegative, dividing by the normalizer T_n(c) (the value at
 x = (1, ..., 1)) turns them into a probability distribution on the integer
 lattice Z^k.  This module computes exact moments of those distributions,
 evaluates the characteristic function T_n((c/k) sum_j cos theta_j) / T_n(c),
@@ -46,23 +46,24 @@ the division exact; for c, M0 = 2 (kq)^n T_n(c), and the scale cancels in
 every moment ratio.  The pair steps from one requested n to the next:
 O(log n) multiplications for a sparse n list, a short step per n for a
 dense one.  Checked: the division at every n, V_n^2 - D U_n^2 = 4 g^n at
-the last, and M0 against the kernel's row sum or the word total.
+the last, and M0 against the word total, or against the kernel's row sum
+wherever a row is walked (``distribution``, and certification below c_k).
 
-The coefficient rows themselves are walked (O(n^2)) only where a sign can
-fail, k > 1 with 1 < c < k; for c >= k they are nonnegative, the region
-this package relies on throughout (see ``symmetrized``).  While n <= 32 the
-integer kernel's full k-variate row is scanned to certify joint
-nonnegativity; off-diagonal covariances vanish identically at every n
+Signs are certified once, by ``_certify``, in both modes (float mode at
+the float's exact rational value), and no coefficient row is walked where
+the theorem in ``symmetrized`` answers: nothing to check for c >= k; for
+c_k = k/sqrt(2k-1) <= c < k only the constant term of each requested even
+n, in closed form from the closed-walk counts of Z^k; below c_k the integer
+kernel's full k-variate row certifies n <= 32, and a larger n is refused as
+uncertified.  Off-diagonal covariances vanish identically at every n
 because each coordinate can be mirrored independently, and that exact zero
 is what rows carry.
 
 Float-normalized mode runs, in floats, the three-term recurrence that the
 moments of consecutive symmetric rows obey, in an increment form that keeps
 M2/M0 and M4/M0 within a few ulp unless c is near 1 (see
-``_float_moment_rows``), and walks float rows, each divided by its sum, only
-for the same c < k sign scan; joint nonnegativity for n <= 32 is certified
-on the integer kernel at the float's exact rational value.  Exact mode is
-capped (128 for k = 1, 32 for k > 1 by default); the cap is a parameter.
+``_float_moment_rows``).  Exact mode is capped (128 for k = 1, 32 for
+k > 1 by default); the cap is a parameter.
 """
 
 from __future__ import annotations
@@ -237,41 +238,6 @@ def sigma2_rederived(c: Scalar | float, k: int) -> float:
     return c_float / (k_float * math.sqrt(c_float * c_float - 1.0))
 
 
-# ---------------------------------------------------------------------------
-# Row engines: coefficient rows of P_{m+1} = (alpha (x + 1/x) + beta) P_m
-# - gamma P_{m-1}, stored densely as row m = entries for j = -m..m.
-# ---------------------------------------------------------------------------
-
-
-def _exact_rows(alpha, beta, gamma, row0: list, row1: list) -> Iterator[list]:
-    """Rows 0, 1, 2, ... of the row recurrence, exact for int input.  For
-    float input each new row is divided, together with the row before it,
-    by its sum, so rows stay probability-scaled and never overflow."""
-    yield row0
-    yield row1
-    prevprev, prev, m = row0, row1, 1
-    normalize = isinstance(alpha, float)
-    while True:
-        cur = [0] * (2 * m + 3)
-        for idx, coeff in enumerate(prev):  # idx = j + m; in cur, j sits at idx + 1
-            if coeff:
-                step = alpha * coeff
-                cur[idx] += step
-                cur[idx + 2] += step
-                if beta:
-                    cur[idx + 1] += beta * coeff
-        for idx, coeff in enumerate(prevprev):  # idx = j + m - 1; in cur, j at idx + 2
-            if coeff:
-                cur[idx + 2] -= gamma * coeff
-        if normalize:
-            total = sum(cur)
-            prev = [value / total for value in prev]
-            cur = [value / total for value in cur]
-        yield cur
-        prevprev, prev = prev, cur
-        m += 1
-
-
 def _lucas(big_p: int, g: int, n: int) -> tuple[int, int]:
     """(U_n, V_n) of x_{m+1} = P x_m - g x_{m-1}, U_0, U_1 = 0, 1 and
     V_0, V_1 = 2, P, by doubling."""
@@ -367,19 +333,96 @@ def _requested(rows: Iterator[list], ns: list[int]) -> Iterator[tuple[int, list]
             return
 
 
-def _check_row(row: Sequence, m: int, k: int, scale: int = 1) -> None:
-    """Raise DomainError at the first negative or non-finite entry of row m,
-    reporting entry / scale for an int row."""
-    for idx, coeff in enumerate(row):
-        if not 0 <= coeff < math.inf:
-            kind = "coefficient" if k == 1 else "marginal coefficient sum"
-            problem = "negative" if coeff < 0 else "not finite"
-            value = Fraction(coeff, scale) if isinstance(coeff, int) else coeff
-            raise DomainError(
-                f"{kind} at exponent {idx - m} of row n = {m} is "
-                f"{problem} ({value}); the distribution is undefined",
-                witness=(idx - m,),
-            )
+# ---------------------------------------------------------------------------
+# Sign certification
+# ---------------------------------------------------------------------------
+
+
+def _negative(exponents: Exponents, coeff: int, scale: int) -> DomainError:
+    return DomainError(
+        f"coefficient at {list(exponents)} is negative ({Fraction(coeff, scale)}); "
+        "the coefficient distribution is undefined",
+        witness=exponents,
+    )
+
+
+def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, dict, int]]:
+    """(n, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n = 2 (kq)^n
+    T_n(A), keyed with n_max = ns[-1].  Raises the DomainError of
+    ``distribution`` at the lexicographically first negative coefficient,
+    and InternalError unless the row sum is M0 = 2 (kq)^n T_n(c)."""
+    p, kq = c.numerator, k * c.denominator
+    rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
+    sums = _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
+    for (n, (_, row, scale)), (_, m0, _, _) in zip(rows, sums):
+        negative = _first_negative(row, k, ns[-1])
+        if negative is not None:
+            raise _negative(*negative, scale)
+        total = sum(row.values())
+        if total != m0:
+            raise InternalError("normalizer mismatch between build and direct evaluation")
+        yield n, row, total
+
+
+def _walk_counts(k: int, h: int) -> list[int]:
+    """w_k(2i) for i = 0..h, the closed walks of length 2i on Z^k:
+    C(2i, i) B_i, where B_i, the sum of the squared multinomials of i into k
+    parts, follows Miller's power recurrence
+    B_i = (1/i) sum_j ((k+1) j - i) C(i, j)^2 B_(i-j)."""
+    b, binom = [1], [1]
+    for i in range(1, h + 1):
+        binom = [1, *map(int.__add__, binom, binom[1:]), 1]  # row i of Pascal's triangle
+        b.append(sum(((k + 1) * j - i) * binom[j] ** 2 * b[i - j] for j in range(1, i + 1)) // i)
+    return [math.comb(2 * i, i) * b_i for i, b_i in enumerate(b)]
+
+
+def _constant_term(p: int, g: int, n: int, walks: list[int]) -> int:
+    """The constant term of the kernel row Q_n = 2 (kq)^n T_n(A) at even n,
+
+        sum_m n/(n-m) C(n-m, m) (-g)^m p^(n-2m) w_k(n-2m),  g = (kq)^2,
+
+    summed in Horner form in -g from the m = n/2 term, 2 (-g)^(n/2)."""
+    h = n // 2
+    acc, p_pow, p2 = 2, 1, p * p
+    for i in range(1, h + 1):
+        m = h - i
+        p_pow *= p2
+        acc = -g * acc + n * math.comb(n - m, m) // (n - m) * walks[i] * p_pow
+    return acc
+
+
+def _certify(c: Fraction, k: int, ns: list[int]) -> None:
+    """Certify that every coefficient of T_n(A) is nonnegative at each n in
+    ns, or raise DomainError; c > 1 (a float c enters at its exact value).
+
+    * c >= k: nothing to check.
+    * c_k = k/sqrt(2k-1) <= c < k, the exact test c^2 (2k-1) >= k^2: every
+      off-origin coefficient is nonnegative by the theorem (``symmetrized``),
+      and odd n has no constant term, so only the constant term of each
+      even n is computed, in closed form.
+    * 1 < c < c_k: the kernel's full rows certify n <= FULL_TABLE_CEILING,
+      and a larger n is refused as uncertified before any row is walked.
+    """
+    if c >= k:
+        return
+    p, kq = c.numerator, k * c.denominator
+    if p * p * (2 * k - 1) >= kq * kq:
+        evens = [n for n in ns if n % 2 == 0]
+        walks = _walk_counts(k, evens[-1] // 2) if evens else []
+        for n in evens:
+            constant = _constant_term(p, kq * kq, n, walks)
+            if constant < 0:
+                raise _negative((0,) * k, constant, 2 * kq**n)
+        return
+    if ns[-1] > FULL_TABLE_CEILING:
+        n = next(n for n in ns if n > FULL_TABLE_CEILING)
+        raise DomainError(
+            f"the distribution at n = {n} is uncertified: for c < k/sqrt(2k-1) "
+            f"(k = {k}) coefficient signs are certified row by row only up to "
+            f"n = {FULL_TABLE_CEILING}"
+        )
+    for _ in _certified_rows(c, k, ns):
+        pass
 
 
 def marginal_moments_exact(
@@ -388,27 +431,21 @@ def marginal_moments_exact(
     """Exact (n, m2, m4) of one coordinate of the distribution, per n.
 
     Closed form in the Lucas pair of the integer marginal rows (module
-    docstring); a failed check raises InternalError.  For k > 1 and c < k
-    every requested marginal row is scanned for negative entries, raising
-    DomainError with the witness exponent.  The scan is a necessary
-    condition only -- joint nonnegativity is certified by
-    ``convergence_report`` wherever the full table is affordable -- and it
-    is skipped for c >= k (every k = 1 case), where no coefficient is
-    negative.
+    docstring); a failed check raises InternalError.  Joint nonnegativity
+    is certified first by ``_certify`` (the theorem for c >= c_k, kernel
+    rows below), which raises DomainError with the witness exponent, or
+    with "uncertified" beyond the rows it can afford.
     """
     check_arity(k)
     ns = _check_n_list(n_list)
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    p, q = c.numerator, c.denominator
-    kq, beta = k * q, 2 * (k - 1) * p
-    if c < k:
-        for m, row in _requested(_exact_rows(p, beta, kq * kq, [2], [p, beta, p]), ns):
-            _check_row(row, m, k, scale=2 * kq**m)
+    _certify(c, k, ns)
+    p, kq = c.numerator, k * c.denominator
     return [
         (m, Fraction(m2, m0), Fraction(m4, m0))
-        for m, m0, m2, m4 in _moments(p, beta, kq * kq, ns, f"for c = {c}, k = {k}")
+        for m, m0, m2, m4 in _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
     ]
 
 
@@ -417,20 +454,17 @@ def marginal_moments_float(
 ) -> list[tuple[int, float, float]]:
     """Float-normalized (n, m2, m4) of one coordinate, per n.
 
-    Runs the O(n) moment recurrence in floats.  For k > 1 and c < k the
-    requested rows are scanned as in ``marginal_moments_exact`` (float rows
-    normalized by their sum); a negative or non-finite entry, or a moment
-    that is not finite, raises DomainError."""
+    Runs the O(n) moment recurrence in floats.  Signs are certified as in
+    ``marginal_moments_exact``, at the float's exact rational value; that,
+    or a moment that is not finite, raises DomainError."""
     check_arity(k)
     ns = _check_n_list(n_list)
     c_float = _to_float(c, "c")
     if c_float <= 1.0:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c_float}")
+    _certify(Fraction(c_float), k, ns)
     alpha = c_float / k
     beta = 2.0 * c_float * (k - 1) / k
-    if c_float < k:
-        for m, row in _requested(_exact_rows(alpha, beta, 1.0, [2.0], [alpha, beta, alpha]), ns):
-            _check_row(row, m, k)
     return _float_moments(alpha, beta, 1.0, ns)
 
 
@@ -506,38 +540,6 @@ def _report(
     return ConvergenceReport(c, k, mode, s2_reported, s2_rederived, tuple(out))
 
 
-def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, dict, int]]:
-    """(n, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n = 2 (kq)^n
-    T_n(A), keyed with n_max = ns[-1].  Raises the DomainError of
-    ``distribution`` at the lexicographically first negative coefficient,
-    and InternalError unless the row sum is M0 = 2 (kq)^n T_n(c)."""
-    p, kq = c.numerator, k * c.denominator
-    rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
-    sums = _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
-    for (n, (_, row, scale)), (_, m0, _, _) in zip(rows, sums):
-        negative = _first_negative(row, k, ns[-1])
-        if negative is not None:
-            exponents, coeff = negative
-            raise DomainError(
-                f"coefficient at {list(exponents)} is negative ({Fraction(coeff, scale)}); "
-                "the coefficient distribution is undefined",
-                witness=exponents,
-            )
-        total = sum(row.values())
-        if total != m0:
-            raise InternalError("normalizer mismatch between build and direct evaluation")
-        yield n, row, total
-
-
-def _certify_joint(c: Fraction, k: int, ns: list[int]) -> None:
-    """Certify joint nonnegativity on the integer kernel's full k-variate
-    rows at every requested n <= FULL_TABLE_CEILING (k > 1)."""
-    table_ns = [n for n in ns if n <= FULL_TABLE_CEILING]
-    if k > 1 and table_ns:
-        for _ in _certified_rows(c, k, table_ns):
-            pass
-
-
 def _check_exact_ceiling(exact_ceiling: int | None) -> None:
     if exact_ceiling is not None and (not isinstance(exact_ceiling, int) or exact_ceiling < 1):
         raise UsageError(f"the exact-mode ceiling must be a positive integer, got {exact_ceiling!r}")
@@ -557,9 +559,8 @@ def convergence_report(
     (128 for k = 1, 32 for k > 1 unless overridden; an explicit ceiling must
     be a positive integer); beyond it, use float-normalized mode.  Exact
     moments come from the closed form in the Lucas pair, with its checks.
-    For k > 1 the integer kernel's full k-variate row certifies joint
-    nonnegativity while n <= 32, in float mode too when c < k (at the
-    exact value of the float c).  Off-diagonal covariances are reported as
+    Signs are certified by the marginal moment functions, the same way in
+    both modes (module docstring).  Off-diagonal covariances are reported as
     the exact structural zero (each coordinate can be mirrored
     independently, forcing E[l_i l_j] = 0 at every n).
     """
@@ -578,12 +579,9 @@ def convergence_report(
         )
         c = as_scalar(c)
         rows = [(n, m2, m4, _ZERO) for n, m2, m4 in marginal_moments_exact(c, k, ns)]
-        _certify_joint(c, k, ns)
     else:
         c = float(c)
         rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(c, k, ns)]
-        if c < k:  # certify joint signs exactly at the float's own value
-            _certify_joint(Fraction(c), k, ns)
     return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
 
 

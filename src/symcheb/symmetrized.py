@@ -16,9 +16,28 @@ For k = 1 and c > 1 all coefficients on the parity support (|j| <= n,
 n - j even) are strictly positive; for c < -1 every coefficient has sign
 (-1)^n; for |c| < 1 neither pattern survives.  For k > 1 nonnegativity can
 fail for c slightly above 1 -- the coefficient of x_1 at n = 3, k = 2 is
-(3c/4)(3c^2/4 - 1), negative for 1 < c < 2/sqrt(3) -- so nothing stronger
-than "nonnegative for c >= k" is assumed anywhere in this package, and
-``sign_survey`` exists to map the empirical threshold.
+(3c/4)(3c^2/4 - 1), negative for 1 < c < 2/sqrt(3).  That bound is the
+paper's parameter point c_k = k/sqrt(2k-1), and from it up every
+coefficient of T_n(A) off the origin is nonnegative at every n:
+
+(a) At c = c_k, 2 (2k-1)^(n/2) T_n(A) is the count polynomial W_n of
+    cyclically reduced words in the rank-k free group, tallied by homology
+    class; only its constant term carries the trivial-class correction, so
+    its other coefficients are counts, hence >= 0 (``freegroup``).
+(b) Dilation: T_n(ax) = sum_j beta_{n,j}(a) T_j(x) with every beta_{n,j}(a)
+    >= 0 for a >= 1.  Expand T_n(ax) = sum_i T_n^(i)(x) x^i (a-1)^i / i!:
+    each derivative of T_n is a nonnegative combination of T's, since
+    T_j' = j U_{j-1} and U_m is a nonnegative sum of T's; x^i = T_1^i; and
+    products of nonnegative T-combinations stay nonnegative, by
+    T_m T_n = (T_{m+n} + T_{|m-n|}) / 2.
+(c) With B = S / 2k, S = sum_i (x_i + 1/x_i), T_n(c B) = sum_j
+    beta_{n,j}(c/c_k) T_j(c_k B), a nonnegative combination of polynomials
+    whose off-origin coefficients are >= 0 by (a) for c >= c_k.
+
+Odd n has no constant term, so its whole row is nonnegative; at even n the
+constant term must still be checked (it is c^2/k - 1 at n = 2, negative for
+c < sqrt(k)).  ``cltstats`` certifies signs this way; ``sign_survey`` maps
+the threshold below c_k empirically.
 """
 
 from __future__ import annotations

@@ -27,6 +27,10 @@ FLOAT_JOINT_ARGVS = [  # marginals nonnegative, but a joint coefficient is negat
      "domain error: coefficient at [0, 0, 0] is negative (-1/4); "
      "the coefficient distribution is undefined\n"),
 ]
+UNCERTIFIED_ARGVS = [  # 1 < c < k/sqrt(2k-1), beyond the rows that certify signs
+    ["clt", "--c", "11/10", "--k", "2", "--n", "33,40", "--exact-ceiling", "40"],
+    ["clt", "--c", "1.1", "--k", "2", "--n", "33,40", "--mode", "float_normalized"],
+]
 ARITY = "1" + "0" * 300  # fits a float, but no row in that many variables fits memory
 HUGE_ARITY_ARGVS = [
     ["clt", "--c", "3", "--k", ARITY, "--n", "4"],
@@ -168,13 +172,32 @@ class TestExitCodes:
         code_f, out_f, err_f = capture(capsys, argv + ["--c", "1.05", "--mode", "float_normalized"])
         code_e, _, err_e = capture(capsys, argv + ["--c", "21/20"])
         assert code_f == code_e == 1 and out_f == ""
-        prefix = "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"
+        prefix = "domain error: coefficient at [-1, -1] is negative"
         assert err_f.startswith(prefix) and err_e.startswith(prefix)
+        assert err_e == f"{prefix} (-122157/640000); the coefficient distribution is undefined\n"
 
     @pytest.mark.parametrize("argv,message", FLOAT_JOINT_ARGVS)
     def test_float_mode_certifies_joint_signs(self, capsys, argv, message):
         # float mode used to return numbers where exact mode gives the witness
         assert capture(capsys, argv) == (1, "", message)
+
+    @pytest.mark.parametrize("argv", UNCERTIFIED_ARGVS, ids=["exact", "float"])
+    def test_uncertified_signs_are_one_line_domain_error(self, capsys, argv):
+        # these used to return rows that no sign check covered
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "uncertified" in err and err.count("\n") == 1
+
+    def test_theorem_certifies_beyond_the_rows(self, capsys):
+        # c = 3/2 >= 2/sqrt(3): certified at every n without a row walk
+        argv = ["clt", "--c", "3/2", "--k", "2", "--n", "33,40", "--exact-ceiling", "40"]
+        assert capture(capsys, argv) == (
+            0,
+            "n,m2_over_n,kurtosis,max_offdiag,dist_paper,dist_rederived\n"
+            "33,0.670820393,2.92320575,0,1.75623059,0\n"
+            "40,0.670820393,2.93664474,0,1.75623059,0\n",
+            "",
+        )
 
     def test_clt_needs_parameters(self, capsys):
         assert capture(capsys, ["clt", "--n", "4"])[0] == 2
@@ -340,12 +363,16 @@ def test_exact_output_past_int_str_digit_limit(argv):
         (["clt", "--k", "2", "--c", "1e308", "--n", "4", "--mode", "float_normalized"],
          "not finite"),
         (["clt", "--k", "2", "--c", "1.05", "--n", "4,8", "--mode", "float_normalized"],
-         "domain error: marginal coefficient sum at exponent -1 of row n = 4 is negative"),
+         "domain error: coefficient at [-1, -1] is negative"),
         (["clt", "--c", "11/10", "--k", "2", "--n", "3"],
          "domain error: coefficient at [-1, 0] is negative (-1221/16000); "
          "the coefficient distribution is undefined\n"),
         (OVERFLOW_ARGVS[0], "domain error: r is too large for float arithmetic\n"),
         FLOAT_JOINT_ARGVS[0],
+        (UNCERTIFIED_ARGVS[1], "uncertified"),
+        (["clt", "--c", "6/5", "--k", "2", "--n", "2"],
+         "domain error: coefficient at [0, 0] is negative (-7/25); "
+         "the coefficient distribution is undefined\n"),
     ],
 )
 def test_float_domain_checks_survive_optimized_python(params, message):

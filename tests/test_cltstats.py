@@ -25,10 +25,10 @@ from symcheb import (
     sigma2_reported,
     sign_survey,
 )
+from symcheb.chebyshev import scaled_rows
 from symcheb.cltstats import (
     MODE_EXACT,
     MODE_FLOAT,
-    _exact_rows,
     fg_marginal_moments_exact,
     fg_marginal_moments_float,
     marginal_moments_exact,
@@ -133,11 +133,30 @@ def row_moments(row, m):
     return sum(row), sum(j**2 * v for j, v in pairs), sum(j**4 * v for j, v in pairs)
 
 
+def exact_rows(alpha, beta, gamma, row0, row1):
+    """Oracle: rows 0, 1, 2, ... of P_{m+1} = (alpha (x + 1/x) + beta) P_m
+    - gamma P_{m-1} over the ints, row m dense for j = -m..m."""
+    yield row0
+    yield row1
+    prevprev, prev, m = row0, row1, 1
+    while True:
+        cur = [0] * (2 * m + 3)
+        for idx, coeff in enumerate(prev):  # idx = j + m; in cur, j sits at idx + 1
+            cur[idx] += alpha * coeff
+            cur[idx + 1] += beta * coeff
+            cur[idx + 2] += alpha * coeff
+        for idx, coeff in enumerate(prevprev):  # idx = j + m - 1; in cur, j at idx + 2
+            cur[idx + 2] -= gamma * coeff
+        yield cur
+        prevprev, prev = prev, cur
+        m += 1
+
+
 def marginal_rows(c, k, n_max):
     """Oracle: the integer c-marginal rows 0..n_max, entry by entry."""
     p, kq = c.numerator, k * c.denominator
     beta = 2 * (k - 1) * p
-    rows = _exact_rows(p, beta, kq * kq, [2], [p, beta, p])
+    rows = exact_rows(p, beta, kq * kq, [2], [p, beta, p])
     return [next(rows) for _ in range(n_max + 1)]
 
 
@@ -365,8 +384,10 @@ class TestMarginalEngine:
         assert m4 == report.fourth_moment_diag[0]
 
     def test_float_rows_are_scanned_like_exact_rows(self):
-        cases = [(F(21, 20), 1.05, 2, [4, 8], (-1,))]
-        cases += [(F(11, 10), 1.1, k, [2, 3, 4, 8, 16], (0,)) for k in (2, 3)]
+        # both modes certify the same way, float mode at the float's exact
+        # value, and report the joint witness
+        cases = [(F(21, 20), 1.05, 2, [4, 8], (-1, -1))]
+        cases += [(F(11, 10), 1.1, k, [2, 3, 4, 8, 16], (0,) * k) for k in (2, 3)]
         for c_exact, c_float, k, ns, witness in cases:
             with pytest.raises(DomainError) as exact:
                 marginal_moments_exact(c_exact, k, ns)
@@ -389,8 +410,8 @@ class TestMarginalEngine:
 
     @pytest.mark.parametrize("c,k", [(2.0, 1), (1.5, 1), (2.0, 2), (1.5, 2)])
     def test_float_matches_exact(self, c, k):
-        # at c = 1.5, k = 2 the float rows are scanned past n ~ 740, where
-        # rows that were not normalized would overflow
+        # at c = 1.5, k = 2 (above 2/sqrt(3)) both modes certify n = 800 by
+        # the theorem and the exact constant term, float mode at 1.5 = 3/2
         ns = [1, 2, 4, 8, 16, 32, 64, 800]
         exact = marginal_moments_exact(F(c), k, ns)
         approx = marginal_moments_float(c, k, ns)
@@ -419,8 +440,14 @@ class TestMomentRecurrence:
         try:
             got = marginal_moments_exact(c, k, ns)
         except DomainError:
-            # only the c < k sign scan may refuse, and only on a negative row
-            assert c < k and any(min(rows[m]) < 0 for m in ns)
+            # only the c < k sign certificate may refuse: below c_k beyond the
+            # rows it walks, or on a negative kernel row
+            assert c < k
+            if c * c * (2 * k - 1) < k * k and n > 32:
+                return
+            kq = k * q
+            kernel = list(islice(scaled_rows(p, kq * kq, 2, k, n), n + 1))
+            assert any(min(kernel[m].values()) < 0 for m in ns)
             return
         for m, m2, m4 in got:
             total, second, fourth = row_moments(rows[m], m)
@@ -430,7 +457,7 @@ class TestMomentRecurrence:
     @given(r=st.integers(2, 5), n=st.integers(1, 60))
     def test_fg_matches_row_oracle(self, r, n):
         beta = 2 * (r - 1)
-        rows = _exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1])
+        rows = exact_rows(1, beta, 2 * r - 1, [2], [1, beta, 1])
         ns = sorted({1, (n + 1) // 2, n})
         got = dict((m, (m2, m4)) for m, m2, m4 in fg_marginal_moments_exact(r, ns))
         for m in range(n + 1):
@@ -449,7 +476,7 @@ class TestMomentRecurrence:
         try:
             got = marginal_moments_exact(c, k, ns)
         except DomainError:
-            assert c < k  # only the sign scan may refuse
+            assert c < k  # only the sign certificate may refuse
             return
         assert got == [(n, F(oracle[n][1], oracle[n][0]), F(oracle[n][2], oracle[n][0]))
                        for n in ns]
@@ -471,6 +498,36 @@ class TestMomentRecurrence:
         c = k + F(num, den)
         assume(c > 1)
         assert all(min(row) >= 0 for row in marginal_rows(c, k, 60))
+
+    def test_certificate_at_c_at_least_k_walks_no_row(self, monkeypatch):
+        c, k, ns = F(7, 2), 3, [8, 16, 32]
+        kq, beta = k * 2, 2 * (k - 1) * 7
+        oracle = list(islice(moment_rows(7, beta, kq * kq), ns[-1] + 1))
+
+        def no_rows(*args):
+            raise AssertionError("a row was walked at c >= k")
+
+        monkeypatch.setattr(cltstats, "_certified_rows", no_rows)
+        report = convergence_report(c, k, ns, exact_ceiling=32)
+        want = []
+        for n in ns:
+            m0, m2, m4 = oracle[n]
+            want.append((n, F(m2, n * m0), F(m4 * m0, m2 * m2)))
+        assert [(row.n, row.m2_over_n, row.kurtosis) for row in report.rows] == want
+
+    @pytest.mark.parametrize(
+        "c,k",
+        [(F(3, 2), 2), (F(11, 10), 2), (F(7, 5), 3), (F(2), 3), (F(13, 10), 4), (F(5, 2), 1),
+         (F(9, 8), 4)],
+    )
+    def test_constant_term_matches_kernel_origin(self, c, k):
+        n_max = 12
+        p, kq = c.numerator, k * c.denominator
+        walks = cltstats._walk_counts(k, n_max // 2)
+        origin = n_max * sum((2 * n_max + 1) ** i for i in range(k))
+        for n, row in enumerate(scaled_rows(p, kq * kq, 2, k, n_max)):
+            if n and n % 2 == 0:
+                assert cltstats._constant_term(p, kq * kq, n, walks) == row[origin], n
 
     def test_joint_witness_is_kept(self):
         with pytest.raises(DomainError) as info:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -21,6 +22,7 @@ from symcheb import (
     sign_survey,
     univariate_table,
 )
+from symcheb.chebyshev import scaled_rows
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
 
@@ -355,6 +357,70 @@ class TestPositivity:
             for n, _poly in enumerate(build_sequence(kind, F(k), k, 8)):
                 report = positivity_report(SymChebSpec(kind, n, F(k), k))
                 assert report.all_nonnegative, (kind, n)
+
+
+def dilation_rows(n_max):
+    """Oracle: beta_{n,j}(1 + s) of T_n((1 + s) x) = sum_j beta_{n,j}(1 + s) T_j(x)
+    for n = 0..n_max, each row as {(j, i): coefficient of s^i T_j}, by
+    T_{m+1}(ax) = 2ax T_m(ax) - T_{m-1}(ax) with 2x T_j = T_{j+1} + T_{j-1}
+    (2x T_0 = 2 T_1)."""
+    rows = [{(0, 0): 1}, {(1, 0): 1, (1, 1): 1}]
+    while len(rows) <= n_max:
+        doubled = {}
+        for (j, i), v in rows[-1].items():
+            for t, w in (((1, i), 2 * v),) if j == 0 else (((j + 1, i), v), ((j - 1, i), v)):
+                doubled[t] = doubled.get(t, 0) + w
+        row = {key: -v for key, v in rows[-2].items()}
+        for (j, i), v in doubled.items():  # times a = 1 + s
+            for t in ((j, i), (j, i + 1)):
+                row[t] = row.get(t, 0) + v
+        rows.append(row)
+    return rows
+
+
+def off_origin_negative_rows(c, k, n_max):
+    """The m <= n_max whose kernel row 2 (kq)^m T_m(A) has a negative entry
+    away from the origin."""
+    kq = k * c.denominator
+    radix = 2 * n_max + 1
+    origin = n_max * sum(radix**i for i in range(k))
+    rows = scaled_rows(c.numerator, kq * kq, 2, k, n_max)
+    return [
+        m for m, row in enumerate(rows) if any(v < 0 for key, v in row.items() if key != origin)
+    ]
+
+
+class TestOffOriginTheorem:
+    """Every off-origin coefficient of T_n(A) is >= 0 once c >= c_k = k/sqrt(2k-1)."""
+
+    def test_dilation_lemma(self):
+        # T_n(ax) has nonnegative T-coefficients for every a >= 1, as
+        # polynomials in s = a - 1
+        x = F(3, 5)
+        t_at_x = [cheb_coeffs(T, j).evaluate(x) for j in range(41)]
+        for n, row in enumerate(dilation_rows(40)):
+            assert all(v >= 0 for v in row.values()), n
+            at_two = sum(v * t_at_x[j] for (j, _), v in row.items())  # s = 1
+            assert at_two == cheb_coeffs(T, n).evaluate(2 * x)
+
+    @pytest.mark.parametrize("k,n_max", [(2, 16), (3, 16), (4, 10)])
+    def test_n3_binds_at_c_k(self, k, n_max):
+        # c_k is irrational for k = 2, 3, 4; bracket it in thousandths
+        below = F(math.isqrt(10**6 * k * k // (2 * k - 1)), 1000)
+        above = below + F(1, 1000)
+        assert below**2 * (2 * k - 1) < k * k <= above**2 * (2 * k - 1)
+        assert off_origin_negative_rows(below, k, 3) == [3]
+        assert off_origin_negative_rows(above, k, n_max) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 3), q=st.integers(1, 40), extra=st.integers(0, 40),
+           n=st.integers(1, 24))
+    def test_no_off_origin_negative_from_c_k_up(self, k, q, extra, n):
+        kq = k * q
+        p = math.isqrt(kq * kq // (2 * k - 1))  # the least p with p^2 (2k-1) >= (kq)^2
+        while p * p * (2 * k - 1) < kq * kq:
+            p += 1
+        assert off_origin_negative_rows(F(p + extra, q), k, n) == []
 
 
 class TestSignSurvey:
