@@ -3,8 +3,10 @@
 Both kinds satisfy the same three-term recurrence f_{n+1} = 2x f_n - f_{n-1};
 they differ in the degree-1 seed (T_1 = x, U_1 = 2x).  Coefficients are exact
 Python ints; evaluation is generic Horner, so it works with floats
-and Fractions alike.  ``scaled_rows`` runs the same recurrence on integer
-Laurent polynomials in k variables; every construction in the package uses it.
+and Fractions alike.  ``orbit_rows`` runs the same recurrence on integer
+Laurent polynomials in k variables, one entry per orbit of the sign flips and
+permutations of the variables (``orbit``); every construction in the package
+uses it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -121,9 +124,9 @@ def eval_closed_T(n: int, x: float) -> float:
 
 
 def row_size(k: int, n: int) -> int:
-    """The number of keys of row n of ``scaled_rows`` in k variables.
+    """The number of terms of row n of the recurrence in k variables.
 
-    Row n has a key for every e in Z^k with |e|_1 <= n and |e|_1 = n (mod 2).
+    Row n has a term for every e in Z^k with |e|_1 <= n and |e|_1 = n (mod 2).
     That is half of sum_i 2^i C(k, i) C(n, i), the count of all e with
     |e|_1 <= n, plus sum_i C(k-1, i) C(n-i+k-1, k-1), the coefficient of x^n
     in (1 + x)^(k-1) / (1 - x)^k, which counts them with sign (-1)^(n-|e|_1).
@@ -136,11 +139,11 @@ def row_size(k: int, n: int) -> int:
 
 
 def _check_row_size(k: int, n_max: int) -> None:
-    """Raise ResourceBudgetError when row n_max has more keys than the
-    enumeration budget allows, before any row is allocated."""
+    """Raise ResourceBudgetError when row n_max has more terms than the
+    enumeration budget allows, before any row or index is allocated."""
     budget = resolve_enum_budget()
     m = min(k, n_max)
-    if m >= budget.bit_length():  # row n_max has at least 2^m keys (i = m above)
+    if m >= budget.bit_length():  # row n_max has at least 2^m terms (i = m above)
         size = f"at least 2^{m}"
     else:
         count = row_size(k, n_max)
@@ -153,43 +156,78 @@ def _check_row_size(k: int, n_max: int) -> None:
     )
 
 
-def scaled_rows(a: int, g: int, q0: int, k: int, n_max: int) -> Iterator[dict[int, int]]:
-    """Yield Q_0..Q_{n_max} of Q_0 = q0, Q_1 = a S, Q_{m+1} = a S Q_m - g Q_{m-1},
-    S = sum_i (x_i + 1/x_i), over the ints.
+@lru_cache(maxsize=8)
+def _orbit_graph(k: int, n_max: int) -> tuple:
+    """(reps, ends, pulls): reps[p] lists the e_1 >= ... >= e_k >= 0 with
+    |e|_1 <= n_max, |e|_1 = p (mod 2) by |e|_1, row m is on the first ends[m]
+    of reps[m % 2], and pulls[p][i] indexes each canon(e +- u_j) of e =
+    reps[p][i] in reps[1 - p], as often as it occurs.  Raising the first copy
+    of v in e keeps it sorted (count(v) ways, twice for v = 0); lowering the
+    last copy of v + 1 undoes it."""
+    origin = (0,) * k
+    reps, pulls, index, ends = ([origin], []), ([[]], []), {origin: 0}, [1]
+    for level in range(n_max):
+        p = level % 2
+        for i in range(ends[level - 2] if level > 1 else 0, len(reps[p])):
+            e = reps[p][i]
+            for v in set(e):
+                first = e.index(v)
+                f = e[:first] + (v + 1,) + e[first + 1 :]
+                if f not in index:
+                    index[f] = len(reps[1 - p])
+                    reps[1 - p].append(f)
+                    pulls[1 - p].append([])
+                pulls[p][i] += [index[f]] * (e.count(v) << (not v))
+                pulls[1 - p][index[f]] += [i] * f.count(v + 1)
+        ends.append(len(reps[1 - p]))
+    return tuple(map(tuple, reps)), ends, pulls  # callers share reps: immutable
+
+
+def orbit_rows(
+    a: int, g: int, q0: int, k: int, n_max: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
+    """Yield (reps, Q_m) for Q_0..Q_{n_max} of Q_0 = q0, Q_1 = a S,
+    Q_{m+1} = a S Q_m - g Q_{m-1}, S = sum_i (x_i + 1/x_i), over the ints.
 
     With c = p/q, a = p and g = (kq)^2, Q_m is 2 (kq)^m T_m(A) for q0 = 2
     and (kq)^m U_m(A) for q0 = 1; a = 1, g = 2r - 1, q0 = 2 gives the
-    free-group count polynomials.  A row maps each exponent vector, packed
-    into one int (Kronecker substitution: digits e_i + n_max in radix
-    2 n_max + 1, e_1 most significant, so key order is lexicographic order),
-    to its coefficient; coefficients that cancel may stay as zeros.  Raises
-    ResourceBudgetError when row n_max would exceed the enumeration budget.
+    free-group counts.  Q_m is invariant under B_k, the sign flips and
+    permutations of the variables, so Q_m[i] is the coefficient at every
+    member of the ``orbit`` of reps[i] = (e_1 >= ... >= e_k >= 0), |e|_1 <=
+    m, |e|_1 = m (mod 2); cancelled entries may stay as zeros.  Rows run in
+    pull form, Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f].
+    Raises ResourceBudgetError when row n_max has too many terms.
     """
     _check_row_size(k, n_max)
-    radix = 2 * n_max + 1
-    shifts = [radix**i for i in range(k)]
-    origin = n_max * sum(shifts)
-    prev = {origin: q0}
-    cur = {origin + sign * shift: a for shift in shifts for sign in (1, -1)}
-    yield prev
+    reps, ends, pulls = _orbit_graph(k, n_max)
+    prev, cur = [q0], [a]
+    yield reps[0], prev
     if n_max:
-        yield cur
-    for _ in range(n_max - 1):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, coeff in cur.items():
-            coeff *= a
-            for shift in shifts:
-                up, down = key + shift, key - shift
-                nxt[up] = get(up, 0) + coeff
-                nxt[down] = get(down, 0) + coeff
-        for key, coeff in prev.items():
-            nxt[key] = get(key, 0) - g * coeff
-        prev, cur = cur, nxt
-        yield cur
+        yield reps[1], cur
+    for m in range(1, n_max):
+        # zeros stand for the levels above rows m and m - 1 that row m + 1
+        # reads; level n_max has no pulls from above, so no padding there
+        get = (cur + [0] * (ends[min(m + 2, n_max)] - len(cur))).__getitem__
+        rows = zip(pulls[(m + 1) % 2], prev + [0] * (ends[m + 1] - len(prev)))
+        prev, cur = cur, [a * sum(map(get, pull)) - g * q for pull, q in rows]
+        yield reps[(m + 1) % 2], cur
 
 
-def unpack_exponents(key: int, k: int, n_max: int) -> tuple[int, ...]:
-    """The exponent vector of a key of ``scaled_rows(..., k, n_max)``."""
-    radix = 2 * n_max + 1
-    return tuple(key // radix**i % radix - n_max for i in range(k - 1, -1, -1))
+def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit of e under B_k, each member once: the nonzero entries in
+    every distinct order on every choice of positions, in every sign."""
+    nonzero = [(x, -x) for x in e if x]
+    members = []
+    for positions in combinations(range(len(e)), len(nonzero)):
+        for order in set(permutations(nonzero)):
+            factors = [(0,)] * len(e)
+            for i, signed in zip(positions, order):
+                factors[i] = signed
+            members += product(*factors)
+    return members
+
+
+def orbit_size(e: tuple[int, ...]) -> int:
+    """len(orbit(e)), as k! 2^(nonzero entries) / prod_v (copies of v)!."""
+    size = math.factorial(len(e)) << sum(map(bool, e))
+    return size // math.prod(math.factorial(e.count(v)) for v in set(e))

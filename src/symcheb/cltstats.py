@@ -32,7 +32,7 @@ setting every other variable to 1, i.e. of
 
     T_n((c/2k)(x + 1/x) + c(k-1)/k).
 
-Rescaled as in ``chebyshev.scaled_rows``, its rows obey
+Rescaled as in ``chebyshev.orbit_rows``, its rows obey
 P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints from P_0 = 2
 (a = p, b = 2(k-1)p, g = (kq)^2 for c = p/q; a = 1, b = 2(r-1), g = 2r-1
 for rank-r word counts), so row n is the Lucas polynomial
@@ -47,17 +47,13 @@ every moment ratio.  The pair steps from one requested n to the next:
 O(log n) multiplications for a sparse n list, a short step per n for a
 dense one.  Checked: the division at every n, V_n^2 - D U_n^2 = 4 g^n at
 the last, and M0 against the word total, or against the kernel's row sum
-wherever a row is walked (``distribution``, and certification below c_k).
+wherever a row is walked.
 
 Signs are certified once, by ``_certify``, in both modes (float mode at
-the float's exact rational value), and no coefficient row is walked where
-the theorem in ``symmetrized`` answers: nothing to check for c >= k; for
-c_k = k/sqrt(2k-1) <= c < k only the constant term of each requested even
-n, in closed form from the closed-walk counts of Z^k; below c_k the integer
-kernel's full k-variate row certifies n <= 32, and a larger n is refused as
-uncertified.  Off-diagonal covariances vanish identically at every n
-because each coordinate can be mirrored independently, and that exact zero
-is what rows carry.
+the float's exact value): for c >= c_k = k/sqrt(2k-1) by one exact test,
+from the theorem in ``symmetrized``; below c_k by the kernel's rows up to
+n = 32, refusing a larger n as uncertified.  Off-diagonal covariances
+vanish at every n, since each coordinate can be mirrored independently.
 
 Float-normalized mode runs, in floats, the three-term recurrence that the
 moments of consecutive symmetric rows obey, in an increment form that keeps
@@ -72,11 +68,11 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity
+from .chebyshev import ChebKind, check_arity, orbit_size
 from .errors import DomainError, InternalError, UsageError
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
-from .symmetrized import _first_negative, _fractions, _scaled
+from .symmetrized import _first, _fractions, _scaled
 
 DEFAULT_EXACT_CEILING_UNIVARIATE = 128
 DEFAULT_EXACT_CEILING_COUNTS = 1024
@@ -146,8 +142,8 @@ def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    ((_, row, total),) = _certified_rows(c, k, [n])
-    return LatticeDistribution(arity=k, n=n, probabilities=_fractions(row, total, k, n))
+    ((_, reps, row, total),) = _certified_rows(c, k, [n])
+    return LatticeDistribution(arity=k, n=n, probabilities=_fractions(reps, row, total))
 
 
 def moments(dist: LatticeDistribution) -> MomentReport:
@@ -219,10 +215,16 @@ def _to_float(value: Scalar | float, name: str) -> float:
 
 
 def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
+    """(c, k) as floats; an exact c is tested at its exact value."""
     check_arity(k)
     c_float = _to_float(c, "c")
-    if c_float <= 1.0:
+    if (c_float <= 1.0) if isinstance(c, float) else (c <= 1):
         raise DomainError(f"variance constant is defined for c > 1 only, got c = {c_float}")
+    if c_float == 1.0:
+        raise DomainError(
+            f"c = {c} is above 1 but rounds to the float 1.0, "
+            "where the float variance constants diverge"
+        )
     return c_float, _to_float(k, "k")
 
 
@@ -346,73 +348,37 @@ def _negative(exponents: Exponents, coeff: int, scale: int) -> DomainError:
     )
 
 
-def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, dict, int]]:
-    """(n, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n = 2 (kq)^n
-    T_n(A), keyed with n_max = ns[-1].  Raises the DomainError of
-    ``distribution`` at the lexicographically first negative coefficient,
-    and InternalError unless the row sum is M0 = 2 (kq)^n T_n(c)."""
+def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, tuple, list, int]]:
+    """(n, reps, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n =
+    2 (kq)^n T_n(A).  Raises the DomainError of ``distribution`` at the first
+    negative coefficient, and InternalError unless the row sum,
+    sum_e |orbit(e)| Q_n[e], is M0 = 2 (kq)^n T_n(c)."""
     p, kq = c.numerator, k * c.denominator
     rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
     sums = _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
-    for (n, (_, row, scale)), (_, m0, _, _) in zip(rows, sums):
-        negative = _first_negative(row, k, ns[-1])
+    for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, sums):
+        negative = _first(reps, row, -1)
         if negative is not None:
             raise _negative(*negative, scale)
-        total = sum(row.values())
+        total = sum(orbit_size(e) * entry for e, entry in zip(reps, row))
         if total != m0:
             raise InternalError("normalizer mismatch between build and direct evaluation")
-        yield n, row, total
-
-
-def _walk_counts(k: int, h: int) -> list[int]:
-    """w_k(2i) for i = 0..h, the closed walks of length 2i on Z^k:
-    C(2i, i) B_i, where B_i, the sum of the squared multinomials of i into k
-    parts, follows Miller's power recurrence
-    B_i = (1/i) sum_j ((k+1) j - i) C(i, j)^2 B_(i-j)."""
-    b, binom = [1], [1]
-    for i in range(1, h + 1):
-        binom = [1, *map(int.__add__, binom, binom[1:]), 1]  # row i of Pascal's triangle
-        b.append(sum(((k + 1) * j - i) * binom[j] ** 2 * b[i - j] for j in range(1, i + 1)) // i)
-    return [math.comb(2 * i, i) * b_i for i, b_i in enumerate(b)]
-
-
-def _constant_term(p: int, g: int, n: int, walks: list[int]) -> int:
-    """The constant term of the kernel row Q_n = 2 (kq)^n T_n(A) at even n,
-
-        sum_m n/(n-m) C(n-m, m) (-g)^m p^(n-2m) w_k(n-2m),  g = (kq)^2,
-
-    summed in Horner form in -g from the m = n/2 term, 2 (-g)^(n/2)."""
-    h = n // 2
-    acc, p_pow, p2 = 2, 1, p * p
-    for i in range(1, h + 1):
-        m = h - i
-        p_pow *= p2
-        acc = -g * acc + n * math.comb(n - m, m) // (n - m) * walks[i] * p_pow
-    return acc
+        yield n, reps, row, total
 
 
 def _certify(c: Fraction, k: int, ns: list[int]) -> None:
     """Certify that every coefficient of T_n(A) is nonnegative at each n in
     ns, or raise DomainError; c > 1 (a float c enters at its exact value).
 
-    * c >= k: nothing to check.
-    * c_k = k/sqrt(2k-1) <= c < k, the exact test c^2 (2k-1) >= k^2: every
-      off-origin coefficient is nonnegative by the theorem (``symmetrized``),
-      and odd n has no constant term, so only the constant term of each
-      even n is computed, in closed form.
-    * 1 < c < c_k: the kernel's full rows certify n <= FULL_TABLE_CEILING,
-      and a larger n is refused as uncertified before any row is walked.
+    * c >= c_k = k/sqrt(2k-1), tested as c^2 (2k-1) >= k^2: by the theorem
+      in ``symmetrized`` only n = 2 can fail, at c^2/k - 1 < 0.
+    * 1 < c < c_k: the kernel's rows certify n <= FULL_TABLE_CEILING, and
+      a larger n is refused as uncertified before any row is walked.
     """
-    if c >= k:
-        return
-    p, kq = c.numerator, k * c.denominator
-    if p * p * (2 * k - 1) >= kq * kq:
-        evens = [n for n in ns if n % 2 == 0]
-        walks = _walk_counts(k, evens[-1] // 2) if evens else []
-        for n in evens:
-            constant = _constant_term(p, kq * kq, n, walks)
-            if constant < 0:
-                raise _negative((0,) * k, constant, 2 * kq**n)
+    p, q = c.numerator, c.denominator
+    if p * p * (2 * k - 1) >= k * k * q * q:
+        if 2 in ns and p * p < k * q * q:
+            raise _negative((0,) * k, p * p - k * q * q, k * q * q)  # c^2/k - 1
         return
     if ns[-1] > FULL_TABLE_CEILING:
         n = next(n for n in ns if n > FULL_TABLE_CEILING)

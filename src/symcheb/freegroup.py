@@ -19,14 +19,16 @@ Two independent counting routes are provided:
   rescaling 2 (sqrt(2r-1))^n T_n(S / (2 sqrt(2r-1))): the rescaled
   recurrence keeps every intermediate value an integer, so no quadratic
   irrationality ever enters the computation.  It is the package's integer
-  kernel ``chebyshev.scaled_rows`` with a = 1, g = 2r - 1.
+  kernel ``chebyshev.orbit_rows`` with a = 1, g = 2r - 1, one count per
+  orbit of the sign flips and permutations of the generators.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .chebyshev import scaled_rows, unpack_exponents
+from .chebyshev import orbit, orbit_rows
 from .errors import ENUM_BUDGET_ENV, ResourceBudgetError, UsageError, resolve_enum_budget
 
 HomologyClass = tuple[int, ...]
@@ -179,16 +181,31 @@ def counts_by_formula(r: int, n: int) -> HomologyCountTable:
     over the integers.
     """
     _check_rank_length(r, n)
-    for row in scaled_rows(1, 2 * r - 1, 2, r, n):
+    for reps, row in orbit_rows(1, 2 * r - 1, 2, r, n):
         pass
-    counts = {unpack_exponents(key, r, n): coeff for key, coeff in row.items() if coeff}
+    table = {member: count for e, count in zip(reps, row) if count for member in orbit(e)}
     zero = (0,) * r
-    correction = trivial_class_correction(r, n)
-    if correction:
-        counts[zero] = counts.get(zero, 0) + correction
-        if not counts[zero]:
-            del counts[zero]
+    table[zero] = table.get(zero, 0) + trivial_class_correction(r, n)
+    counts = {e: count for e in _first_reached(r, n) if (count := table.pop(e, 0))}
     return HomologyCountTable(r=r, n=n, counts=counts)
+
+
+def _first_reached(k: int, n: int) -> Iterator[HomologyClass]:
+    """The classes of length n in the order tables have always listed them:
+    by the lexicographically least n-step walk to e over the steps +x_k <
+    -x_k < ... < +x_1 < -x_1.  It is (+x_k)^t (-x_k)^u, then e_{k-1}, ...,
+    e_1 straight, so t and u count down, and each later e_i runs v, ..., 1,
+    -v, ..., -1, 0 for the v steps left."""
+
+    @lru_cache(maxsize=None)
+    def straight(total: int, d: int) -> list[HomologyClass]:
+        if not d:
+            return [()] if not total else []
+        values = [*range(total, 0, -1), *range(-total, 0), 0]
+        return [rest + (v,) for v in values for rest in straight(total - abs(v), d - 1)]
+
+    pairs = ((t, u) for t in range(n, -1, -1) for u in range(n - t, -1, -1))
+    return ((*rest, t - u) for t, u in pairs for rest in straight(n - t - u, k - 1))
 
 
 def trivial_class_correction(r: int, n: int) -> int:

@@ -8,17 +8,19 @@ The symmetrized polynomials are T_n(A) (first kind) and U_n(A) (second
 kind): Laurent polynomials in k variables, symmetric under every x_i -> 1/x_i
 and under permutations of the variables.  The canonical construction is the
 three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, run on integers by
-``chebyshev.scaled_rows``: with c = p/q it computes Q_m = s_m P_m(A) for
-the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind), and only the
-rows a caller reads are divided by s_m into Fractions.
+``chebyshev.orbit_rows`` on one representative e_1 >= ... >= e_k >= 0 per
+orbit of those symmetries: with c = p/q it computes Q_m = s_m P_m(A) for
+the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind).  Only rows a
+caller reads become Fractions, one per representative, shared by its orbit.
+Signs and witnesses need no orbit: the lexicographically first member of
+the orbit of e is (-e_1, ..., -e_k).
 
 For k = 1 and c > 1 all coefficients on the parity support (|j| <= n,
 n - j even) are strictly positive; for c < -1 every coefficient has sign
-(-1)^n; for |c| < 1 neither pattern survives.  For k > 1 nonnegativity can
-fail for c slightly above 1 -- the coefficient of x_1 at n = 3, k = 2 is
-(3c/4)(3c^2/4 - 1), negative for 1 < c < 2/sqrt(3).  That bound is the
-paper's parameter point c_k = k/sqrt(2k-1), and from it up every
-coefficient of T_n(A) off the origin is nonnegative at every n:
+(-1)^n; for |c| < 1 neither pattern survives.  For k > 1 the coefficient of
+x_1 at n = 3 is 3 (c/2k) ((2k-1) c^2/k^2 - 1), negative for 0 < c < c_k =
+k/sqrt(2k-1), the paper's parameter point; ``sign_survey`` maps that region
+empirically.  From c_k up, every coefficient off the origin is >= 0:
 
 (a) At c = c_k, 2 (2k-1)^(n/2) T_n(A) is the count polynomial W_n of
     cyclically reduced words in the rank-k free group, tallied by homology
@@ -34,10 +36,27 @@ coefficient of T_n(A) off the origin is nonnegative at every n:
     beta_{n,j}(c/c_k) T_j(c_k B), a nonnegative combination of polynomials
     whose off-origin coefficients are >= 0 by (a) for c >= c_k.
 
-Odd n has no constant term, so its whole row is nonnegative; at even n the
-constant term must still be checked (it is c^2/k - 1 at n = 2, negative for
-c < sqrt(k)).  ``cltstats`` certifies signs this way; ``sign_survey`` maps
-the threshold below c_k empirically.
+Odd n has no constant term CT.  At n = 2 it is c^2/k - 1, negative iff
+c^2 < k, and at even n >= 4 it is >= 0 from c_k up:
+
+(i) For a >= 1 and n >= 3, the coefficient [U_0] of U_0 in T_n(ax) is
+    >= 0: in the expansion of (b) the i = 0 term T_n = (U_n - U_{n-2})/2
+    has no U_0; for i >= 1, T_n^(i) = n U_{n-1}^(i-1) is a nonnegative
+    U-combination, as is x = U_1/2, and so are products of such, by
+    U_m U_n = sum_{l=0}^{min(m,n)} U_{m+n-2l}.
+(ii) Only T_0 = U_0 and T_2 = (U_2 - U_0)/2 have a U_0 part, so
+    [U_0] T_n(ax) = beta_{n,0}(a) - beta_{n,2}(a)/2 >= 0 by (i).
+(iii) CT(T_2(c_k B)) = c_k^2/k - 1 = -(k-1)/(2k-1) > -1/2.  For even
+    j >= 4, CT(W_j) = N_j - 2(k-1), N_j the trivial-class words of length
+    j, and N_j >= 2(k-1): for j = 2m + 2 and i = 2..k, a_1^m a_i a_1^-m
+    a_i^-1 and a_i a_1^m a_i^-1 a_1^-m are distinct such words.  So
+    CT(T_j(c_k B)) >= 0.
+(iv) By (c), CT(T_n(c B)) = sum_j beta_{n,j}(c/c_k) CT(T_j(c_k B)) >=
+    beta_{n,0} - beta_{n,2}/2 >= 0 for even n >= 4, by CT(T_0) = 1, (b),
+    (iii) and (ii).
+
+So for c >= c_k only n = 2 with c^2 < k has a negative coefficient, which
+is how ``cltstats`` certifies signs there in O(1).
 """
 
 from __future__ import annotations
@@ -47,7 +66,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity, check_kind, scaled_rows, unpack_exponents
+from .chebyshev import ChebKind, check_arity, check_kind, orbit, orbit_rows
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
@@ -118,10 +137,9 @@ class UnivariateCoeffTable(NamedTuple):
 
     def row_poly(self, n: int) -> LaurentPoly:
         """Row n as a univariate Laurent polynomial."""
-        row = self.rows[n] if 0 <= n <= self.n_max else None
-        if row is None:
+        if not 0 <= n <= self.n_max:
             raise UsageError(f"row {n} not in table (0..{self.n_max})")
-        return LaurentPoly(1, {(j - n,): coeff for j, coeff in enumerate(row) if coeff})
+        return LaurentPoly(1, {(j - n,): coeff for j, coeff in enumerate(self.rows[n]) if coeff})
 
 
 class SignClass(enum.Enum):
@@ -151,40 +169,45 @@ def _check_rows_args(kind: ChebKind, k: int, n_max: int) -> None:
         raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
 
 
-def _scaled(kind: ChebKind, c: Scalar, k: int, n_max: int) -> Iterator[tuple[int, dict, int]]:
-    """(m, Q_m, s_m) for m = 0..n_max, where P_m(A) = Q_m / s_m."""
+def _scaled(
+    kind: ChebKind, c: Scalar, k: int, n_max: int
+) -> Iterator[tuple[Sequence[Exponents], list[int], int]]:
+    """(reps, Q_m, s_m) for m = 0..n_max, P_m(A) = Q_m / s_m on reps."""
     _check_rows_args(kind, k, n_max)
     c = as_scalar(c)
     kq = k * c.denominator
     q0 = 2 if kind is ChebKind.FIRST else 1
-    rows = scaled_rows(c.numerator, kq * kq, q0, k, n_max)
-    return ((m, row, q0 * kq**m) for m, row in enumerate(rows))
+    rows = orbit_rows(c.numerator, kq * kq, q0, k, n_max)
+    return ((reps, row, q0 * kq**m) for m, (reps, row) in enumerate(rows))
 
 
-def _fractions(row: dict[int, int], divisor: int, k: int, n_max: int) -> dict[Exponents, Fraction]:
-    """The nonzero entries of a kernel row over divisor, by exponents in lexicographic order."""
-    keys = filter(row.get, sorted(row))
-    return {unpack_exponents(key, k, n_max): Fraction(row[key], divisor) for key in keys}
+def _fractions(
+    reps: Sequence[Exponents], row: list[int], divisor: int
+) -> dict[Exponents, Fraction]:
+    """The nonzero entries of a row over divisor on their orbits, in
+    lexicographic order: one Fraction per representative."""
+    fractions = ((e, Fraction(entry, divisor)) for e, entry in zip(reps, row) if entry)
+    return dict(sorted((member, value) for e, value in fractions for member in orbit(e)))
 
 
-def _first_negative(row: dict[int, int], k: int, n_max: int) -> tuple[Exponents, int] | None:
-    """(exponents, entry) at the smallest negative key, which is the
-    lexicographically first, or None."""
-    key = min((key for key, coeff in row.items() if coeff < 0), default=None)
-    return None if key is None else (unpack_exponents(key, k, n_max), row[key])
+def _first(reps: Sequence[Exponents], row: list[int], sign: int) -> tuple[Exponents, int] | None:
+    """(exponents, entry) at the lexicographically first term with the sign
+    of ``sign``, or None: (-e_1, ..., -e_k) for the largest such e."""
+    found = max(((e, entry) for e, entry in zip(reps, row) if entry * sign > 0), default=None)
+    return None if found is None else (tuple(-x for x in found[0]), found[1])
 
 
 def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[LaurentPoly]:
     """The polynomials for n = 0..n_max, sharing one recurrence pass."""
     rows = _scaled(kind, c, k, n_max)
-    return [LaurentPoly._raw(k, _fractions(row, scale, k, n_max)) for _, row, scale in rows]
+    return [LaurentPoly._raw(k, _fractions(reps, row, scale)) for reps, row, scale in rows]
 
 
 def build(spec: SymChebSpec) -> LaurentPoly:
     """Construct T_n(A) or U_n(A) exactly."""
-    for _, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
         pass
-    return LaurentPoly._raw(spec.k, _fractions(row, scale, spec.k, spec.n))
+    return LaurentPoly._raw(spec.k, _fractions(reps, row, scale))
 
 
 def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTable:
@@ -195,9 +218,10 @@ def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTa
     """
     c = as_scalar(c)
     rows = []
-    for m, row, scale in _scaled(kind, c, 1, n_max):
-        fractions = _fractions(row, scale, 1, n_max)
-        rows.append(tuple(fractions.get((j,), _ZERO) for j in range(-m, m + 1)))
+    for m, (_, row, scale) in enumerate(_scaled(kind, c, 1, n_max)):
+        half = [_ZERO] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
+        half[m % 2 :: 2] = [Fraction(entry, scale) if entry else _ZERO for entry in row]
+        rows.append((*half[:0:-1], *half))
     return UnivariateCoeffTable(kind=kind, c=c, rows=tuple(rows))
 
 
@@ -231,19 +255,17 @@ def fullform_coeff(n: int, c: Scalar, j: int) -> Fraction:
 
 def positivity_report(spec: SymChebSpec) -> PositivityReport:
     """Sign scan of T_n(A) or U_n(A), read off its integer kernel row (scale
-    s_n > 0).  Rows keep cancelled zeros, so the minimum is taken over
-    nonzero entries; it is the only Fraction made."""
-    for _, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+    s_n > 0) without expanding an orbit.  Rows keep cancelled zeros, so the
+    minimum is taken over nonzero entries; it is the only Fraction made."""
+    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
         pass
-    negative = _first_negative(row, spec.k, spec.n)
-    pattern_ok = None if spec.k > 1 else all(  # x^j has key j + n: n - j even iff key even
-        row.get(key, 0) > 0 if key % 2 == 0 else not row.get(key, 0)
-        for key in range(2 * spec.n + 1)
-    )
+    negative = _first(reps, row, -1)
+    # at k = 1 the row holds exactly the j = 0..n with n - j even
+    pattern_ok = None if spec.k > 1 else all(entry > 0 for entry in row)
     return PositivityReport(
         all_nonnegative=negative is None,
         pattern_ok=pattern_ok,
-        min_coefficient=Fraction(min((v for v in row.values() if v), default=0), scale),
+        min_coefficient=Fraction(min((v for v in row if v), default=0), scale),
         witness=None if negative is None else negative[0],
     )
 
@@ -256,7 +278,8 @@ def sign_survey(
     ALL_NONNEG: every coefficient of every P_n is >= 0.  ALTERNATING: every
     coefficient of P_n has sign (-1)^n or is zero.  MIXED: neither pattern
     holds; the witness records the first (n, exponent) ruling out the last
-    surviving pattern, scanning n upward and exponents lexicographically.
+    surviving pattern, scanning n upward and exponents lexicographically:
+    in its row, the later of the first term that breaks each pattern.
     """
     _check_rows_args(kind, k, n_max)
     out = []
@@ -264,25 +287,18 @@ def sign_survey(
         c = as_scalar(c)
         nonneg_ok, alternating_ok = True, True
         witness = None
-        for n, row, scale in _scaled(kind, c, k, n_max):
-            positive_wanted = n % 2 == 0
-            for key in sorted(row):
-                coeff = row[key]
-                if not coeff:
-                    continue
-                nonneg_ok = nonneg_ok and coeff > 0
-                alternating_ok = alternating_ok and (coeff > 0) == positive_wanted
-                if not nonneg_ok and not alternating_ok:
-                    exponents = unpack_exponents(key, k, n_max)
-                    witness = SurveyWitness(n, exponents, Fraction(coeff, scale))
-                    break
-            if witness is not None:
+        for n, (reps, row, scale) in enumerate(_scaled(kind, c, k, n_max)):
+            negative = _first(reps, row, -1) if nonneg_ok or n % 2 == 0 else None
+            off_sign = (_first(reps, row, 1) if n % 2 else negative) if alternating_ok else None
+            nonneg_ok = nonneg_ok and negative is None
+            alternating_ok = alternating_ok and off_sign is None
+            if not nonneg_ok and not alternating_ok:
+                exponents, entry = max(hit for hit in (negative, off_sign) if hit is not None)
+                witness = SurveyWitness(n, exponents, Fraction(entry, scale))
                 break
-        if nonneg_ok:
-            classification = SignClass.ALL_NONNEG
-        elif alternating_ok:
-            classification = SignClass.ALTERNATING
-        else:
-            classification = SignClass.MIXED
+        classification = (
+            SignClass.ALL_NONNEG if nonneg_ok else
+            SignClass.ALTERNATING if alternating_ok else SignClass.MIXED
+        )
         out.append(SurveyRow(c=c, classification=classification, witness=witness))
     return out

@@ -16,7 +16,10 @@ from symcheb import (
     coeff_formula_T,
     eval_closed_T,
 )
-from symcheb.chebyshev import row_size, scaled_rows, unpack_exponents
+from symcheb import chebyshev
+from symcheb.chebyshev import orbit, orbit_rows, orbit_size, row_size
+
+from oracles import lattice_rows, scaled_rows, unpack_exponents
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
 
@@ -72,9 +75,19 @@ class TestRowBudget:
     def test_row_over_budget_fails_before_the_first_row(self, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
         with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
-            next(scaled_rows(1, 1, 2, 2, 3))
+            next(orbit_rows(1, 1, 2, 2, 3))
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "16")
-        assert len(list(scaled_rows(1, 1, 2, 2, 3))[-1]) == 16
+        *_, (reps, row) = orbit_rows(1, 1, 2, 2, 3)
+        assert sum(orbit_size(e) for e in reps[: len(row)]) == 16  # the budget counts terms
+
+    def test_budget_fires_before_the_index_is_built(self, monkeypatch):
+        def no_index(*args):
+            raise AssertionError("the representative index was built over budget")
+
+        monkeypatch.setattr(chebyshev, "_orbit_graph", no_index)
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
+        with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
+            next(orbit_rows(1, 1, 2, 2, 3))
 
     @pytest.mark.parametrize(
         "k,n_max,size",
@@ -83,7 +96,66 @@ class TestRowBudget:
     )
     def test_huge_rows_fail_fast(self, k, n_max, size):
         with pytest.raises(ResourceBudgetError, match=re.escape(f"has {size} terms")):
-            next(scaled_rows(1, 1, 2, k, n_max))
+            next(orbit_rows(1, 1, 2, k, n_max))
+
+
+@st.composite
+def kernel_params(draw):
+    """(a, g, q0): a Chebyshev kind at c = p/q of either sign, including 0 and
+    c near +-1, or the free-group counts of rank r (a = 1, g = 2r - 1)."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        r = draw(st.integers(2, 5))
+        return k, (1, 2 * r - 1, 2)
+    q = draw(st.integers(1, 12))
+    near_one = st.sampled_from([0, q - 1, q + 1, -q - 1, 1 - q])
+    p = draw(st.one_of(st.integers(-3 * q, 3 * q), near_one))
+    kq = k * q
+    return k, (p, kq * kq, draw(st.sampled_from([1, 2])))
+
+
+class TestOrbitRows:
+    @settings(max_examples=100, deadline=None)
+    @given(params=kernel_params(), n_max=st.integers(0, 12))
+    def test_matches_full_lattice(self, params, n_max):
+        k, (a, g, q0) = params
+        rows = zip(orbit_rows(a, g, q0, k, n_max), lattice_rows(a, g, q0, k, n_max))
+        for m, ((reps, row), full) in enumerate(rows):
+            covered = set()
+            for e, entry in zip(reps, row):
+                assert sum(e) <= m and (m - sum(e)) % 2 == 0
+                for member in orbit(e):
+                    assert full.get(member, 0) == entry, (m, e, member)
+                    covered.add(member)
+            assert covered == set(full), m
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_hold_one_sorted_representative_per_orbit(self, k):
+        n_max = 9
+        for m, (reps, row) in enumerate(orbit_rows(1, 2 * k - 1, 2, k, n_max)):
+            held = reps[: len(row)]
+            assert len(set(held)) == len(held)
+            assert all(list(e) == sorted(e, reverse=True) and e[-1] >= 0 for e in held)
+            assert sum(map(orbit_size, held)) == row_size(k, m)
+
+    def test_storage_holds_only_representatives(self):
+        # row 32 at k = 3 has 23969 terms on 648 representatives
+        *_, (reps, row) = orbit_rows(3, 49, 2, 3, 32)
+        assert len(row) * 19 < row_size(3, 32) == sum(map(orbit_size, reps[: len(row)]))
+
+    def test_orbit_costs_its_size_at_a_large_arity(self):
+        # all k! orderings of (1, 0, ..., 0) would be 30! tuples
+        assert sorted(orbit((1,) + (0,) * 29)) == sorted(
+            (0,) * i + (s,) + (0,) * (29 - i) for i in range(30) for s in (1, -1)
+        )
+        assert len(orbit((2, 1) + (0,) * 28)) == orbit_size((2, 1) + (0,) * 28) == 30 * 29 * 4
+
+    @pytest.mark.parametrize("e", [(0,), (3,), (0, 0), (2, 2), (2, 0), (3, 1, 1), (2, 1, 0, 0)])
+    def test_orbit(self, e):
+        members = orbit(e)
+        assert len(set(members)) == len(members) == orbit_size(e)
+        assert all(tuple(sorted(map(abs, x), reverse=True)) == e for x in members)
+        assert min(members) == tuple(-x for x in e)  # the first member, in lexicographic order
 
 
 class TestCoeffVectors:

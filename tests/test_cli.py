@@ -9,6 +9,7 @@ import pytest
 
 from symcheb import InternalError, cltstats, symmetrized
 from symcheb.cli import build_parser, run
+from symcheb.laurent import parse_exact
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 400  # beyond the float range
@@ -64,6 +65,25 @@ class TestExitCodes:
     def test_domain_error_exit_1(self, capsys):
         code, _, err = capture(capsys, ["clt", "--c", "1/2", "--k", "1", "--n", "4"])
         assert code == 1 and "domain error" in err
+
+    def test_exact_c_above_one_that_rounds_to_one(self, capsys):
+        # the exact moments exist here; only the float constants diverge
+        c = "100000000000000000001/100000000000000000000"
+        code, out, err = capture(capsys, ["clt", "--c", c, "--k", "1", "--n", "4"])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"domain error: c = {c} is above 1 but rounds to the float 1.0, "
+            "where the float variance constants diverge\n"
+        )
+        assert cltstats.marginal_moments_exact(parse_exact(c), 1, [4])
+
+    @pytest.mark.parametrize("c", ["1", "99999999999999999999/100000000000000000000", "1/2"])
+    def test_exact_c_at_most_one_keeps_its_message(self, capsys, c):
+        code, out, err = capture(capsys, ["clt", "--c", c, "--k", "1", "--n", "4"])
+        value = 1.0 if c != "1/2" else 0.5
+        assert (code, out, err) == (
+            1, "", f"domain error: variance constant is defined for c > 1 only, got c = {value}\n"
+        )
 
     def test_usage_error_exit_2_unknown_command(self, capsys):
         assert capture(capsys, ["bogus"])[0] == 2
@@ -373,6 +393,8 @@ def test_exact_output_past_int_str_digit_limit(argv):
         (["clt", "--c", "6/5", "--k", "2", "--n", "2"],
          "domain error: coefficient at [0, 0] is negative (-7/25); "
          "the coefficient distribution is undefined\n"),
+        (["clt", "--c", "100000000000000000001/100000000000000000000", "--k", "1", "--n", "4"],
+         "rounds to the float 1.0, where the float variance constants diverge\n"),
     ],
 )
 def test_float_domain_checks_survive_optimized_python(params, message):

@@ -25,7 +25,6 @@ from symcheb import (
     sigma2_reported,
     sign_survey,
 )
-from symcheb.chebyshev import scaled_rows
 from symcheb.cltstats import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -34,6 +33,8 @@ from symcheb.cltstats import (
     marginal_moments_exact,
     marginal_moments_float,
 )
+
+from oracles import constant_term, lattice_rows, walk_counts
 
 T = ChebKind.FIRST
 
@@ -216,6 +217,25 @@ class TestDistribution:
             total = sum(v for _, v in terms)
             got = distribution(n, c, k).probabilities
             assert list(got.items()) == [(e, v / total) for e, v in terms]
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 40), q=st.integers(1, 10), k=st.integers(1, 4), n=st.integers(1, 9))
+    def test_matches_full_lattice(self, p, q, k, n):
+        c = F(p, q)
+        assume(c > 1)
+        if k == 4:
+            n = min(n, 6)
+        kq = k * q
+        *_, row = lattice_rows(p, kq * kq, 2, k, n)
+        negative = [e for e, v in row.items() if v < 0]
+        if negative:
+            with pytest.raises(DomainError) as info:
+                distribution(n, c, k)
+            assert info.value.witness == negative[0]
+        else:
+            total = sum(row.values())
+            got = distribution(n, c, k).probabilities
+            assert list(got.items()) == [(e, F(v, total)) for e, v in row.items() if v]
 
     def test_normalizer_mismatch_is_internal_error(self, monkeypatch):
         # a sign flip of the Lucas pair keeps its own identities; only the
@@ -446,7 +466,7 @@ class TestMomentRecurrence:
             if c * c * (2 * k - 1) < k * k and n > 32:
                 return
             kq = k * q
-            kernel = list(islice(scaled_rows(p, kq * kq, 2, k, n), n + 1))
+            kernel = list(lattice_rows(p, kq * kq, 2, k, n))
             assert any(min(kernel[m].values()) < 0 for m in ns)
             return
         for m, m2, m4 in got:
@@ -523,11 +543,55 @@ class TestMomentRecurrence:
     def test_constant_term_matches_kernel_origin(self, c, k):
         n_max = 12
         p, kq = c.numerator, k * c.denominator
-        walks = cltstats._walk_counts(k, n_max // 2)
-        origin = n_max * sum((2 * n_max + 1) ** i for i in range(k))
-        for n, row in enumerate(scaled_rows(p, kq * kq, 2, k, n_max)):
+        walks = walk_counts(k, n_max // 2)
+        for n, row in enumerate(lattice_rows(p, kq * kq, 2, k, n_max)):
             if n and n % 2 == 0:
-                assert cltstats._constant_term(p, kq * kq, n, walks) == row[origin], n
+                assert constant_term(p, kq * kq, n, walks) == row[(0,) * k], n
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 4), q=st.integers(1, 30), extra=st.integers(0, 60),
+           n=st.integers(1, 100).map(lambda h: 2 * h))
+    def test_constant_term_above_c_k_is_negative_only_at_n_2(self, k, q, extra, n):
+        # the theorem behind the certificate: for c >= c_k = k/sqrt(2k-1) the
+        # constant term of T_n(A), n even, is < 0 iff n = 2 and c^2 < k
+        kq = k * q
+        p = math.isqrt(kq * kq // (2 * k - 1))  # the least p with p^2 (2k-1) >= (kq)^2
+        while p * p * (2 * k - 1) < kq * kq:
+            p += 1
+        p += extra
+        negative = constant_term(p, kq * kq, n, walk_counts(k, n // 2)) < 0
+        assert negative == (n == 2 and p * p < k * q * q)
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+    @pytest.mark.parametrize(
+        "c,k,ns",
+        [(F(6, 5), 2, [2, 4]), (F(3, 2), 3, [1, 2, 3, 4, 40]), (F(7, 4), 4, [2, 16]),
+         (F(19, 10), 4, [2, 6])],
+    )
+    def test_above_c_k_only_n_2_is_refused(self, mode, c, k, ns):
+        # c_k <= c < sqrt(k): the constant term c^2/k - 1 of n = 2, whatever
+        # else is requested, and no row is walked
+        assert c * c * (2 * k - 1) >= k * k and c * c < k
+        given = c if mode == MODE_EXACT else float(c)
+        with pytest.raises(DomainError) as info:
+            convergence_report(given, k, ns, mode=mode, exact_ceiling=ns[-1])
+        assert info.value.witness == (0,) * k
+        exact = F(given)  # float mode certifies at the float's exact value
+        assert str(info.value) == (
+            f"coefficient at {[0] * k} is negative ({exact * exact / k - 1}); "
+            "the coefficient distribution is undefined"
+        )
+        assert convergence_report(c, k, [n for n in ns if n != 2], exact_ceiling=ns[-1]).rows
+
+    def test_certificate_above_c_k_is_constant_time(self, monkeypatch):
+        # the closed-walk counts it replaced took seconds at n = 4000
+        def no_rows(*args):
+            raise AssertionError("a row was walked at c >= c_k")
+
+        monkeypatch.setattr(cltstats, "_certified_rows", no_rows)
+        for c, k in [(F(3, 2), 2), (F(7, 5), 3)]:
+            report = convergence_report(c, k, [4000, 10_000], exact_ceiling=10_000)
+            assert [row.n for row in report.rows] == [4000, 10_000]
 
     def test_joint_witness_is_kept(self):
         with pytest.raises(DomainError) as info:

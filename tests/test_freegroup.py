@@ -17,6 +17,8 @@ from symcheb import (
     total_count,
 )
 
+from oracles import lattice_rows
+
 
 class TestLetters:
     def test_inverse_is_fixed_point_free_involution(self):
@@ -176,6 +178,40 @@ class TestFormula:
             table = counts_by_formula(r, n)
             correction = (r - 1) * (1 + (-1) ** n)
             assert table.total() - correction == (2 * r - 1) ** n + 1
+
+    @pytest.mark.parametrize("r,n", [(2, 12), (3, 9), (4, 8), (5, 7)])
+    def test_matches_full_lattice(self, r, n):
+        *_, row = lattice_rows(1, 2 * r - 1, 2, r, n)
+        counts = {e: v for e, v in row.items() if v}
+        zero = (0,) * r
+        counts[zero] = counts.get(zero, 0) + (r - 1) * (1 + (-1) ** n)
+        assert counts_by_formula(r, n).counts == {e: v for e, v in counts.items() if v}
+
+
+class TestTrivialClassLowerBound:
+    """Step (iii) of the certificate: N_j >= 2(r-1) cyclically reduced words
+    of even length j >= 4 lie in the trivial class, so the constant term
+    N_j - 2(r-1) of W_j is >= 0."""
+
+    @pytest.mark.parametrize("r,j", [(2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6), (4, 4)])
+    def test_enumerated_trivial_class(self, r, j):
+        assert enumerate_counts(r, j).counts[(0,) * r] >= 2 * (r - 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_commutator_words(self, r, m):
+        # a_1^m a_i a_1^-m a_i^-1 and a_i a_1^m a_i^-1 a_1^-m, i = 2..r
+        words = set()
+        for i in range(1, r):
+            a, a_inv, b, b_inv = 0, 1, 2 * i, 2 * i + 1
+            words.add((a,) * m + (b,) + (a_inv,) * m + (b_inv,))
+            words.add((b,) + (a,) * m + (b_inv,) + (a_inv,) * m)
+        assert len(words) == 2 * (r - 1)
+        for letters in words:
+            word = Word(letters, rank=r)
+            assert len(word) == 2 * m + 2
+            assert is_cyclically_reduced(word)
+            assert homology_of(word) == (0,) * r
 
 
 def test_table_equality_semantics():

@@ -22,7 +22,9 @@ from symcheb import (
     sign_survey,
     univariate_table,
 )
-from symcheb.chebyshev import scaled_rows
+from symcheb import symmetrized
+
+from oracles import lattice_rows
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
 
@@ -54,9 +56,20 @@ def survey_oracle(polys):
     return SignClass.MIXED, scan[max(negative[0], off_sign[0])]
 
 
-def positivity_oracle(spec):
-    """Oracle: the report computed on the Fraction polynomial build(spec)."""
-    poly = build(spec)
+def lattice_polys(kind, c, k, n_max):
+    """Oracle: P_0..P_{n_max} read off the full-lattice integer rows."""
+    kq = k * c.denominator
+    q0 = 2 if kind is T else 1
+    rows = lattice_rows(c.numerator, kq * kq, q0, k, n_max)
+    return [
+        LaurentPoly(k, {e: F(v, q0 * kq**n) for e, v in row.items()}) for n, row in enumerate(rows)
+    ]
+
+
+def positivity_oracle(spec, poly=None):
+    """Oracle: the report computed on a Fraction polynomial, build(spec) by
+    default."""
+    poly = build(spec) if poly is None else poly
     witness = next((e for e, v in poly.terms() if v < 0), None)
     pattern_ok = None
     if spec.k == 1:
@@ -222,6 +235,54 @@ class TestKernelDifferential:
                     assert poly.coeff((j,)) == fullform_coeff(n, c, j)
 
 
+class TestLatticeDifferential:
+    """The public functions against the full-lattice rows, coefficient by
+    coefficient and witness by witness."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from([T, U]),
+        p=st.one_of(st.integers(-30, 30), st.sampled_from([0, 9, 11, -9, -11])),
+        q=st.sampled_from([1, 2, 3, 10]),
+        k=st.integers(1, 4),
+        n_max=st.integers(0, 10),
+    )
+    def test_public_functions_match(self, kind, p, q, k, n_max):
+        c = F(p, q)
+        if k == 4:
+            n_max = min(n_max, 7)
+        oracle = lattice_polys(kind, c, k, n_max)
+        assert build_sequence(kind, c, k, n_max) == oracle
+        spec = SymChebSpec(kind, n_max, c, k)
+        assert build(spec) == oracle[-1]
+        assert positivity_report(spec) == positivity_oracle(spec, oracle[-1])
+        (row,) = sign_survey(kind, k, n_max, [c])
+        classification, witness = survey_oracle(oracle)
+        assert row.classification is classification
+        assert (row.witness and tuple(row.witness)) == witness
+        if k == 1:
+            table = univariate_table(kind, c, n_max)
+            assert [table.row_poly(n) for n in range(n_max + 1)] == oracle
+            for n, poly in enumerate(oracle):
+                assert table.rows[n] == tuple(poly.coeff((j,)) for j in range(-n, n + 1))
+
+    def test_survey_witness_at_an_odd_row_with_both_patterns_alive(self, monkeypatch):
+        # Chebyshev rows reach an odd n with both patterns alive only at
+        # n = 1, where every entry is a; crafted rows pin the general rule:
+        # the witness is the later of the first negative and the first
+        # positive term.
+        reps = ([(0, 0)], [(1, 0), (3, 0), (2, 1)])
+        rows = [(reps[0], [1], 1), (reps[1], [5, -2, 7], 4)]
+        monkeypatch.setattr(symmetrized, "_scaled", lambda *args: iter(rows))
+        (row,) = sign_survey(T, 2, 1, [F(2)])
+        polys = [
+            LaurentPoly(2, symmetrized._fractions(members, entries, scale))
+            for members, entries, scale in rows
+        ]
+        assert survey_oracle(polys) == (SignClass.MIXED, (1, (-2, -1), F(7, 4)))
+        assert row == (F(2), SignClass.MIXED, (1, (-2, -1), F(7, 4)))
+
+
 class TestUnivariateTable:
     def test_u_kind_base_rows(self):
         table = univariate_table(U, F(2), 2)
@@ -379,15 +440,11 @@ def dilation_rows(n_max):
 
 
 def off_origin_negative_rows(c, k, n_max):
-    """The m <= n_max whose kernel row 2 (kq)^m T_m(A) has a negative entry
-    away from the origin."""
+    """The m <= n_max whose full-lattice row 2 (kq)^m T_m(A) has a negative
+    entry away from the origin."""
     kq = k * c.denominator
-    radix = 2 * n_max + 1
-    origin = n_max * sum(radix**i for i in range(k))
-    rows = scaled_rows(c.numerator, kq * kq, 2, k, n_max)
-    return [
-        m for m, row in enumerate(rows) if any(v < 0 for key, v in row.items() if key != origin)
-    ]
+    rows = lattice_rows(c.numerator, kq * kq, 2, k, n_max)
+    return [m for m, row in enumerate(rows) if any(v < 0 for e, v in row.items() if any(e))]
 
 
 class TestOffOriginTheorem:
@@ -402,6 +459,17 @@ class TestOffOriginTheorem:
             assert all(v >= 0 for v in row.values()), n
             at_two = sum(v * t_at_x[j] for (j, _), v in row.items())  # s = 1
             assert at_two == cheb_coeffs(T, n).evaluate(2 * x)
+
+    def test_u0_lemma(self):
+        # step (i): [U_0] T_n(ax) = beta_{n,0}(a) - beta_{n,2}(a)/2 is in
+        # Q>=0[s], s = a - 1, for every n but 2, where it is a^2/2 - 1
+        for n, row in enumerate(dilation_rows(40)):
+            degree = max(i for _, i in row)
+            u0 = [row.get((0, i), 0) - F(row.get((2, i), 0), 2) for i in range(degree + 1)]
+            if n == 2:
+                assert u0 == [F(-1, 2), 1, F(1, 2)]
+            else:
+                assert all(v >= 0 for v in u0), n
 
     @pytest.mark.parametrize("k,n_max", [(2, 16), (3, 16), (4, 10)])
     def test_n3_binds_at_c_k(self, k, n_max):
