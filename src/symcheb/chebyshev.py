@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     ENUM_BUDGET_ENV,
@@ -225,6 +226,13 @@ def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
                 factors[i] = signed
             members += product(*factors)
     return members
+
+
+def orbit_terms(entries: Iterable[tuple[tuple[int, ...], object]]) -> list[tuple]:
+    """(member, value) for every member of the orbit of each (e, value) in
+    entries, sorted lexicographically by member: an orbit shares its value."""
+    terms = ((member, value) for e, value in entries for member in orbit(e))
+    return sorted(terms, key=itemgetter(0))
 
 
 def orbit_size(e: tuple[int, ...]) -> int:

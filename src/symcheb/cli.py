@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import cltstats, freegroup, symmetrized
-from .chebyshev import ChebKind
+from .chebyshev import ChebKind, orbit_terms
 from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
 
@@ -51,13 +53,36 @@ def _csv_lines(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _terms_text(fmt: str, head: dict, key: str, name: str, k: int, terms: Iterable) -> str:
-    """A list of (exponents, value) terms: in JSON, under ``key`` after the
-    ``head`` fields; in CSV, as columns e1..ek and ``name``."""
+def _json_list(head: dict, key: str, items: Iterable[str]) -> str:
+    """json.dumps({**head, key: [...]}) for items already in JSON text."""
+    return f"{json.dumps(head)[:-1]}, {json.dumps(key)}: [{', '.join(items)}]}}\n"
+
+
+def _terms_text(
+    fmt: str, head: dict, key: str, name: str, k: int, terms: Iterable[tuple[tuple, str]]
+) -> str:
+    """A list of (exponents, text) terms, each text already JSON in JSON: in
+    JSON, under ``key`` after the ``head`` fields; in CSV, as columns e1..ek
+    and ``name``."""
     if fmt == "json":
-        return json.dumps({**head, key: [{"e": list(e), name: value} for e, value in terms]}) + "\n"
+        line = f'{{"e": [{", ".join(["%d"] * k)}], {json.dumps(name)}: %s}}'
+        return _json_list(head, key, [line % (*e, text) for e, text in terms])
     header = ",".join([*(f"e{i + 1}" for i in range(k)), name])
-    return _csv_lines(header, [",".join([*map(str, e), str(value)]) for e, value in terms])
+    line = ",".join(["%d"] * k + ["%s"])
+    return _csv_lines(header, [line % (*e, text) for e, text in terms])
+
+
+def _ratio_text(entry: int, scale: int) -> str:
+    """format_exact(Fraction(entry, scale)) for scale > 0, by one gcd."""
+    g = math.gcd(entry, scale)
+    return f"{entry // g}/{scale // g}"
+
+
+def _ratio_json(entry: int, scale: int) -> str:
+    return json.dumps(_ratio_text(entry, scale))
+
+
+_RATIO = {"json": _ratio_json, "csv": _ratio_text}
 
 
 def _spec_head(args: argparse.Namespace) -> tuple[symmetrized.SymChebSpec, dict]:
@@ -75,29 +100,21 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 
 def _cmd_coeffs(args: argparse.Namespace) -> str:
     spec, head = _spec_head(args)
-    terms = [(e, format_exact(coeff)) for e, coeff in symmetrized.build(spec).terms()]
-    return _terms_text(args.format, head, "terms", "coeff", args.k, terms)
+    reps, row, scale = symmetrized._scaled_row(spec)
+    ratio = _RATIO[args.format]
+    texts = ((e, ratio(entry, scale)) for e, entry in zip(reps, row) if entry)
+    return _terms_text(args.format, head, "terms", "coeff", args.k, orbit_terms(texts))
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    table = symmetrized.univariate_table(args.kind, args.c, args.n_max)
+    ratio = _RATIO[args.format]
+    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, ratio, ratio(0, 1))
     if args.format == "json":
-        payload = {
-            "kind": args.kind.value,
-            "c": format_exact(args.c),
-            "n_max": args.n_max,
-            "rows": [
-                {"n": n, "coeffs": [format_exact(v) for v in row]}
-                for n, row in enumerate(table.rows)
-            ],
-        }
-        return json.dumps(payload) + "\n"
-    rows = [
-        f"{n},{idx - n},{format_exact(value)}"
-        for n, row in enumerate(table.rows)
-        for idx, value in enumerate(row)
-    ]
-    return _csv_lines("n,j,value", rows)
+        head = {"kind": args.kind.value, "c": format_exact(args.c), "n_max": args.n_max}
+        items = (f'{{"n": {n}, "coeffs": [{", ".join(row)}]}}' for n, row in enumerate(rows))
+        return _json_list(head, "rows", items)
+    lines = [f"{n},{idx - n},{text}" for n, row in enumerate(rows) for idx, text in enumerate(row)]
+    return _csv_lines("n,j,value", lines)
 
 
 def _cmd_positivity(args: argparse.Namespace) -> str:
@@ -165,10 +182,11 @@ def _cmd_sign_survey(args: argparse.Namespace) -> str:
 def _cmd_fgcount(args: argparse.Namespace) -> str:
     if args.method == "oracle":
         table = freegroup.enumerate_counts(args.r, args.n)
+        texts = [(e, str(count)) for e, count in table.sorted_items()]
     else:
-        table = freegroup.counts_by_formula(args.r, args.n)
-    head = {"r": table.r, "n": table.n}
-    return _terms_text(args.format, head, "counts", "count", table.r, table.sorted_items())
+        reps, row = freegroup._formula_row(args.r, args.n)
+        texts = orbit_terms((e, str(count)) for e, count in zip(reps, row) if count)
+    return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, texts)
 
 
 def _cmd_fgverify(args: argparse.Namespace) -> str:
@@ -270,6 +288,23 @@ def _cmd_clt(args: argparse.Namespace) -> str:
 # --- parser -----------------------------------------------------------------
 
 
+# argparse's own pattern, r"^-\d+$|^-\d*\.\d+$" in Python 3.11, plus -p/q
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on one stderr line (exit 2), which takes a
+    negative ``-p/q`` for a value, as it takes -2 and -1.5; subparsers
+    inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message: str):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def _add_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
     parser.add_argument("--n", type=int, required=True)
@@ -283,7 +318,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "json") -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symcheb",
         description="Exact symmetrized Chebyshev Laurent polynomials: "
         "coefficients, sign structure, free-group word counts, and "

@@ -180,14 +180,23 @@ def counts_by_formula(r: int, n: int) -> HomologyCountTable:
     (a constant summand has no monomial content).  All arithmetic is exact
     over the integers.
     """
+    reps, row = _formula_row(r, n)
+    table = {member: count for e, count in zip(reps, row) if count for member in orbit(e)}
+    counts = {e: count for e in _first_reached(r, n) if (count := table.pop(e, 0))}
+    return HomologyCountTable(r=r, n=n, counts=counts)
+
+
+def _formula_row(r: int, n: int) -> tuple[tuple[HomologyClass, ...], list[int]]:
+    """(reps, counts): one count per orbit representative, the kernel row
+    W_n with the trivial-class correction added at the origin."""
     _check_rank_length(r, n)
     for reps, row in orbit_rows(1, 2 * r - 1, 2, r, n):
         pass
-    table = {member: count for e, count in zip(reps, row) if count for member in orbit(e)}
-    zero = (0,) * r
-    table[zero] = table.get(zero, 0) + trivial_class_correction(r, n)
-    counts = {e: count for e in _first_reached(r, n) if (count := table.pop(e, 0))}
-    return HomologyCountTable(r=r, n=n, counts=counts)
+    # odd n has no origin in its row, and no correction; at even n the
+    # origin is reps[0], and the kernel hands over the last row it made
+    if n % 2 == 0:
+        row[0] += trivial_class_correction(r, n)
+    return reps, row
 
 
 def _first_reached(k: int, n: int) -> Iterator[HomologyClass]:

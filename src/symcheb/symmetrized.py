@@ -64,9 +64,9 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity, check_kind, orbit, orbit_rows
+from .chebyshev import ChebKind, check_arity, check_kind, orbit_rows, orbit_terms
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
@@ -181,13 +181,30 @@ def _scaled(
     return ((reps, row, q0 * kq**m) for m, (reps, row) in enumerate(rows))
 
 
+def _scaled_row(spec: SymChebSpec) -> tuple[Sequence[Exponents], list[int], int]:
+    """(reps, Q_n, s_n): the last row of ``_scaled`` for one polynomial."""
+    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+        pass
+    return reps, row, scale
+
+
 def _fractions(
     reps: Sequence[Exponents], row: list[int], divisor: int
 ) -> dict[Exponents, Fraction]:
     """The nonzero entries of a row over divisor on their orbits, in
     lexicographic order: one Fraction per representative."""
-    fractions = ((e, Fraction(entry, divisor)) for e, entry in zip(reps, row) if entry)
-    return dict(sorted((member, value) for e, value in fractions for member in orbit(e)))
+    return dict(orbit_terms((e, Fraction(entry, divisor)) for e, entry in zip(reps, row) if entry))
+
+
+def _univariate_rows(
+    kind: ChebKind, c: Fraction, n_max: int, value: Callable[[int, int], object], zero: object
+) -> Iterator[tuple]:
+    """Rows 0..n_max at k = 1 for j = -m..m: value(entry, s_m) once per
+    nonzero kernel entry at j >= 0, mirrored to -j, and zero elsewhere."""
+    for m, (_, row, scale) in enumerate(_scaled(kind, c, 1, n_max)):
+        half = [zero] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
+        half[m % 2 :: 2] = [value(entry, scale) if entry else zero for entry in row]
+        yield (*half[:0:-1], *half)
 
 
 def _first(reps: Sequence[Exponents], row: list[int], sign: int) -> tuple[Exponents, int] | None:
@@ -205,9 +222,7 @@ def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[Lauren
 
 def build(spec: SymChebSpec) -> LaurentPoly:
     """Construct T_n(A) or U_n(A) exactly."""
-    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
-        pass
-    return LaurentPoly._raw(spec.k, _fractions(reps, row, scale))
+    return LaurentPoly._raw(spec.k, _fractions(*_scaled_row(spec)))
 
 
 def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTable:
@@ -217,12 +232,8 @@ def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTa
     exactly with the coefficients of build().
     """
     c = as_scalar(c)
-    rows = []
-    for m, (_, row, scale) in enumerate(_scaled(kind, c, 1, n_max)):
-        half = [_ZERO] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
-        half[m % 2 :: 2] = [Fraction(entry, scale) if entry else _ZERO for entry in row]
-        rows.append((*half[:0:-1], *half))
-    return UnivariateCoeffTable(kind=kind, c=c, rows=tuple(rows))
+    rows = tuple(_univariate_rows(kind, c, n_max, Fraction, _ZERO))
+    return UnivariateCoeffTable(kind=kind, c=c, rows=rows)
 
 
 def fullform_coeff(n: int, c: Scalar, j: int) -> Fraction:
@@ -257,8 +268,7 @@ def positivity_report(spec: SymChebSpec) -> PositivityReport:
     """Sign scan of T_n(A) or U_n(A), read off its integer kernel row (scale
     s_n > 0) without expanding an orbit.  Rows keep cancelled zeros, so the
     minimum is taken over nonzero entries; it is the only Fraction made."""
-    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
-        pass
+    reps, row, scale = _scaled_row(spec)
     negative = _first(reps, row, -1)
     # at k = 1 the row holds exactly the j = 0..n with n - j even
     pattern_ok = None if spec.k > 1 else all(entry > 0 for entry in row)

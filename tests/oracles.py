@@ -1,7 +1,12 @@
-"""Independent routes that the package's kernel and certificates are checked
-against.  They are deliberately separate code, not used by ``symcheb``."""
+"""Independent routes that the package's kernel, certificates and command
+line are checked against.  They are deliberately separate code, not used by
+``symcheb``."""
 
+import json
 import math
+
+from symcheb import SymChebSpec, build, counts_by_formula, univariate_table
+from symcheb.laurent import format_exact
 
 
 def scaled_rows(a, g, q0, k, n_max):
@@ -75,3 +80,42 @@ def constant_term(p, g, n, walks):
         p_pow *= p2
         acc = -g * acc + n * math.comb(n - m, m) // (n - m) * walks[i] * p_pow
     return acc
+
+
+def _terms_text(fmt, head, key, name, k, terms):
+    """A list of (exponents, value) terms: in JSON, one dict per term under
+    ``key`` after the ``head`` fields; in CSV, columns e1..ek and ``name``."""
+    if fmt == "json":
+        return json.dumps({**head, key: [{"e": list(e), name: value} for e, value in terms]}) + "\n"
+    header = ",".join([*(f"e{i + 1}" for i in range(k)), name])
+    return "\n".join([header, *(",".join([*map(str, e), str(value)]) for e, value in terms)]) + "\n"
+
+
+def coeffs_text(kind, n, c, k, fmt):
+    """Oracle: ``symcheb coeffs`` output through ``LaurentPoly``: one
+    Fraction, one ``format_exact`` and, in JSON, one dict per term."""
+    head = {"kind": kind.value, "n": n, "c": format_exact(c), "k": k}
+    terms = [(e, format_exact(coeff)) for e, coeff in build(SymChebSpec(kind, n, c, k)).terms()]
+    return _terms_text(fmt, head, "terms", "coeff", k, terms)
+
+
+def table_text(kind, c, n_max, fmt):
+    """Oracle: ``symcheb table`` output from ``univariate_table``, one
+    ``format_exact`` per entry."""
+    table = univariate_table(kind, c, n_max)
+    if fmt == "json":
+        rows = [{"n": n, "coeffs": [format_exact(v) for v in row]} for n, row in enumerate(table.rows)]
+        payload = {"kind": kind.value, "c": format_exact(c), "n_max": n_max, "rows": rows}
+        return json.dumps(payload) + "\n"
+    lines = [
+        f"{n},{idx - n},{format_exact(value)}"
+        for n, row in enumerate(table.rows)
+        for idx, value in enumerate(row)
+    ]
+    return "\n".join(["n,j,value", *lines]) + "\n"
+
+
+def fgcount_text(r, n, fmt):
+    """Oracle: ``symcheb fgcount`` output from ``counts_by_formula``."""
+    table = counts_by_formula(r, n)
+    return _terms_text(fmt, {"r": r, "n": n}, "counts", "count", r, table.sorted_items())

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -6,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symcheb import InternalError, cltstats, symmetrized
+from symcheb import ChebKind, InternalError, cli, cltstats, symmetrized
 from symcheb.cli import build_parser, run
 from symcheb.laurent import parse_exact
+
+from oracles import coeffs_text, fgcount_text, table_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 400  # beyond the float range
@@ -45,6 +51,14 @@ def capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_text(argv):
+    """(exit code, stdout, stderr) of one command, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestExitCodes:
@@ -140,7 +154,7 @@ class TestExitCodes:
         def broken(spec):
             raise InternalError("routes disagree")
 
-        monkeypatch.setattr(symmetrized, "build", broken)
+        monkeypatch.setattr(symmetrized, "_scaled_row", broken)
         code, out, err = capture(capsys, ["coeffs", "--kind", "T", "--n", "2", "--c", "2"])
         assert (code, out, err) == (4, "", "internal error: routes disagree\n")
 
@@ -493,3 +507,131 @@ def test_parser_structure_is_pinned():
         for name, parser in sub.choices.items()
     }
     assert structure == PARSER_STRUCTURE
+
+
+# Every command that takes --c, with a negative p/q as its own argument.
+NEGATIVE_C_ARGVS = [
+    ["coeffs", "--kind", "T", "--n", "3", "--k", "2", "--c", "-1/2"],
+    ["table", "--kind", "U", "--n-max", "4", "--c", "-5/3"],
+    ["positivity", "--kind", "T", "--n", "3", "--k", "2", "--c", "-11/10"],
+    ["sign-survey", "--kind", "T", "--n-max", "4", "--c", "-1/2", "--c", "3/2"],
+    ["clt", "--k", "1", "--n", "4", "--c", "-3/2"],
+]
+
+
+def _attach_c(argv):
+    """argv with each ``--c VALUE`` pair written as ``--c=VALUE``."""
+    out = []
+    for part in argv:
+        if out and out[-1] == "--c":
+            out[-1] = f"--c={part}"
+        else:
+            out.append(part)
+    return out
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_C_ARGVS, ids=lambda argv: argv[0])
+def test_negative_fraction_is_a_value_of_c(capsys, argv):
+    # argparse used to take "-1/2" for an option: "expected one argument", exit 2
+    separate = capture(capsys, argv)
+    assert separate == capture(capsys, _attach_c(argv))
+    assert separate[0] == (1 if argv[0] == "clt" else 0)
+    assert separate[1] or argv[0] == "clt"
+
+
+USAGE_ERROR_ARGVS = [
+    [],
+    ["bogus"],
+    ["coeffs"],
+    ["coeffs", "--kind", "T", "--n", "two", "--c", "2"],
+    ["coeffs", "--kind", "T", "--n", "2", "--c", "1.5"],
+    ["fgcount", "--r", "2", "--n", "3", "--method", "guess"],
+    ["clt", "--c", "2", "--k", "1", "--n", "4", "--extra"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERROR_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_error_is_one_line(capsys, argv):
+    # argparse used to print its usage block and "symcheb: error: ..." on 2-3 lines
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_usage_error_is_one_line_in_a_process(flags):
+    argv = ["coeffs", "--kind", "T", "--n", "2"]
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "symcheb", *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "usage error: the following arguments are required: --c\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
+def test_help_is_unchanged(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(['symcheb', *argv[:-1]])} [-h]")
+
+
+EXACT_C = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "-2"]).map(parse_exact),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+KINDS = st.sampled_from(list(ChebKind))
+FORMATS = st.sampled_from(["json", "csv"])
+
+
+def _c_text(c):
+    return f"{c.numerator}/{c.denominator}"
+
+
+class TestOrbitWriter:
+    """The command line writes term lists from the kernel's orbit
+    representatives; the oracles write them term by term, as it once did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=KINDS, c=EXACT_C, k=st.integers(1, 4), n=st.integers(0, 7), fmt=FORMATS)
+    @example(kind=ChebKind.FIRST, c=parse_exact("0"), k=2, n=3, fmt="json")  # all-zero row
+    @example(kind=ChebKind.SECOND, c=parse_exact("1"), k=3, n=0, fmt="csv")
+    @example(kind=ChebKind.FIRST, c=parse_exact("-7/3"), k=4, n=5, fmt="json")
+    def test_coeffs_matches_the_term_by_term_route(self, kind, c, k, n, fmt):
+        n = min(n, 5) if k == 4 else n
+        argv = ["coeffs", "--kind", kind.value, "--n", str(n), "--c", _c_text(c),
+                "--k", str(k), "--format", fmt]
+        assert run_text(argv) == (0, coeffs_text(kind, n, c, k, fmt), "")
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=KINDS, c=EXACT_C, n_max=st.integers(0, 9), fmt=FORMATS)
+    @example(kind=ChebKind.FIRST, c=parse_exact("0"), n_max=5, fmt="json")
+    @example(kind=ChebKind.SECOND, c=parse_exact("-1"), n_max=0, fmt="csv")
+    def test_table_matches_the_term_by_term_route(self, kind, c, n_max, fmt):
+        argv = ["table", "--kind", kind.value, "--c", _c_text(c), "--n-max", str(n_max),
+                "--format", fmt]
+        assert run_text(argv) == (0, table_text(kind, c, n_max, fmt), "")
+
+    @settings(max_examples=30, deadline=None)
+    @given(r=st.integers(2, 5), n=st.integers(1, 6), fmt=FORMATS)
+    @example(r=5, n=4, fmt="json")
+    def test_fgcount_matches_the_table_route(self, r, n, fmt):
+        n = min(n, 4) if r == 5 else n
+        expected = fgcount_text(r, n, fmt)
+        for method in ("formula", "oracle"):
+            argv = ["fgcount", "--r", str(r), "--n", str(n), "--method", method, "--format", fmt]
+            assert run_text(argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
+        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 12, parse_exact("7/5"), 3)
+        _, row, _ = symmetrized._scaled_row(spec)
+        ratio, texts = cli._RATIO[fmt], []
+        monkeypatch.setitem(cli._RATIO, fmt, lambda *args: texts.append(ratio(*args)) or texts[-1])
+        format_exact, formatted = cli.format_exact, []
+        monkeypatch.setattr(cli, "format_exact", lambda v: formatted.append(v) or format_exact(v))
+        argv = ["coeffs", "--kind", "T", "--n", "12", "--c", "7/5", "--k", "3", "--format", fmt]
+        code, out, _ = capture(capsys, argv)
+        terms = len(json.loads(out)["terms"]) if fmt == "json" else out.count("\n") - 1
+        assert (code, terms, len(texts)) == (0, 1469, 57)
+        assert sum(map(bool, row)) == 57
+        assert formatted == [spec.c]  # the c head field only
