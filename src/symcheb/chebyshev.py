@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ENUM_BUDGET_ENV,
@@ -228,11 +228,15 @@ def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
     return members
 
 
-def orbit_terms(entries: Iterable[tuple[tuple[int, ...], object]]) -> list[tuple]:
-    """(member, value) for every member of the orbit of each (e, value) in
-    entries, sorted lexicographically by member: an orbit shares its value."""
-    terms = ((member, value) for e, value in entries for member in orbit(e))
-    return sorted(terms, key=itemgetter(0))
+def orbit_terms(
+    reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], object]
+) -> list[tuple]:
+    """(member, value(entry)) for every member of the orbit of each
+    representative in reps with a nonzero entry in the kernel row, sorted
+    lexicographically by member.  Cancelled zeros are skipped; value is
+    called once per representative, and its orbit shares the result."""
+    shared = ((e, value(entry)) for e, entry in zip(reps, row) if entry)
+    return sorted(((member, v) for e, v in shared for member in orbit(e)), key=itemgetter(0))
 
 
 def orbit_size(e: tuple[int, ...]) -> int:

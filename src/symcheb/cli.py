@@ -4,8 +4,9 @@ Every command is deterministic: identical inputs produce byte-identical
 output.  Exit codes: 0 success (including "negative coefficient found" --
 a finding is a successful computation), 1 domain error (a request that is
 undefined, e.g. a distribution over negative coefficients), 2 usage error
-(also an unwritable --out path), 3 enumeration budget exceeded, 4 internal
-error (a defect: two of the package's own routes disagree).
+(also an unwritable --out path or standard output), 3 enumeration budget
+exceeded, 4 internal error (a defect: two of the package's own routes
+disagree).  Every failure is one line on stderr.
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -102,8 +104,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> str:
     spec, head = _spec_head(args)
     reps, row, scale = symmetrized._scaled_row(spec)
     ratio = _RATIO[args.format]
-    texts = ((e, ratio(entry, scale)) for e, entry in zip(reps, row) if entry)
-    return _terms_text(args.format, head, "terms", "coeff", args.k, orbit_terms(texts))
+    texts = orbit_terms(reps, row, lambda entry: ratio(entry, scale))
+    return _terms_text(args.format, head, "terms", "coeff", args.k, texts)
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
@@ -184,8 +186,7 @@ def _cmd_fgcount(args: argparse.Namespace) -> str:
         table = freegroup.enumerate_counts(args.r, args.n)
         texts = [(e, str(count)) for e, count in table.sorted_items()]
     else:
-        reps, row = freegroup._formula_row(args.r, args.n)
-        texts = orbit_terms((e, str(count)) for e, count in zip(reps, row) if count)
+        texts = orbit_terms(*freegroup._formula_row(args.r, args.n), str)
     return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, texts)
 
 
@@ -405,15 +406,21 @@ def run(argv: Sequence[str]) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    if args.out is not None:
-        try:
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"usage error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        if args.out is None:  # Python's flush at exit would fail again, with exit code 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if args.out is None else f"--out {args.out}"
+        print(f"usage error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -58,8 +58,8 @@ vanish at every n, since each coordinate can be mirrored independently.
 Float-normalized mode runs, in floats, the three-term recurrence that the
 moments of consecutive symmetric rows obey, in an increment form that keeps
 M2/M0 and M4/M0 within a few ulp unless c is near 1 (see
-``_float_moment_rows``).  Exact mode is capped (128 for k = 1, 32 for
-k > 1 by default); the cap is a parameter.
+``_float_moment_rows``).  Exact mode is capped at n = 1024 by default, for
+every k and for word counts (``DEFAULT_EXACT_CEILING``); it is a parameter.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import _first, _fractions, _scaled
 
-DEFAULT_EXACT_CEILING_UNIVARIATE = 128
-DEFAULT_EXACT_CEILING_COUNTS = 1024
-FULL_TABLE_CEILING = 32  # also k > 1's default exact ceiling: exact mode answers what it certifies
+DEFAULT_EXACT_CEILING = 1024
+FULL_TABLE_CEILING = 32  # how far ``_certify`` walks kernel rows below c_k
 
 _ZERO = Fraction(0)
 
@@ -188,9 +187,7 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
     check_arity(k)
-    c_float = _to_float(c, "c")
-    if c_float <= 1.0:
-        raise DomainError(f"characteristic function needs c > 1, got c = {c_float}")
+    c_float = _above_one(c, "characteristic function needs c > 1")
     if len(theta) != k:
         raise UsageError(f"theta has length {len(theta)}, expected k = {k}")
     y = (c_float / k) * sum(math.cos(t) for t in theta)
@@ -214,18 +211,24 @@ def _to_float(value: Scalar | float, name: str) -> float:
     return result
 
 
-def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
-    """(c, k) as floats; an exact c is tested at its exact value."""
-    check_arity(k)
+def _above_one(c: Scalar | float, message: str) -> float:
+    """c as a float, after checking that c > 1 at its exact value (else
+    DomainError ``message``) and that its float is not 1.0."""
     c_float = _to_float(c, "c")
     if (c_float <= 1.0) if isinstance(c, float) else (c <= 1):
-        raise DomainError(f"variance constant is defined for c > 1 only, got c = {c_float}")
+        raise DomainError(f"{message}, got c = {c_float}")
     if c_float == 1.0:
         raise DomainError(
             f"c = {c} is above 1 but rounds to the float 1.0, "
             "where the float variance constants diverge"
         )
-    return c_float, _to_float(k, "k")
+    return c_float
+
+
+def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
+    """(c, k) as floats; an exact c is tested at its exact value."""
+    check_arity(k)
+    return _above_one(c, "variance constant is defined for c > 1 only"), _to_float(k, "k")
 
 
 def sigma2_reported(c: Scalar | float, k: int) -> float:
@@ -425,9 +428,7 @@ def marginal_moments_float(
     or a moment that is not finite, raises DomainError."""
     check_arity(k)
     ns = _check_n_list(n_list)
-    c_float = _to_float(c, "c")
-    if c_float <= 1.0:
-        raise DomainError(f"coefficient distributions need c > 1, got c = {c_float}")
+    c_float = _above_one(c, "coefficient distributions need c > 1")
     _certify(Fraction(c_float), k, ns)
     alpha = c_float / k
     beta = 2.0 * c_float * (k - 1) / k
@@ -477,8 +478,8 @@ def fg_marginal_moments_float(
 # ---------------------------------------------------------------------------
 
 
-def _check_ceiling(ns: list[int], exact_ceiling: int | None, default: int) -> None:
-    ceiling = default if exact_ceiling is None else exact_ceiling
+def _check_ceiling(ns: list[int], exact_ceiling: int | None) -> None:
+    ceiling = DEFAULT_EXACT_CEILING if exact_ceiling is None else exact_ceiling
     if ns[-1] > ceiling:
         raise UsageError(
             f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
@@ -489,9 +490,11 @@ def _check_ceiling(ns: list[int], exact_ceiling: int | None, default: int) -> No
 def _report(
     c: float, k: int, mode: str, s2_reported: float, s2_rederived: float, rows: list[tuple]
 ) -> ConvergenceReport:
-    """Assemble a report from (n, m2, m4, max_offdiag) per requested n."""
+    """Assemble a report from (n, m2, m4) per requested n, with the
+    structural zero of the mode as every max_offdiag."""
+    max_offdiag = _ZERO if mode == MODE_EXACT else 0.0
     out = []
-    for n, m2, m4, max_offdiag in rows:
+    for n, m2, m4 in rows:
         m2_over_n = m2 / n
         out.append(
             ConvergenceRow(
@@ -522,9 +525,10 @@ def convergence_report(
     candidate limit constants.
 
     Exact mode requires a rational c and every n at or below the ceiling
-    (128 for k = 1, 32 for k > 1 unless overridden; an explicit ceiling must
-    be a positive integer); beyond it, use float-normalized mode.  Exact
-    moments come from the closed form in the Lucas pair, with its checks.
+    (1024 unless overridden; an explicit ceiling must be a positive
+    integer); beyond it, use float-normalized mode.  Below c_k =
+    k/sqrt(2k-1), an n above 32 is refused as uncertified in either mode.
+    Exact moments come from the closed form in the Lucas pair, with its checks.
     Signs are certified by the marginal moment functions, the same way in
     both modes (module docstring).  Off-diagonal covariances are reported as
     the exact structural zero (each coordinate can be mirrored
@@ -540,14 +544,12 @@ def convergence_report(
     if mode == MODE_EXACT:
         if isinstance(c, float):
             raise UsageError("exact mode requires a rational c (int or Fraction)")
-        _check_ceiling(
-            ns, exact_ceiling, DEFAULT_EXACT_CEILING_UNIVARIATE if k == 1 else FULL_TABLE_CEILING
-        )
+        _check_ceiling(ns, exact_ceiling)
         c = as_scalar(c)
-        rows = [(n, m2, m4, _ZERO) for n, m2, m4 in marginal_moments_exact(c, k, ns)]
+        rows = marginal_moments_exact(c, k, ns)
     else:
         c = float(c)
-        rows = [(n, m2, m4, 0.0) for n, m2, m4 in marginal_moments_float(c, k, ns)]
+        rows = marginal_moments_float(c, k, ns)
     return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
 
 
@@ -562,7 +564,8 @@ def freegroup_convergence_report(
     The underlying parameter c = r/sqrt(2r-1) is irrational, so rows run on
     the integer-rescaled count recurrence instead of a rational c.  The
     rederived constant simplifies algebraically to exactly 1/(r-1); the
-    reported constant is evaluated at the same parameter point.
+    reported constant is evaluated at the same parameter point.  Exact mode
+    has the ceiling of ``convergence_report``.
     """
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
@@ -573,8 +576,8 @@ def freegroup_convergence_report(
     s2_reported = sigma2_reported(c_float, r)
     s2_rederived = 1.0 / (r - 1)
     if mode == MODE_EXACT:
-        _check_ceiling(ns, exact_ceiling, DEFAULT_EXACT_CEILING_COUNTS)
-        rows = [(n, m2, m4, _ZERO) for n, m2, m4 in fg_marginal_moments_exact(r, ns)]
+        _check_ceiling(ns, exact_ceiling)
+        rows = fg_marginal_moments_exact(r, ns)
     else:
-        rows = [(n, m2, m4, 0.0) for n, m2, m4 in fg_marginal_moments_float(r, ns)]
+        rows = fg_marginal_moments_float(r, ns)
     return _report(c_float, r, mode, s2_reported, s2_rederived, rows)

@@ -25,10 +25,9 @@ Two independent counting routes are provided:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .chebyshev import orbit, orbit_rows
+from .chebyshev import orbit_rows, orbit_terms
 from .errors import ENUM_BUDGET_ENV, ResourceBudgetError, UsageError, resolve_enum_budget
 
 HomologyClass = tuple[int, ...]
@@ -102,8 +101,10 @@ class HomologyCountTable(_HomologyCountFields):
     """Word counts of one (rank, length) pair, keyed by homology class.
 
     Classes with zero count are not stored, so tables compare equal iff
-    they tally identically.  Each table made without ``counts`` gets its
-    own empty dict.
+    they tally identically in any order: ``counts_by_formula`` lists classes
+    lexicographically, as ``sorted_items`` does, and ``enumerate_counts`` in
+    the order its walk reaches them.  Each table made without ``counts``
+    gets its own empty dict.
     """
 
     __slots__ = ()
@@ -180,9 +181,7 @@ def counts_by_formula(r: int, n: int) -> HomologyCountTable:
     (a constant summand has no monomial content).  All arithmetic is exact
     over the integers.
     """
-    reps, row = _formula_row(r, n)
-    table = {member: count for e, count in zip(reps, row) if count for member in orbit(e)}
-    counts = {e: count for e in _first_reached(r, n) if (count := table.pop(e, 0))}
+    counts = dict(orbit_terms(*_formula_row(r, n), int))
     return HomologyCountTable(r=r, n=n, counts=counts)
 
 
@@ -197,24 +196,6 @@ def _formula_row(r: int, n: int) -> tuple[tuple[HomologyClass, ...], list[int]]:
     if n % 2 == 0:
         row[0] += trivial_class_correction(r, n)
     return reps, row
-
-
-def _first_reached(k: int, n: int) -> Iterator[HomologyClass]:
-    """The classes of length n in the order tables have always listed them:
-    by the lexicographically least n-step walk to e over the steps +x_k <
-    -x_k < ... < +x_1 < -x_1.  It is (+x_k)^t (-x_k)^u, then e_{k-1}, ...,
-    e_1 straight, so t and u count down, and each later e_i runs v, ..., 1,
-    -v, ..., -1, 0 for the v steps left."""
-
-    @lru_cache(maxsize=None)
-    def straight(total: int, d: int) -> list[HomologyClass]:
-        if not d:
-            return [()] if not total else []
-        values = [*range(total, 0, -1), *range(-total, 0), 0]
-        return [rest + (v,) for v in values for rest in straight(total - abs(v), d - 1)]
-
-    pairs = ((t, u) for t in range(n, -1, -1) for u in range(n - t, -1, -1))
-    return ((*rest, t - u) for t, u in pairs for rest in straight(n - t - u, k - 1))
 
 
 def trivial_class_correction(r: int, n: int) -> int:

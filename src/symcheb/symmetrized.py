@@ -193,7 +193,7 @@ def _fractions(
 ) -> dict[Exponents, Fraction]:
     """The nonzero entries of a row over divisor on their orbits, in
     lexicographic order: one Fraction per representative."""
-    return dict(orbit_terms((e, Fraction(entry, divisor)) for e, entry in zip(reps, row) if entry))
+    return dict(orbit_terms(reps, row, lambda entry: Fraction(entry, divisor)))
 
 
 def _univariate_rows(

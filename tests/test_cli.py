@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -37,6 +39,7 @@ FLOAT_JOINT_ARGVS = [  # marginals nonnegative, but a joint coefficient is negat
 UNCERTIFIED_ARGVS = [  # 1 < c < k/sqrt(2k-1), beyond the rows that certify signs
     ["clt", "--c", "11/10", "--k", "2", "--n", "33,40", "--exact-ceiling", "40"],
     ["clt", "--c", "1.1", "--k", "2", "--n", "33,40", "--mode", "float_normalized"],
+    ["clt", "--c", "11/10", "--k", "2", "--n", "40"],  # was refused by a default ceiling of 32
 ]
 ARITY = "1" + "0" * 300  # fits a float, but no row in that many variables fits memory
 HUGE_ARITY_ARGVS = [
@@ -215,12 +218,19 @@ class TestExitCodes:
         # float mode used to return numbers where exact mode gives the witness
         assert capture(capsys, argv) == (1, "", message)
 
-    @pytest.mark.parametrize("argv", UNCERTIFIED_ARGVS, ids=["exact", "float"])
+    @pytest.mark.parametrize("argv", UNCERTIFIED_ARGVS, ids=["exact", "float", "exact_default"])
     def test_uncertified_signs_are_one_line_domain_error(self, capsys, argv):
         # these used to return rows that no sign check covered
         code, out, err = capture(capsys, argv)
         assert (code, out) == (1, "")
         assert "uncertified" in err and err.count("\n") == 1
+
+    def test_default_ceiling_is_1024_for_every_k(self, capsys):
+        # k = 2 used to take 32 as its default ceiling, although c = 2 >= c_2
+        code, out, err = capture(capsys, ["clt", "--c", "2", "--k", "2", "--n", "64"])
+        assert (code, err) == (0, "") and out.startswith("n,m2_over_n,") and out.count("\n") == 2
+        code, out, err = capture(capsys, ["clt", "--c", "2", "--k", "2", "--n", "1025"])
+        assert (code, out) == (2, "") and "exact-mode ceiling of 1024;" in err
 
     def test_theorem_certifies_beyond_the_rows(self, capsys):
         # c = 3/2 >= 2/sqrt(3): certified at every n without a row walk
@@ -417,6 +427,31 @@ def test_float_domain_checks_survive_optimized_python(params, message):
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert message in result.stderr and result.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--kind", "T", "--n", "3", "--c", "11/10"],
+        ["coeffs", "--kind", "T", "--n", "40", "--c", "2", "--k", "2"],  # about 80 kB
+    ],
+    ids=["small", "several_buffers"],
+)
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_failed_stdout_write_is_one_line_usage_error(argv, buffered):
+    # this used to print a traceback and exit 1, the domain-error code; a
+    # buffered small output fails only at the flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "symcheb", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    message = f"usage error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (2, message)
 
 
 # (option strings, dest, default, required, choices, metavar, action class, type)

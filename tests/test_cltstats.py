@@ -92,6 +92,24 @@ def test_non_finite_c_is_rejected(call, c):
         call(c)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda c: char_fn(3, c, 1, [0.0]), "characteristic function needs c > 1"),
+        (lambda c: marginal_moments_float(c, 1, [4]), "coefficient distributions need c > 1"),
+    ],
+    ids=["char_fn", "marginal_moments_float"],
+)
+def test_exact_c_above_one_that_rounds_to_one(call, message):
+    # these used to say "needs c > 1, got c = 1.0" of a c above 1
+    with pytest.raises(DomainError, match=r"^c = 100000000000000000001/100000000000000000000 "
+                       r"is above 1 but rounds to the float 1\.0, "):
+        call(F(10**20 + 1, 10**20))
+    for c in (F(1), 1.0):
+        with pytest.raises(DomainError, match=f"^{message}, got c = 1.0$"):
+            call(c)
+
+
 def moment_rows(a, b, g):
     """Oracle: (M0, M2, M4) of rows 0, 1, 2, ... of the row recurrence with
     rows [2] and [a, b, a], M_d = sum_j j^d row_j, by the recurrence the
@@ -678,12 +696,22 @@ class TestConvergenceReport:
         assert all(row.max_offdiag == 0 for row in report.rows)
 
     def test_exact_mode_ceiling(self):
-        with pytest.raises(UsageError):
-            convergence_report(F(2), 1, [256], mode=MODE_EXACT)
-        report = convergence_report(F(2), 1, [256], mode=MODE_EXACT, exact_ceiling=256)
-        assert report.rows[0].n == 256
-        with pytest.raises(UsageError):
-            convergence_report(F(2), 2, [64], mode=MODE_EXACT)
+        # one default for k = 1, for k > 1 and for word counts
+        reports = [
+            lambda **kw: convergence_report(F(2), 1, [1025], mode=MODE_EXACT, **kw),
+            lambda **kw: convergence_report(F(2), 2, [1025], mode=MODE_EXACT, **kw),
+            lambda **kw: freegroup_convergence_report(2, [1025], mode=MODE_EXACT, **kw),
+        ]
+        for report in reports:
+            with pytest.raises(UsageError, match="exceeds the exact-mode ceiling of 1024;"):
+                report()
+            assert report(exact_ceiling=1025).rows[0].n == 1025
+
+    def test_certificate_decides_below_the_default_ceiling(self):
+        # k > 1 used to take the row-walk limit, 32, as its default ceiling
+        assert convergence_report(F(2), 2, [64]).rows[0].n == 64
+        with pytest.raises(DomainError, match="^the distribution at n = 40 is uncertified"):
+            convergence_report(F(11, 10), 2, [40])
 
     def test_exact_mode_rejects_float_c(self):
         with pytest.raises(UsageError):

@@ -187,6 +187,18 @@ class TestFormula:
         counts[zero] = counts.get(zero, 0) + (r - 1) * (1 + (-1) ** n)
         assert counts_by_formula(r, n).counts == {e: v for e, v in counts.items() if v}
 
+    @pytest.mark.parametrize("r,n_max", [(2, 10), (3, 7), (4, 6), (5, 5)])
+    def test_lists_classes_lexicographically(self, r, n_max):
+        zero = (0,) * r
+        for n, row in enumerate(lattice_rows(1, 2 * r - 1, 2, r, n_max)):
+            if not n:
+                continue
+            correction = (r - 1) * (1 + (-1) ** n)
+            oracle = [(e, v + correction if e == zero else v) for e, v in row.items()]
+            table = counts_by_formula(r, n)
+            assert list(table.counts.items()) == [(e, v) for e, v in oracle if v]
+            assert list(table.counts.items()) == list(table.sorted_items())
+
 
 class TestTrivialClassLowerBound:
     """Step (iii) of the certificate: N_j >= 2(r-1) cyclically reduced words

@@ -90,8 +90,8 @@ RECORDS = {
     ),
     "HomologyCountTable": (
         lambda: counts_by_formula(2, 2),
-        "HomologyCountTable(r=2, n=2, counts={(0, 2): 1, (1, 1): 2, (-1, 1): 2, "
-        "(0, -2): 1, (1, -1): 2, (-1, -1): 2, (2, 0): 1, (-2, 0): 1})",
+        "HomologyCountTable(r=2, n=2, counts={(-2, 0): 1, (-1, -1): 2, (-1, 1): 2, "
+        "(0, -2): 1, (0, 2): 1, (1, -1): 2, (1, 1): 2, (2, 0): 1})",
     ),
 }
 
