@@ -197,21 +197,26 @@ def orbit_rows(
     member of the ``orbit`` of reps[i] = (e_1 >= ... >= e_k >= 0), |e|_1 <=
     m, |e|_1 = m (mod 2); cancelled entries may stay as zeros.  Rows run in
     pull form, Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f].
-    Raises ResourceBudgetError when row n_max has too many terms.
+    Raises ResourceBudgetError when row n_max has too many terms, at the
+    call, before any row is made.
     """
     _check_row_size(k, n_max)
     reps, ends, pulls = _orbit_graph(k, n_max)
-    prev, cur = [q0], [a]
-    yield reps[0], prev
-    if n_max:
-        yield reps[1], cur
-    for m in range(1, n_max):
-        # zeros stand for the levels above rows m and m - 1 that row m + 1
-        # reads; level n_max has no pulls from above, so no padding there
-        get = (cur + [0] * (ends[min(m + 2, n_max)] - len(cur))).__getitem__
-        rows = zip(pulls[(m + 1) % 2], prev + [0] * (ends[m + 1] - len(prev)))
-        prev, cur = cur, [a * sum(map(get, pull)) - g * q for pull, q in rows]
-        yield reps[(m + 1) % 2], cur
+
+    def rows() -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
+        prev, cur = [q0], [a]
+        yield reps[0], prev
+        if n_max:
+            yield reps[1], cur
+        for m in range(1, n_max):
+            # zeros stand for the levels above rows m and m - 1 that row m + 1
+            # reads; level n_max has no pulls from above, so no padding there
+            get = (cur + [0] * (ends[min(m + 2, n_max)] - len(cur))).__getitem__
+            pulled = zip(pulls[(m + 1) % 2], prev + [0] * (ends[m + 1] - len(prev)))
+            prev, cur = cur, [a * sum(map(get, pull)) - g * q for pull, q in pulled]
+            yield reps[(m + 1) % 2], cur
+
+    return rows()
 
 
 def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:

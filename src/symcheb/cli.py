@@ -8,6 +8,14 @@ undefined, e.g. a distribution over negative coefficients), 2 usage error
 exceeded, 4 internal error (a defect: two of the package's own routes
 disagree).  Every failure is one line on stderr.
 
+Each command's handler runs all of its checks and builds its kernel rows
+when it is called, then returns its output as an iterable of text pieces:
+the head, each row or run of terms, the tail.  ``run`` joins them into
+batches of at least 64 KiB and writes each batch, so no byte is written
+and no --out file is opened before the last check has passed, and memory
+tracks a row of output, not the whole document.  Only a failed write can
+leave partial output.
+
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
 --mode float_normalized), so nothing exact ever passes through binary
@@ -23,7 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import cltstats, freegroup, symmetrized
 from .chebyshev import ChebKind, orbit_terms
@@ -51,27 +59,48 @@ def _parse_n_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from exc
 
 
-def _csv_lines(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
+def _csv_lines(header: str, rows: Iterable[str]) -> Iterator[str]:
+    """The header and each item of rows, one or more lines apiece."""
+    yield f"{header}\n"
+    for row in rows:
+        yield f"{row}\n"
 
 
-def _json_list(head: dict, key: str, items: Iterable[str]) -> str:
-    """json.dumps({**head, key: [...]}) for items already in JSON text."""
-    return f"{json.dumps(head)[:-1]}, {json.dumps(key)}: [{', '.join(items)}]}}\n"
+def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+    """json.dumps({**head, key: [...]}) for items already in JSON text, in
+    pieces: the head, each item, the tail."""
+    yield f"{json.dumps(head)[:-1]}, {json.dumps(key)}: ["
+    separator = ""
+    for item in items:
+        yield separator + item
+        separator = ", "
+    yield "]}\n"
+
+
+_TERMS_PER_PIECE = 256  # a generator step per term would cost more than formatting it
 
 
 def _terms_text(
-    fmt: str, head: dict, key: str, name: str, k: int, terms: Iterable[tuple[tuple, str]]
-) -> str:
+    fmt: str, head: dict, key: str, name: str, k: int, terms: Sequence[tuple[tuple, str]]
+) -> Iterator[str]:
     """A list of (exponents, text) terms, each text already JSON in JSON: in
     JSON, under ``key`` after the ``head`` fields; in CSV, as columns e1..ek
-    and ``name``."""
+    and ``name``.  Terms are formatted as they are written, _TERMS_PER_PIECE
+    to a piece."""
     if fmt == "json":
         line = f'{{"e": [{", ".join(["%d"] * k)}], {json.dumps(name)}: %s}}'
-        return _json_list(head, key, [line % (*e, text) for e, text in terms])
+        return _json_list(head, key, _joined(", ", line, terms))
     header = ",".join([*(f"e{i + 1}" for i in range(k)), name])
     line = ",".join(["%d"] * k + ["%s"])
-    return _csv_lines(header, [line % (*e, text) for e, text in terms])
+    return _csv_lines(header, _joined("\n", line, terms))
+
+
+def _joined(separator: str, line: str, terms: Sequence[tuple[tuple, str]]) -> Iterator[str]:
+    """line % (*e, text) for each term, joined by separator in runs of
+    _TERMS_PER_PIECE terms."""
+    for start in range(0, len(terms), _TERMS_PER_PIECE):
+        chunk = terms[start : start + _TERMS_PER_PIECE]
+        yield separator.join([line % (*e, text) for e, text in chunk])
 
 
 def _ratio_text(entry: int, scale: int) -> str:
@@ -97,10 +126,13 @@ def _exact_or_float(value: Fraction | float) -> str | float:
     return format_exact(value) if isinstance(value, Fraction) else value
 
 
-# --- per-command handlers (each returns the full output text) --------------
+# --- per-command handlers ----------------------------------------------------
+# Each runs its checks and its kernel when called and returns its output as
+# text pieces; a small output is one piece, and a term list or a table is
+# formatted a run of terms or a row at a time, as ``run`` reads it.
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> str:
+def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     reps, row, scale = symmetrized._scaled_row(spec)
     ratio = _RATIO[args.format]
@@ -108,18 +140,21 @@ def _cmd_coeffs(args: argparse.Namespace) -> str:
     return _terms_text(args.format, head, "terms", "coeff", args.k, texts)
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
+def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
     ratio = _RATIO[args.format]
     rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, ratio, ratio(0, 1))
     if args.format == "json":
         head = {"kind": args.kind.value, "c": format_exact(args.c), "n_max": args.n_max}
         items = (f'{{"n": {n}, "coeffs": [{", ".join(row)}]}}' for n, row in enumerate(rows))
         return _json_list(head, "rows", items)
-    lines = [f"{n},{idx - n},{text}" for n, row in enumerate(rows) for idx, text in enumerate(row)]
+    lines = (
+        "\n".join([f"{n},{idx - n},{text}" for idx, text in enumerate(row)])
+        for n, row in enumerate(rows)
+    )
     return _csv_lines("n,j,value", lines)
 
 
-def _cmd_positivity(args: argparse.Namespace) -> str:
+def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     report = symmetrized.positivity_report(spec)
     witness = list(report.witness) if report.witness is not None else None
@@ -131,7 +166,7 @@ def _cmd_positivity(args: argparse.Namespace) -> str:
             "min_coefficient": format_exact(report.min_coefficient),
             "witness": witness,
         }
-        return json.dumps(payload) + "\n"
+        return [json.dumps(payload) + "\n"]
     pattern = "" if report.pattern_ok is None else str(report.pattern_ok).lower()
     witness_text = "" if witness is None else ";".join(str(x) for x in witness)
     row = ",".join(
@@ -145,7 +180,7 @@ def _cmd_positivity(args: argparse.Namespace) -> str:
     return _csv_lines("all_nonnegative,pattern_ok,min_coefficient,witness", [row])
 
 
-def _cmd_sign_survey(args: argparse.Namespace) -> str:
+def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
     rows = symmetrized.sign_survey(args.kind, args.k, args.n_max, args.c)
     if args.format == "json":
         payload = {
@@ -167,7 +202,7 @@ def _cmd_sign_survey(args: argparse.Namespace) -> str:
                 for row in rows
             ],
         }
-        return json.dumps(payload) + "\n"
+        return [json.dumps(payload) + "\n"]
     lines = []
     for row in rows:
         if row.witness is None:
@@ -181,7 +216,7 @@ def _cmd_sign_survey(args: argparse.Namespace) -> str:
     return _csv_lines("c,classification,witness_n,witness_e,witness_value", lines)
 
 
-def _cmd_fgcount(args: argparse.Namespace) -> str:
+def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
     if args.method == "oracle":
         table = freegroup.enumerate_counts(args.r, args.n)
         texts = [(e, str(count)) for e, count in table.sorted_items()]
@@ -190,7 +225,7 @@ def _cmd_fgcount(args: argparse.Namespace) -> str:
     return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, texts)
 
 
-def _cmd_fgverify(args: argparse.Namespace) -> str:
+def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:
     formula = freegroup.counts_by_formula(args.r, args.n)
     oracle = freegroup.enumerate_counts(args.r, args.n)
     keys = sorted(set(formula.counts) | set(oracle.counts))
@@ -213,7 +248,7 @@ def _cmd_fgverify(args: argparse.Namespace) -> str:
             "total_oracle": oracle.total(),
             "mismatches": mismatches,
         }
-        return json.dumps(payload) + "\n"
+        return [json.dumps(payload) + "\n"]
     row = f"{status},{formula.total()},{oracle.total()},{len(mismatches)}"
     return _csv_lines("status,total_formula,total_oracle,mismatch_classes", [row])
 
@@ -248,7 +283,7 @@ def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, s
     return report, c_text
 
 
-def _cmd_clt(args: argparse.Namespace) -> str:
+def _cmd_clt(args: argparse.Namespace) -> Iterable[str]:
     report, c_text = _clt_report(args)
     if args.format == "json":
         payload = {
@@ -269,7 +304,7 @@ def _cmd_clt(args: argparse.Namespace) -> str:
                 for row in report.rows
             ],
         }
-        return json.dumps(payload) + "\n"
+        return [json.dumps(payload) + "\n"]
     lines = [
         ",".join(
             [
@@ -304,6 +339,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"usage error: {message}\n")
+
+    def print_help(self, file=None):
+        # through run's writer: argparse would swallow a failed write
+        if file is not None:
+            return super().print_help(file)
+        code = _write([self.format_help()], None)
+        if code:
+            self.exit(code)
 
 
 def _add_spec(parser: argparse.ArgumentParser) -> None:
@@ -384,16 +427,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --- writer -----------------------------------------------------------------
+
+_BATCH = 1 << 16  # characters per write; the output is ASCII, so bytes too
+
+
+def _copy(pieces: Iterable[str], handle: IO[str]) -> None:
+    """Write the pieces in batches of at least _BATCH characters: one write
+    per batch, not per piece, since with PYTHONUNBUFFERED=1 every write to
+    standard output is a system call."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            handle.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        handle.write("".join(batch))
+
+
+def _write(pieces: Iterable[str], out: str | None) -> int:
+    """Write the pieces to the file ``out``, or to standard output and flush
+    it; return the exit code, 0, or 2 after one stderr line if a write
+    failed."""
+    try:
+        if out is None:
+            _copy(pieces, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as handle:
+                _copy(pieces, handle)
+    except OSError as exc:
+        if out is None:  # Python's flush at exit would fail again, with exit code 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if out is None else f"--out {out}"
+        print(f"usage error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one command; returns the process exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:  # argparse handles --help and usage errors
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.handler(args)
+        pieces = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -406,22 +490,7 @@ def run(argv: Sequence[str]) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    try:
-        if args.out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-    except OSError as exc:
-        if args.out is None:  # Python's flush at exit would fail again, with exit code 120
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        where = "standard output" if args.out is None else f"--out {args.out}"
-        print(f"usage error: cannot write {where}: {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+    return _write(pieces, args.out)
 
 
 def main() -> None:

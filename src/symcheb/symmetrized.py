@@ -172,7 +172,8 @@ def _check_rows_args(kind: ChebKind, k: int, n_max: int) -> None:
 def _scaled(
     kind: ChebKind, c: Scalar, k: int, n_max: int
 ) -> Iterator[tuple[Sequence[Exponents], list[int], int]]:
-    """(reps, Q_m, s_m) for m = 0..n_max, P_m(A) = Q_m / s_m on reps."""
+    """(reps, Q_m, s_m) for m = 0..n_max, P_m(A) = Q_m / s_m on reps; the
+    arguments and the budget are checked at the call."""
     _check_rows_args(kind, k, n_max)
     c = as_scalar(c)
     kq = k * c.denominator
@@ -200,11 +201,18 @@ def _univariate_rows(
     kind: ChebKind, c: Fraction, n_max: int, value: Callable[[int, int], object], zero: object
 ) -> Iterator[tuple]:
     """Rows 0..n_max at k = 1 for j = -m..m: value(entry, s_m) once per
-    nonzero kernel entry at j >= 0, mirrored to -j, and zero elsewhere."""
-    for m, (_, row, scale) in enumerate(_scaled(kind, c, 1, n_max)):
-        half = [zero] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
-        half[m % 2 :: 2] = [value(entry, scale) if entry else zero for entry in row]
-        yield (*half[:0:-1], *half)
+    nonzero kernel entry at j >= 0, mirrored to -j, and zero elsewhere.
+    The arguments and the budget are checked at the call; each row is made
+    as it is read."""
+    rows = _scaled(kind, c, 1, n_max)
+
+    def mirrored() -> Iterator[tuple]:
+        for m, (_, row, scale) in enumerate(rows):
+            half = [zero] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
+            half[m % 2 :: 2] = [value(entry, scale) if entry else zero for entry in row]
+            yield (*half[:0:-1], *half)
+
+    return mirrored()
 
 
 def _first(reps: Sequence[Exponents], row: list[int], sign: int) -> tuple[Exponents, int] | None:

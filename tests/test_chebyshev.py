@@ -73,9 +73,11 @@ class TestRowBudget:
         assert [row_size(2, n) for n in range(6)] == [1, 4, 9, 16, 25, 36]
 
     def test_row_over_budget_fails_before_the_first_row(self, monkeypatch):
+        # at the call, not at the first next(): a caller may write the rows
+        # as they come and must have nothing to write when it fails
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
         with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
-            next(orbit_rows(1, 1, 2, 2, 3))
+            orbit_rows(1, 1, 2, 2, 3)
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "16")
         *_, (reps, row) = orbit_rows(1, 1, 2, 2, 3)
         assert sum(orbit_size(e) for e in reps[: len(row)]) == 16  # the budget counts terms
@@ -87,7 +89,7 @@ class TestRowBudget:
         monkeypatch.setattr(chebyshev, "_orbit_graph", no_index)
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
         with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
-            next(orbit_rows(1, 1, 2, 2, 3))
+            orbit_rows(1, 1, 2, 2, 3)
 
     @pytest.mark.parametrize(
         "k,n_max,size",

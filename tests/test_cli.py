@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,11 @@ UNCERTIFIED_ARGVS = [  # 1 < c < k/sqrt(2k-1), beyond the rows that certify sign
     ["clt", "--c", "11/10", "--k", "2", "--n", "33,40", "--exact-ceiling", "40"],
     ["clt", "--c", "1.1", "--k", "2", "--n", "33,40", "--mode", "float_normalized"],
     ["clt", "--c", "11/10", "--k", "2", "--n", "40"],  # was refused by a default ceiling of 32
+]
+BUDGET_ARGVS = [  # row 20 is over a budget of 10 terms
+    ["table", "--kind", "T", "--c", "2", "--n-max", "20"],
+    ["coeffs", "--kind", "T", "--n", "20", "--c", "2"],
+    ["fgcount", "--r", "2", "--n", "20"],
 ]
 ARITY = "1" + "0" * 300  # fits a float, but no row in that many variables fits memory
 HUGE_ARITY_ARGVS = [
@@ -139,6 +145,26 @@ class TestExitCodes:
             "resource error: row 3 of the recurrence has 16 terms, over the budget of 10 "
             "(raise SYMCHEB_ENUM_BUDGET)\n",
         )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=lambda argv: argv[0])
+    def test_budget_error_writes_nothing(self, capsys, monkeypatch, tmp_path, argv, fmt):
+        # output is written as it is made, so every check must come first
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        code, out, err = capture(capsys, [*argv, "--format", fmt])
+        assert (code, out) == (3, "")
+        assert err.startswith("resource error: row 20 ") and err.count("\n") == 1
+        target = tmp_path / "out.txt"
+        assert capture(capsys, [*argv, "--format", fmt, "--out", str(target)]) == (3, "", err)
+        assert not target.exists()
+
+    def test_budget_error_writes_nothing_in_a_process(self):
+        argv = [sys.executable, "-m", "symcheb", *BUDGET_ARGVS[0]]
+        env = {**os.environ, "SYMCHEB_ENUM_BUDGET": "10", "PYTHONUNBUFFERED": "1"}
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("resource error: row 20 ")
+        assert result.stderr.count("\n") == 1
 
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
@@ -435,12 +461,14 @@ def test_float_domain_checks_survive_optimized_python(params, message):
     [
         ["coeffs", "--kind", "T", "--n", "3", "--c", "11/10"],
         ["coeffs", "--kind", "T", "--n", "40", "--c", "2", "--k", "2"],  # about 80 kB
+        ["--help"],
     ],
-    ids=["small", "several_buffers"],
+    ids=["small", "several_buffers", "help"],
 )
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_failed_stdout_write_is_one_line_usage_error(argv, buffered):
-    # this used to print a traceback and exit 1, the domain-error code; a
+    # this used to print a traceback and exit 1, the domain-error code (for
+    # --help: exit 120 buffered, exit 0 with nothing written unbuffered); a
     # buffered small output fails only at the flush
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if not buffered:
@@ -670,3 +698,62 @@ class TestOrbitWriter:
         assert (code, terms, len(texts)) == (0, 1469, 57)
         assert sum(map(bool, row)) == 57
         assert formatted == [spec.c]  # the c head field only
+
+
+BATCH = 1 << 16
+LARGE_OUTPUTS = {  # each more than one write batch, most many times more
+    "table": (["table", "--kind", "T", "--c", "14/13", "--n-max", "150"],
+              lambda fmt: table_text(ChebKind.FIRST, parse_exact("14/13"), 150, fmt)),
+    "coeffs_k1": (["coeffs", "--kind", "U", "--n", "1500", "--c", "3/2"],
+                  lambda fmt: coeffs_text(ChebKind.SECOND, 1500, parse_exact("3/2"), 1, fmt)),
+    "coeffs_k3": (["coeffs", "--kind", "T", "--n", "20", "--c", "7/5", "--k", "3"],
+                  lambda fmt: coeffs_text(ChebKind.FIRST, 20, parse_exact("7/5"), 3, fmt)),
+    "fgcount": (["fgcount", "--r", "4", "--n", "10"], lambda fmt: fgcount_text(4, 10, fmt)),
+}
+TABLE_150 = ["table", "--kind", "T", "--c", "14/13", "--n-max", "150", "--format", "json"]
+
+
+class TestStreamedOutput:
+    """Output is written in batches of at least 64 KiB as it is made, never
+    held whole."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", LARGE_OUTPUTS)
+    def test_batches_join_to_the_oracle_text(self, tmp_path, name, fmt):
+        argv, oracle = LARGE_OUTPUTS[name]
+        argv, expected = [*argv, "--format", fmt], oracle(fmt)
+        assert len(expected) > BATCH
+        assert run_text(argv) == (0, expected, "")
+        target = tmp_path / "out.txt"
+        assert run_text([*argv, "--out", str(target)]) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+
+    def test_peak_memory_is_a_fraction_of_the_output(self, tmp_path):
+        # holding the whole 2.8 MB document, and its copies, peaked at about 2x
+        target = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            code = run([*TABLE_150, "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert (code, size) == (0, 2835291)
+        assert peak < size / 2
+
+    def test_stdout_is_written_in_batches(self):
+        # one write per term or row would be one system call each when
+        # standard output is unbuffered
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stdout = CountingStdout()
+        with contextlib.redirect_stdout(stdout):
+            assert run(TABLE_150) == 0
+        size = len(stdout.getvalue())
+        assert size == 2835291
+        assert stdout.writes <= size // BATCH + 2

@@ -11,6 +11,7 @@ from symcheb import (
     ChebKind,
     LaurentPoly,
     PositivityReport,
+    ResourceBudgetError,
     SignClass,
     SymChebSpec,
     UsageError,
@@ -284,6 +285,15 @@ class TestLatticeDifferential:
 
 
 class TestUnivariateTable:
+    def test_rows_check_the_budget_at_the_call(self, monkeypatch):
+        # row 20 at k = 1 has 21 terms; the command line writes rows as they
+        # are read, so the budget must fail before the first one
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
+            symmetrized._univariate_rows(T, F(2), 20, F, F(0))
+        with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
+            symmetrized._scaled(T, F(2), 1, 20)
+
     def test_u_kind_base_rows(self):
         table = univariate_table(U, F(2), 2)
         assert table.rows[0] == (F(1),)
