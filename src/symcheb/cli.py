@@ -1,12 +1,10 @@
 """Batch command-line front end.
 
 Every command is deterministic: identical inputs produce byte-identical
-output.  Exit codes: 0 success (including "negative coefficient found" --
-a finding is a successful computation), 1 domain error (a request that is
-undefined, e.g. a distribution over negative coefficients), 2 usage error
-(also an unwritable --out path or standard output), 3 enumeration budget
-exceeded, 4 internal error (a defect: two of the package's own routes
-disagree).  Every failure is one line on stderr.
+output.  Exit code 0 is success, a finding such as "negative coefficient
+found" included.  Every failure, a rejected option or an unwritable output
+too, is an ``errors`` exception, which ``run`` reports as one stderr line
+with the label and exit code that its class carries.
 
 Each command's handler runs all of its checks and builds its kernel rows
 when it is called, then returns its output as an iterable of text pieces:
@@ -45,18 +43,29 @@ def _fmt_float(value: float) -> str:
     return f"{value:.9g}"
 
 
+# Option types raise ArgumentTypeError: argparse replaces the message of
+# any other exception with its generic "invalid <function name> value".
 def _parse_kind(text: str) -> ChebKind:
     try:
         return _KINDS[text]
     except KeyError:
-        raise UsageError(f"kind must be T or U, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"kind must be T or U, got {text!r}") from None
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}"
+        ) from None
+
+
+def _parse_c(text: str) -> Fraction:
+    try:
+        return parse_exact(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _csv_lines(header: str, rows: Iterable[str]) -> Iterator[str]:
@@ -169,14 +178,8 @@ def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
         return [json.dumps(payload) + "\n"]
     pattern = "" if report.pattern_ok is None else str(report.pattern_ok).lower()
     witness_text = "" if witness is None else ";".join(str(x) for x in witness)
-    row = ",".join(
-        [
-            str(report.all_nonnegative).lower(),
-            pattern,
-            format_exact(report.min_coefficient),
-            witness_text,
-        ]
-    )
+    nonnegative = str(report.all_nonnegative).lower()
+    row = f"{nonnegative},{pattern},{format_exact(report.min_coefficient)},{witness_text}"
     return _csv_lines("all_nonnegative,pattern_ok,min_coefficient,witness", [row])
 
 
@@ -329,8 +332,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on one stderr line (exit 2), which takes a
-    negative ``-p/q`` for a value, as it takes -2 and -1.5; subparsers
+    """argparse that raises UsageError for a rejected command line and takes
+    a negative ``-p/q`` for a value, as it takes -2 and -1.5; subparsers
     inherit the class."""
 
     def __init__(self, *args, **kwargs):
@@ -338,21 +341,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
-        self.exit(2, f"usage error: {message}\n")
+        raise UsageError(message)
 
     def print_help(self, file=None):
-        # through run's writer: argparse would swallow a failed write
-        if file is not None:
-            return super().print_help(file)
-        code = _write([self.format_help()], None)
-        if code:
-            self.exit(code)
+        # to standard output through run's writer: argparse would swallow a failed write
+        _write([self.format_help()], None)
 
 
 def _add_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
     parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--c", type=parse_exact, required=True, metavar="p/q")
+    parser.add_argument("--c", type=_parse_c, required=True, metavar="p/q")
     parser.add_argument("--k", type=int, default=1)
 
 
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="univariate coefficient table rows 0..n_max")
     p.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    p.add_argument("--c", type=parse_exact, required=True, metavar="p/q")
+    p.add_argument("--c", type=_parse_c, required=True, metavar="p/q")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_table)
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument(
-        "--c", type=parse_exact, action="append", required=True, metavar="p/q",
+        "--c", type=_parse_c, action="append", required=True, metavar="p/q",
         help="repeatable: one survey row per value",
     )
     _add_common(p)
@@ -447,10 +446,9 @@ def _copy(pieces: Iterable[str], handle: IO[str]) -> None:
         handle.write("".join(batch))
 
 
-def _write(pieces: Iterable[str], out: str | None) -> int:
+def _write(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces to the file ``out``, or to standard output and flush
-    it; return the exit code, 0, or 2 after one stderr line if a write
-    failed."""
+    it; UsageError if a write fails."""
     try:
         if out is None:
             _copy(pieces, sys.stdout)
@@ -464,33 +462,21 @@ def _write(pieces: Iterable[str], out: str | None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         where = "standard output" if out is None else f"--out {out}"
-        print(f"usage error: cannot write {where}: {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+        raise UsageError(f"cannot write {where}: {exc.strerror}") from None
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns 0, or the exit code of the error that stopped it."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        pieces = args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceBudgetError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    return _write(pieces, args.out)
+        _write(args.handler(args), args.out)
+    except (UsageError, DomainError, ResourceBudgetError, InternalError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except SystemExit:  # argparse exits only after printing --help
+        pass
+    return 0
 
 
 def main() -> None:

@@ -69,7 +69,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .chebyshev import ChebKind, check_arity, orbit_size
-from .errors import DomainError, InternalError, UsageError
+from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetError, UsageError
+from .errors import resolve_enum_budget
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import _first, _fractions, _scaled
@@ -273,6 +274,12 @@ def _moments(a: int, b: int, g: int, ns: list[int], where: str) -> Iterator[tupl
         yield n, v, m2, m2 + 12 * a * a * n * quotient
 
 
+def _c_moments(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple]:
+    """``_moments`` of the marginal rows at c = p/q: a = p, b = 2(k-1)p, g = (kq)^2."""
+    p, kq = c.numerator, k * c.denominator
+    return _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
+
+
 def _float_moment_rows(a: float, b: float, g: float) -> Iterator[tuple[float, float, float]]:
     """(rho, M2/M0, M4/M0) of rows 0, 1, 2, ... in floats, rho = M0 / M0^-
     (M0^- = 1 at row 0).  With A = 2a + b the moments obey M0' = A M0 - g M0^-,
@@ -305,7 +312,14 @@ def _float_moment_rows(a: float, b: float, g: float) -> Iterator[tuple[float, fl
 
 
 def _float_moments(a: float, b: float, g: float, ns: list[int]) -> list[tuple[int, float, float]]:
-    """(n, m2, m4) per n in ns; DomainError where the float range is exceeded."""
+    """(n, m2, m4) per n in ns; ResourceBudgetError first if ns[-1] steps are
+    over the budget, DomainError where the float range is exceeded."""
+    budget = resolve_enum_budget()
+    if ns[-1] > budget:
+        raise ResourceBudgetError(
+            f"float moments to n = {ns[-1]} are over the budget of {budget} "
+            f"recurrence steps (raise {ENUM_BUDGET_ENV})"
+        )
     out = []
     for m, (rho, m2, m4) in _requested(_float_moment_rows(a, b, g), ns):
         if not math.isfinite(rho + m2 + m4):  # all nonnegative: finite iff each is
@@ -356,10 +370,8 @@ def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, t
     2 (kq)^n T_n(A).  Raises the DomainError of ``distribution`` at the first
     negative coefficient, and InternalError unless the row sum,
     sum_e |orbit(e)| Q_n[e], is M0 = 2 (kq)^n T_n(c)."""
-    p, kq = c.numerator, k * c.denominator
     rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
-    sums = _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
-    for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, sums):
+    for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, _c_moments(c, k, ns)):
         negative = _first(reps, row, -1)
         if negative is not None:
             raise _negative(*negative, scale)
@@ -411,11 +423,7 @@ def marginal_moments_exact(
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
     _certify(c, k, ns)
-    p, kq = c.numerator, k * c.denominator
-    return [
-        (m, Fraction(m2, m0), Fraction(m4, m0))
-        for m, m0, m2, m4 in _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
-    ]
+    return [(m, Fraction(m2, m0), Fraction(m4, m0)) for m, m0, m2, m4 in _c_moments(c, k, ns)]
 
 
 def marginal_moments_float(

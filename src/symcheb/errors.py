@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the library and the CLI.
 
-The CLI maps these onto process exit codes: DomainError -> 1,
-UsageError -> 2, ResourceBudgetError -> 3, InternalError -> 4.
+Each class carries the ``label`` of its one stderr line and the process
+``exit_code`` that ``cli.run`` reports it with.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ ENUM_BUDGET_ENV = "SYMCHEB_ENUM_BUDGET"
 
 class UsageError(ValueError):
     """A call that violates an argument contract (wrong arity, bad range)."""
+    label, exit_code = "usage error", 2
 
 
 class DomainError(ValueError):
@@ -23,6 +24,7 @@ class DomainError(ValueError):
     demonstrates why the request is undefined, e.g. the location of a
     negative coefficient where a probability distribution was requested.
     """
+    label, exit_code = "domain error", 1
 
     def __init__(self, message: str, witness: object = None):
         super().__init__(message)
@@ -31,10 +33,12 @@ class DomainError(ValueError):
 
 class ResourceBudgetError(RuntimeError):
     """An enumeration whose size exceeds the configured budget."""
+    label, exit_code = "resource error", 3
 
 
 class InternalError(RuntimeError):
     """Two of the package's own routes disagree: a defect, never a bad input."""
+    label, exit_code = "internal error", 4
 
 
 def resolve_enum_budget(budget: int | None = None) -> int:

@@ -251,6 +251,10 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             eval_closed_T(3, 0.5)
 
+    def test_negative_degree_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="^degree must be a nonnegative integer, got -1$"):
+            eval_closed_T(-1, 2.0)
+
     def test_agrees_with_exact_evaluation(self):
         for n in range(0, 20):
             for x in (1.0, 1.5, 2.0, -1.25, -3.0):

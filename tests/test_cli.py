@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcheb import ChebKind, InternalError, cli, cltstats, symmetrized
+from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
 from symcheb.cli import build_parser, run
 from symcheb.laurent import parse_exact
 
@@ -166,6 +166,21 @@ class TestExitCodes:
         assert result.stderr.startswith("resource error: row 20 ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("family", [["--c", "2", "--k", "1"], ["--fg-r", "2"]], ids=["c", "fg"])
+    def test_float_clt_stops_at_the_budget(self, capsys, monkeypatch, family):
+        # the O(n) float recurrence had no bound: n = 10^23 never returned
+        argv = ["clt", *family, "--mode", "float_normalized", "--n"]
+        message = (
+            "resource error: float moments to n = {} are over the budget of {} "
+            "recurrence steps (raise SYMCHEB_ENUM_BUDGET)\n"
+        )
+        huge = "99999999999999999999999"
+        assert capture(capsys, [*argv, huge]) == (3, "", message.format(huge, 10**8))
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "1000")
+        code, out, err = capture(capsys, [*argv, "4,1000"])
+        assert (code, err) == (0, "") and out.splitlines()[-1].startswith("1000,")
+        assert capture(capsys, [*argv, "4,1001"]) == (3, "", message.format(1001, 1000))
+
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
         code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"])
@@ -302,6 +317,22 @@ class TestOutputs:
         )
         assert out == "e1,coeff\n-2,2/1\n0,3/1\n2,2/1\n"
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["sign-survey", "--kind", "T", "--k", "2", "--n-max", "4", "--c", "11/10", "--c", "2"],
+             "c,classification,witness_n,witness_e,witness_value\n"
+             "11/10,MIXED,2,0;0,-79/200\n2/1,ALL_NONNEG,,,\n"),
+            (["fgverify", "--r", "2", "--n", "3"],
+             "status,total_formula,total_oracle,mismatch_classes\nMATCH,28,28,0\n"),
+            (["positivity", "--kind", "T", "--n", "3", "--c", "11/10", "--k", "2"],
+             "all_nonnegative,pattern_ok,min_coefficient,witness\nfalse,,-1221/16000,-1;0\n"),
+        ],
+        ids=["sign-survey", "fgverify", "positivity"],
+    )
+    def test_csv_text(self, capsys, argv, expected):
+        assert capture(capsys, [*argv, "--format", "csv"]) == (0, expected, "")
+
     def test_table_csv_rows(self, capsys):
         _, out, _ = capture(
             capsys, ["table", "--kind", "U", "--c", "2", "--n-max", "2", "--format", "csv"]
@@ -316,6 +347,21 @@ class TestOutputs:
         assert payload["status"] == "MATCH"
         assert payload["total_formula"] == 12 and payload["total_oracle"] == 12
         assert payload["mismatches"] == []
+
+    def test_fgverify_lists_a_mismatch(self, capsys, monkeypatch):
+        formula = freegroup.counts_by_formula
+
+        def off_by_one(r, n):
+            table = formula(r, n)
+            return table._replace(counts={**table.counts, (2, 0): table.counts[(2, 0)] + 1})
+
+        monkeypatch.setattr(freegroup, "counts_by_formula", off_by_one)
+        code, out, err = capture(capsys, ["fgverify", "--r", "2", "--n", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "r": 2, "n": 2, "status": "MISMATCH", "total_formula": 13, "total_oracle": 12,
+            "mismatches": [{"e": [2, 0], "formula": 2, "oracle": 1}],
+        }
 
     def test_fgcount_paths_are_byte_identical(self, capsys):
         _, formula, _ = capture(capsys, ["fgcount", "--r", "2", "--n", "4"])
@@ -489,7 +535,7 @@ PARSER_STRUCTURE = {
         (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
         (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
         (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
-        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "_parse_c"),
         (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
         (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
         (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
@@ -497,7 +543,7 @@ PARSER_STRUCTURE = {
     "table": [
         (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
         (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
-        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "_parse_c"),
         (("--n-max",), "n_max", None, True, None, None, "_StoreAction", "int"),
         (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
         (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
@@ -506,7 +552,7 @@ PARSER_STRUCTURE = {
         (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
         (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
         (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
-        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "parse_exact"),
+        (("--c",), "c", None, True, None, "p/q", "_StoreAction", "_parse_c"),
         (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
         (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
         (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
@@ -516,7 +562,7 @@ PARSER_STRUCTURE = {
         (("--kind",), "kind", None, True, None, "T|U", "_StoreAction", "_parse_kind"),
         (("--k",), "k", 1, False, None, None, "_StoreAction", "int"),
         (("--n-max",), "n_max", None, True, None, None, "_StoreAction", "int"),
-        (("--c",), "c", None, True, None, "p/q", "_AppendAction", "parse_exact"),
+        (("--c",), "c", None, True, None, "p/q", "_AppendAction", "_parse_c"),
         (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
         (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
     ],
@@ -611,6 +657,28 @@ USAGE_ERROR_ARGVS = [
     ["fgcount", "--r", "2", "--n", "3", "--method", "guess"],
     ["clt", "--c", "2", "--k", "1", "--n", "4", "--extra"],
 ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["coeffs", "--kind", "X", "--n", "2", "--c", "2"],
+         "argument --kind: kind must be T or U, got 'X'"),
+        (["clt", "--c", "2", "--k", "1", "--n", "1,x"],
+         "argument --n: expected a comma-separated list of integers, got '1,x'"),
+        (["coeffs", "--kind", "T", "--n", "2", "--c", "1.5"],
+         "argument --c: not an exact rational (use p/q or an integer): '1.5'"),
+        (["sign-survey", "--kind", "T", "--n-max", "2", "--c", "2", "--c", "1/0"],
+         "argument --c: not an exact rational (use p/q or an integer): '1/0'"),
+        (["clt", "--c", "abc", "--k", "1", "--n", "4", "--mode", "float_normalized"],
+         "cannot parse c: 'abc'"),
+    ],
+    ids=["kind", "n_list", "c", "c_zero_denominator", "float_c"],
+)
+def test_usage_error_keeps_the_package_message(capsys, argv, message):
+    # argparse used to print "invalid _parse_kind value: 'X'", naming a
+    # private function, for every option type
+    assert capture(capsys, argv) == (2, "", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", USAGE_ERROR_ARGVS, ids=lambda argv: " ".join(argv) or "empty")

@@ -333,6 +333,8 @@ class TestCharFn:
     def test_validates_arguments(self):
         with pytest.raises(UsageError):
             char_fn(3, F(2), 2, [0.0])
+        with pytest.raises(UsageError, match="^n must be a nonnegative integer, got -1$"):
+            char_fn(-1, F(2), 1, [0.0])
         with pytest.raises(DomainError):
             char_fn(3, F(1), 1, [0.0])
 
@@ -728,6 +730,9 @@ class TestConvergenceReport:
     def test_bad_mode(self):
         with pytest.raises(UsageError):
             convergence_report(F(2), 1, [4], mode="fast")
+        message = "^mode must be 'exact' or 'float_normalized', got 'bogus'$"
+        with pytest.raises(UsageError, match=message):
+            freegroup_convergence_report(2, [4], mode="bogus")
 
 
 class TestFreeGroupLink:

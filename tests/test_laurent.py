@@ -56,6 +56,26 @@ class TestExamples:
         assert p.mirror(0) == uni({-1: 1, 0: 2})
         assert p.mirror(0).mirror(0) == p
 
+    def test_monomial(self):
+        assert LaurentPoly.monomial([2, -1], F(3, 4)) == LaurentPoly(2, {(2, -1): F(3, 4)})
+        assert LaurentPoly.monomial((0,)) == LaurentPoly.constant(1, 1)
+
+    def test_is_zero(self):
+        assert LaurentPoly.zero(2).is_zero()
+        assert (uni({1: 1}) - uni({1: 1})).is_zero()
+        assert not uni({0: 1}).is_zero()
+
+    def test_equal_polynomials_hash_alike(self):
+        p = uni({2: 1, -2: 1}) * uni({0: 3})
+        q = LaurentPoly(1, [((-2,), 3), ((2,), 3)])
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, uni({0: 1})}) == 2
+
+    def test_repr_lists_sorted_terms_exactly(self):
+        p = uni({2: 2, 0: 3, -2: 2})
+        assert repr(p) == "LaurentPoly(arity=1, {[-2]: 2/1, [0]: 3/1, [2]: 2/1})"
+        assert repr(LaurentPoly.zero(2)) == "LaurentPoly(arity=2, {})"
+
 
 class TestErrors:
     def test_arity_mismatch(self):
@@ -85,6 +105,29 @@ class TestErrors:
     def test_float_coefficients_rejected(self):
         with pytest.raises(UsageError):
             LaurentPoly(1, {(0,): 0.5})
+
+    @pytest.mark.parametrize("arity", [0, -1, 1.0, "1"])
+    def test_bad_arity(self, arity):
+        with pytest.raises(UsageError, match=f"^arity must be a positive integer, got {arity!r}$"):
+            LaurentPoly(arity)
+
+    @pytest.mark.parametrize("exponents", [(1, 0), (), (1.0,), ("1",)])
+    def test_bad_exponent_vector(self, exponents):
+        with pytest.raises(UsageError, match=r"^exponent vector .* does not have arity 1$"):
+            LaurentPoly(1, [(exponents, 1)])
+
+    def test_foreign_operands_are_not_implemented(self):
+        p = uni({1: 1})
+        assert p.__eq__("x") is NotImplemented and p != "x"
+        for operand in ("x", 0.5, None):
+            for method in (p.__add__, p.__sub__, p.__mul__):
+                assert method(operand) is NotImplemented
+        with pytest.raises(TypeError):
+            p + "x"
+        with pytest.raises(TypeError):
+            p - 1
+        with pytest.raises(TypeError):
+            p * 0.5
 
 
 class TestSerialization:

@@ -1,4 +1,8 @@
 import ast
+import contextlib
+import io
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +79,30 @@ print(before, sys.get_int_max_str_digits())
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     before, after = result.stdout.split()
     assert before == after
+
+
+def _readme_blocks(language):
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def test_readme_examples_run():
+    from symcheb.cli import run
+
+    (library,) = _readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(library, "README.md", "exec"), {})
+    assert out.getvalue() == (
+        "LaurentPoly(arity=1, {[-2]: 2/1, [0]: 3/1, [2]: 2/1})\n448/97\n"
+    )
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in _readme_blocks("")
+        for line in block.splitlines()
+        if line.startswith("symcheb ")
+    ]
+    assert len(commands) == 10
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert (argv, run(argv)) == (argv, 0)

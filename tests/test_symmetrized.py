@@ -306,6 +306,14 @@ class TestUnivariateTable:
         assert table.value(2, 5) == 0
         assert table.value(2, -3) == 0
 
+    @pytest.mark.parametrize("n", [-1, 4])
+    def test_row_out_of_range_is_a_usage_error(self, n):
+        table = univariate_table(U, F(2), 3)
+        with pytest.raises(UsageError, match=rf"^row {n} not in table \(0\.\.3\)$"):
+            table.value(n, 0)
+        with pytest.raises(UsageError, match=rf"^row {n} not in table \(0\.\.3\)$"):
+            table.row_poly(n)
+
     @pytest.mark.parametrize("kind", [T, U])
     @pytest.mark.parametrize("c", [F(3, 2), F(2)])
     def test_rows_agree_with_build(self, kind, c):
