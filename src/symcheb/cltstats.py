@@ -55,11 +55,18 @@ from the theorem in ``symmetrized``; below c_k by the kernel's rows up to
 n = 32, refusing a larger n as uncertified.  Off-diagonal covariances
 vanish at every n, since each coordinate can be mirrored independently.
 
-Float-normalized mode runs, in floats, the three-term recurrence that the
-moments of consecutive symmetric rows obey, in an increment form that keeps
-M2/M0 and M4/M0 within a few ulp unless c is near 1 (see
-``_float_moment_rows``).  Exact mode is capped at n = 1024 by default, for
-every k and for word counts (``DEFAULT_EXACT_CEILING``); it is a parameter.
+Float-normalized mode evaluates the same closed form in floats.  With
+t = sqrt(D)/P = tanh y and lambda = 2a/P (t = sqrt(c^2 - 1)/c, lambda = 1/k
+for c; t = (r-1)/r, lambda = 1/r for rank r), U_n / V_n = tanh(n y)/sqrt(D)
+turns it into
+
+    m2 = lambda n tau_n / t,  m4 = m2 + 3 lambda^2 n w_n / t^3,
+
+with tau_n = tanh(n y) and w_n = n t - tau_n >= 0, found in O(log n) steps
+that add nonnegative terms only (``_float_moments``): within 16 ulp of the
+exact moments of the same binary c, whatever c and n.  Exact mode is
+capped at n = 1024 by default, for every k and for word counts
+(``DEFAULT_EXACT_CEILING``); it is a parameter.
 """
 
 from __future__ import annotations
@@ -192,14 +199,20 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     if len(theta) != k:
         raise UsageError(f"theta has length {len(theta)}, expected k = {k}")
     y = (c_float / k) * sum(math.cos(t) for t in theta)
-    rho_c = c_float + math.sqrt(c_float * c_float - 1.0)
-    inv_c = (1.0 / rho_c) ** n
+    half_c = _half_rho(c_float)
+    inv_c = (0.5 / half_c) ** n
     if abs(y) < 1.0:
         return math.cos(n * math.acos(y)) * 2.0 * inv_c / (1.0 + inv_c * inv_c)
-    rho_y = abs(y) + math.sqrt(y * y - 1.0)
+    half_y = _half_rho(abs(y))
     sign = -1.0 if y < 0 and n % 2 else 1.0
-    inv_y = (1.0 / rho_y) ** n
-    return sign * (rho_y / rho_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
+    inv_y = (0.5 / half_y) ** n
+    return sign * (half_y / half_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
+
+
+def _half_rho(x: float) -> float:
+    """rho(x) / 2 for x >= 1, exactly half the float of rho(x) and finite
+    wherever x is: from x = 2^27 on, sqrt(x^2 - 1) rounds to x, and is x."""
+    return 0.5 * x + 0.5 * (x if x >= 2.0**27 else math.sqrt(x * x - 1.0))
 
 
 def _to_float(value: Scalar | float, name: str) -> float:
@@ -235,13 +248,23 @@ def _variance_args(c: Scalar | float, k: int) -> tuple[float, float]:
 def sigma2_reported(c: Scalar | float, k: int) -> float:
     """(c/k) [1 + sqrt((c+1)/(c-1))]: the originally reported variance constant."""
     c_float, k_float = _variance_args(c, k)
-    return (c_float / k_float) * (1.0 + math.sqrt((c_float + 1.0) / (c_float - 1.0)))
+    sigma2 = (c_float / k_float) * (1.0 + math.sqrt((c_float + 1.0) / (c_float - 1.0)))
+    if sigma2 == math.inf:
+        raise DomainError(
+            f"the reported variance constant at c = {c_float}, k = {k} "
+            "is too large for float arithmetic"
+        )
+    return sigma2
 
 
 def sigma2_rederived(c: Scalar | float, k: int) -> float:
     """c / (k sqrt(c^2-1)): the variance constant the exact moments converge to."""
     c_float, k_float = _variance_args(c, k)
-    return c_float / (k_float * math.sqrt(c_float * c_float - 1.0))
+    if c_float < 2.0**27:
+        return c_float / (k_float * math.sqrt(c_float * c_float - 1.0))
+    # sqrt(c^2 - 1) rounds to c: c / (k c), scaled into [1/2, 1) so that k c stays finite
+    mantissa = math.frexp(c_float)[0]
+    return mantissa / (k_float * mantissa)
 
 
 def _lucas(big_p: int, g: int, n: int) -> tuple[int, int]:
@@ -280,40 +303,10 @@ def _c_moments(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple]:
     return _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
 
 
-def _float_moment_rows(a: float, b: float, g: float) -> Iterator[tuple[float, float, float]]:
-    """(rho, M2/M0, M4/M0) of rows 0, 1, 2, ... in floats, rho = M0 / M0^-
-    (M0^- = 1 at row 0).  With A = 2a + b the moments obey M0' = A M0 - g M0^-,
-    M2' = A M2 + 2a M0 - g M2^- and M4' = A M4 + a (12 M2 + 2 M0) - g M4^-,
-    run in the increment form
-
-        rho' = A - g / rho,  d2' = (2a + g d2 / rho) / rho',
-        d4' = (a (12 M2/M0 + 2) + g d4 / rho) / rho',
-
-    d being a ratio's step from the previous row.  Every term is
-    nonnegative, the d-map contracts and the steps are Kahan-summed, so
-    rounding error does not build up; the recurrence divided by M0 leaves
-    M2/M0 on a neutral mode whose error grows linearly in n.
-    """
-    big_a = 2 * a + b
-    yield 2.0, 0.0, 0.0
-    rho = big_a / 2
-    d2 = d4 = m2 = m4 = 2 * a / big_a
-    e2 = e4 = 0.0  # Kahan compensations of m2 and m4
-    while True:
-        yield rho, m2, m4
-        rho_next = big_a - g / rho
-        d4 = (a * (12 * m2 + 2) + g * d4 / rho) / rho_next
-        d2 = (2 * a + g * d2 / rho) / rho_next
-        rho = rho_next
-        y2, y4 = d2 - e2, d4 - e4
-        s2, s4 = m2 + y2, m4 + y4
-        e2, e4 = (s2 - m2) - y2, (s4 - m4) - y4
-        m2, m4 = s2, s4
-
-
-def _float_moments(a: float, b: float, g: float, ns: list[int]) -> list[tuple[int, float, float]]:
-    """(n, m2, m4) per n in ns; ResourceBudgetError first if ns[-1] steps are
-    over the budget, DomainError where the float range is exceeded."""
+def _float_moments(lam: float, t: float, ns: list[int]) -> list[tuple[int, float, float]]:
+    """(n, m2, m4) per n in ns by the closed form of the module docstring,
+    (tau_n, w_n) by binary powering from (0, 0) with the addition formula of
+    tanh; ResourceBudgetError if ns[-1] is over the budget."""
     budget = resolve_enum_budget()
     if ns[-1] > budget:
         raise ResourceBudgetError(
@@ -321,13 +314,16 @@ def _float_moments(a: float, b: float, g: float, ns: list[int]) -> list[tuple[in
             f"recurrence steps (raise {ENUM_BUDGET_ENV})"
         )
     out = []
-    for m, (rho, m2, m4) in _requested(_float_moment_rows(a, b, g), ns):
-        if not math.isfinite(rho + m2 + m4):  # all nonnegative: finite iff each is
-            raise DomainError(
-                f"float moments of row n = {m} are not finite (row sum ratio {rho}, "
-                f"m2 {m2}, m4 {m4}); the distribution is undefined"
-            )
-        out.append((m, m2, m4))
+    for n in ns:
+        tau = w = 0.0
+        for bit in bin(n)[2:]:
+            square = tau * tau
+            tau, w = 2 * tau / (1 + square), 2 * w + 2 * tau * square / (1 + square)  # m -> 2m
+            if bit == "1":
+                s, p = tau + t, tau * t
+                tau, w = s / (1 + p), w + s * p / (1 + p)  # m -> m + 1
+        m2 = lam * n * tau / t
+        out.append((n, m2, m2 + 3 * lam * lam * n * w / (t * t * t)))
     return out
 
 
@@ -340,16 +336,6 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError(f"n values must be strictly increasing, got {ns!r}")
     return ns
-
-
-def _requested(rows: Iterator[list], ns: list[int]) -> Iterator[tuple[int, list]]:
-    """(n, row n) for each n in the increasing list ns; stops after the last."""
-    wanted = set(ns)
-    for m, row in enumerate(rows):
-        if m in wanted:
-            yield m, row
-        if m >= ns[-1]:
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +356,8 @@ def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, t
     2 (kq)^n T_n(A).  Raises the DomainError of ``distribution`` at the first
     negative coefficient, and InternalError unless the row sum,
     sum_e |orbit(e)| Q_n[e], is M0 = 2 (kq)^n T_n(c)."""
-    rows = _requested(_scaled(ChebKind.FIRST, c, k, ns[-1]), ns)
+    wanted = set(ns)
+    rows = ((n, row) for n, row in enumerate(_scaled(ChebKind.FIRST, c, k, ns[-1])) if n in wanted)
     for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, _c_moments(c, k, ns)):
         negative = _first(reps, row, -1)
         if negative is not None:
@@ -431,16 +418,15 @@ def marginal_moments_float(
 ) -> list[tuple[int, float, float]]:
     """Float-normalized (n, m2, m4) of one coordinate, per n.
 
-    Runs the O(n) moment recurrence in floats.  Signs are certified as in
-    ``marginal_moments_exact``, at the float's exact rational value; that,
-    or a moment that is not finite, raises DomainError."""
+    The closed form in tanh(n acosh c), O(log n) float steps per n, with t
+    formed to keep its bits near c = 1 and not overflow.  Signs are certified
+    as in ``marginal_moments_exact``, at the float's exact value."""
     check_arity(k)
     ns = _check_n_list(n_list)
     c_float = _above_one(c, "coefficient distributions need c > 1")
     _certify(Fraction(c_float), k, ns)
-    alpha = c_float / k
-    beta = 2.0 * c_float * (k - 1) / k
-    return _float_moments(alpha, beta, 1.0, ns)
+    t = math.sqrt(c_float - 1.0) * math.sqrt(c_float + 1.0) / c_float
+    return _float_moments(1 / k, t, ns)
 
 
 def fg_marginal_moments_exact(
@@ -472,7 +458,7 @@ def fg_marginal_moments_float(
     ns = _check_n_list(n_list)
     check_rank(r)
     out = []
-    for m, m2, m4 in _float_moments(1.0, float(2 * (r - 1)), float(2 * r - 1), ns):
+    for m, m2, m4 in _float_moments(1 / r, (r - 1) / r, ns):
         # Trivial-class correction, applied as the correctly rounded ratio
         # (total - correction) / total; negligible for large n.
         total = total_count(r, m)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,26 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("domain error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "float_normalized"])
+    def test_huge_c_keeps_finite_json_or_fails_in_one_line(self, capsys, mode):
+        # c c - 1 overflowed above about 1.34e154: sigma2_rederived read 0.0
+        # and, at c = 10^308, k = 1, sigma2_paper printed as Infinity
+        for c, k, n, m2_over_n in ((10**200, 1, 2, 1.0), (10**308, 2, 4, 0.5)):
+            argv = ["clt", "--c", str(c), "--k", str(k), "--n", str(n), "--format", "json"]
+            code, out, err = capture(capsys, [*argv, "--mode", mode])
+            assert (code, err) == (0, "")
+            payload = json.loads(out, parse_constant=pytest.fail)
+            assert (payload["sigma2_paper"], payload["sigma2_rederived"]) == (c / k * 2.0, 1 / k)
+            (row,) = payload["rows"]
+            assert float(Fraction(row["m2_over_n"])) == m2_over_n and row["dist_rederived"] == 0.0
+        argv = ["clt", "--c", str(10**308), "--k", "1", "--n", "2", "--mode", mode]
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "domain error: the reported variance constant at c = 1e+308, k = 1 "
+            "is too large for float arithmetic\n"
+        )
+
     @pytest.mark.parametrize("c", ["nan", "1e400"])
     def test_non_finite_float_c_is_one_line_domain_error(self, capsys, c):
         argv = ["clt", "--c", c, "--k", "1", "--n", "4", "--mode", "float_normalized"]
@@ -356,12 +377,14 @@ class TestOutputs:
             return table._replace(counts={**table.counts, (2, 0): table.counts[(2, 0)] + 1})
 
         monkeypatch.setattr(freegroup, "counts_by_formula", off_by_one)
-        code, out, err = capture(capsys, ["fgverify", "--r", "2", "--n", "2"])
-        assert (code, err) == (0, "")
-        assert json.loads(out) == {
-            "r": 2, "n": 2, "status": "MISMATCH", "total_formula": 13, "total_oracle": 12,
-            "mismatches": [{"e": [2, 0], "formula": 2, "oracle": 1}],
-        }
+        # two of the package's own routes disagreeing is a defect: exit 4
+        for fmt in ("json", "csv"):
+            code, out, err = capture(capsys, ["fgverify", "--r", "2", "--n", "2", "--format", fmt])
+            assert (code, out) == (4, "")
+            assert err == (
+                "internal error: 1 mismatched classes for r = 2, n = 2; "
+                "the first, [2, 0], counts 2 by formula and 1 by enumeration\n"
+            )
 
     def test_fgcount_paths_are_byte_identical(self, capsys):
         _, formula, _ = capture(capsys, ["fgcount", "--r", "2", "--n", "4"])
@@ -476,8 +499,9 @@ def test_exact_output_past_int_str_digit_limit(argv):
 @pytest.mark.parametrize(
     "params,message",
     [
-        (["clt", "--k", "2", "--c", "1e308", "--n", "4", "--mode", "float_normalized"],
-         "not finite"),
+        (["clt", "--k", "1", "--c", "1e308", "--n", "4", "--mode", "float_normalized"],
+         "domain error: the reported variance constant at c = 1e+308, k = 1 "
+         "is too large for float arithmetic\n"),
         (["clt", "--k", "2", "--c", "1.05", "--n", "4,8", "--mode", "float_normalized"],
          "domain error: coefficient at [-1, -1] is negative"),
         (["clt", "--c", "11/10", "--k", "2", "--n", "3"],

@@ -375,6 +375,29 @@ class TestVarianceConstants:
         assert sigma2_rederived(2, 2) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
         assert sigma2_rederived(3, 1) == pytest.approx(3 / math.sqrt(8), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "c", [10**200, 10**308, 1e200, 1e308], ids=["10^200", "10^308", "1e200", "1e308"]
+    )
+    def test_huge_c(self, c):
+        # c c - 1 overflowed above about 1.34e154: the rederived constant read
+        # 0.0 and char_fn nan; sqrt(c^2 - 1) rounds to c from c = 2^27 on
+        assert [sigma2_rederived(c, k) for k in (1, 2, 3)] == [1.0, 0.5, 1 / 3]
+        assert sigma2_reported(c, 2) == float(c)
+        assert char_fn(4, c, 2, [0.0, 0.0]) == 1.0
+        assert char_fn(4, c, 2, [0.3, 1.1]) == pytest.approx(
+            ((math.cos(0.3) + math.cos(1.1)) / 2) ** 4, rel=1e-15
+        )
+
+    @pytest.mark.parametrize("c", [10**308, 1e308], ids=["10^308", "1e308"])
+    def test_reported_overflow_is_domain_error(self, c):
+        with pytest.raises(DomainError, match=r"^the reported variance constant at c = 1e\+308"):
+            sigma2_reported(c, 1)
+
+    def test_rederived_is_unchanged_where_c_squared_is_finite(self):
+        for c in (2.0**27, 2.0**27 + 1, 3e9, 1e100, 1.3e154):
+            for k in (1, 3, 7):
+                assert sigma2_rederived(c, k) == c / (k * math.sqrt(c * c - 1.0))
+
     def test_domain(self):
         for fn in (sigma2_reported, sigma2_rederived):
             with pytest.raises(DomainError):
@@ -435,10 +458,10 @@ class TestMarginalEngine:
                 marginal_moments_float(c_float, k, ns)
             assert approx.value.witness == exact.value.witness == witness
 
-    def test_float_rows_reject_non_finite_entries(self):
-        # at c = 1e308 the float moment recurrence overflows
-        with pytest.raises(DomainError, match="not finite"):
-            marginal_moments_float(1e308, 2, [4])
+    def test_float_moments_stay_finite_at_huge_c(self):
+        # the O(n) float recurrence overflowed here; tanh(n acosh c) rounds to
+        # 1, and m2 = n/k, m4 = m2 + 3 n (n - 1)/k^2 are those of the limit c -> oo
+        assert marginal_moments_float(1e308, 2, [4]) == [(4, 2.0, 11.0)]
 
     def test_c_below_k_works_when_rows_stay_nonnegative(self):
         # c = 3/2 < k = 2: joint nonnegativity holds here (verified against
@@ -648,8 +671,11 @@ class TestMomentRecurrence:
 
 
 class TestFloatMomentRecurrence:
+    """The tanh doubling recurrence of the float moments, against the exact
+    moments of the same binary c: within 16 ulp whatever c and n."""
+
     EPS = 2.0**-52
-    NS = [64, 448, 1152, 4096]
+    NS = [64, 448, 1152, 4096, 20_000]
 
     def max_rel_error(self, approx, exact):
         return max(
@@ -660,23 +686,63 @@ class TestFloatMomentRecurrence:
 
     @pytest.mark.parametrize(
         "c,k",
-        [(c, 1) for c in (1 + 2**-10, 1 + 2**-6, 1.0625, 1.5, 2.0, 2.375)]
+        [(c, 1) for c in (1 + 2**-30, 1 + 2**-10, 1 + 2**-6, 1.0625, 1.5, 2.0, 2.375)]
         + [(c, 2) for c in (2.625, 2.875, 5.0)]
         + [(3.0, 3), (3.5, 3)],
     )
     def test_accuracy_against_exact(self, c, k):
         # dyadic c is an exact float, so the exact moments of the same c are
-        # the oracle; m2 has condition number about 1/(c^2 - 1) in c near 1
+        # the oracle; t = sqrt(c - 1) sqrt(c + 1) / c keeps its bits near 1
         approx = marginal_moments_float(c, k, self.NS)
         exact = marginal_moments_exact(F(c), k, self.NS)
         assert [n for n, *_ in approx] == self.NS
-        assert self.max_rel_error(approx, exact) <= max(16, 1 / (c * c - 1)) * self.EPS
+        assert self.max_rel_error(approx, exact) <= 16 * self.EPS
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_fg_accuracy_against_exact(self, r):
         approx = fg_marginal_moments_float(r, self.NS)
         exact = fg_marginal_moments_exact(r, self.NS)
         assert self.max_rel_error(approx, exact) <= 16 * self.EPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(0, 40).flatmap(  # dyadic c in (1, 6]
+            lambda e: st.integers(1, 5 << e).map(lambda m: 1 + F(m, 1 << e))
+        ),
+        k=st.integers(1, 4),
+        ns=st.lists(st.integers(1, 2000), min_size=1, max_size=3, unique=True).map(sorted),
+    )
+    def test_matches_exact_on_dyadic_c(self, c, k, ns):
+        try:
+            exact = marginal_moments_exact(c, k, ns)
+        except DomainError:
+            assume(False)  # a negative or uncertified coefficient: no distribution
+        assert self.max_rel_error(marginal_moments_float(float(c), k, ns), exact) <= 16 * self.EPS
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        r=st.integers(2, 4),
+        ns=st.lists(st.integers(1, 2000), min_size=1, max_size=3, unique=True).map(sorted),
+    )
+    def test_fg_matches_exact(self, r, ns):
+        exact = fg_marginal_moments_exact(r, ns)
+        assert self.max_rel_error(fg_marginal_moments_float(r, ns), exact) <= 16 * self.EPS
+
+    @pytest.mark.parametrize("c,k", [(1 + 2**-52, 1), (1 + 2**-40, 1), (1.5, 2), (3.0, 3)])
+    def test_default_budget_n(self, c, k):
+        # n = 10^8, the default budget, in O(log n) steps; near c = 1 the
+        # limit is far off: n acosh(1 + 2^-52) is about 2.1
+        n = 10**8
+        ((_, m2, _),) = marginal_moments_float(c, k, [n])
+        closed = (c / k) * math.tanh(n * math.acosh(c)) / math.sqrt((c - 1) * (c + 1))
+        assert m2 / n == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_fg_default_budget_n(self, r):
+        # the engine alone: the trivial-class factor's exact total count is
+        # O(n) bits long, and rounds to 1.0 long before n = 10^8
+        ((n, m2, _),) = cltstats._float_moments(1 / r, (r - 1) / r, [10**8])
+        assert m2 / n == pytest.approx(1 / (r - 1), rel=1e-15)
 
     def test_hundred_thousand(self):
         (row,) = convergence_report(2.0, 1, [100_000], mode=MODE_FLOAT).rows

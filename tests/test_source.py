@@ -102,7 +102,7 @@ def test_readme_examples_run():
         for line in block.splitlines()
         if line.startswith("symcheb ")
     ]
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert (argv, run(argv)) == (argv, 0)
