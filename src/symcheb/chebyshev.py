@@ -15,8 +15,8 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from operator import itemgetter
+from itertools import combinations, permutations, product, repeat
+from operator import itemgetter, neg
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -240,8 +240,76 @@ def orbit_terms(
     representative in reps with a nonzero entry in the kernel row, sorted
     lexicographically by member.  Cancelled zeros are skipped; value is
     called once per representative, and its orbit shares the result."""
-    shared = ((e, value(entry)) for e, entry in zip(reps, row) if entry)
-    return sorted(((member, v) for e, v in shared for member in orbit(e)), key=itemgetter(0))
+    terms = []
+    for e, entry in zip(reps, row):
+        if entry:
+            terms += zip(orbit(e), repeat(value(entry)))
+    return sorted(terms, key=itemgetter(0))
+
+
+def orbit_lines(
+    reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], str], layout: tuple
+) -> Iterator[str]:
+    """The terms of ``orbit_terms(reps, row, value)`` as text, in order, one
+    piece per run of terms that share e_1 and e_2.  With layout (head, sep,
+    tail, end, joint), a term is head e_1 sep ... sep e_k tail text end, and
+    a piece joins its terms by joint.
+
+    The members with e_1 = -v or v of a representative holding v are
+    (e_1, *f), f in the orbit of the representative with one copy of v taken
+    off.  So the lines of coordinates j..k are made once per multiset of
+    entries taken off, as one "\\n"-joined block, and one str.replace puts
+    the coordinates before j on each of its lines.  Each block is made
+    once; the e_1 = -v slice keeps its blocks until e_1 = v, and no slice
+    is joined whole."""
+    head, sep, tail, end, joint = layout
+    blocks = {}
+
+    def parts(taken, items, v):
+        """(x sep, block of the lines after x) for each first coordinate x of
+        the members of the orbits of the items with one copy of v taken off,
+        ascending; taken is the sorted tuple of the entries taken off, v
+        included."""
+        buckets = {}
+        for rest, text in items:
+            i = rest.index(v)
+            rest = rest[:i] + rest[i + 1 :]
+            for w in set(rest):
+                buckets.setdefault(w, []).append((rest, text))
+        out = []
+        for x in sorted({*buckets, *map(neg, buckets)}):
+            sub = buckets[abs(x)]
+            if len(sub[0][0]) == 1:  # the last coordinate: the block is the text
+                out.append((f"{x}{tail}", sub[0][1]))
+                continue
+            key = tuple(sorted((*taken, abs(x))))
+            if key not in blocks:
+                lines = []
+                for p, block in parts(key, sub, abs(x)):
+                    lines.append(p + block.replace("\n", "\n" + p))
+                blocks[key] = "\n".join(lines)
+            out.append((f"{x}{sep}", blocks[key]))
+        return out
+
+    buckets = {}  # each nonzero representative under each of its entries
+    for e, entry in zip(reps, row):
+        if entry:
+            item = (e, value(entry))
+            for v in set(e):
+                buckets.setdefault(v, []).append(item)
+    kept = {}  # the parts of e_1 = -v, until e_1 = v
+    for x in sorted({*buckets, *map(neg, buckets)}):
+        sub = buckets[abs(x)]
+        if len(sub[0][0]) == 1:  # k = 1
+            yield f"{head}{x}{tail}{sub[0][1]}{end}"
+            continue
+        pairs = kept.pop(x, None) or parts((abs(x),), sub, abs(x))
+        if x < 0:
+            kept[-x] = pairs
+        for p, block in pairs:
+            prefix = f"{head}{x}{sep}{p}"
+            block = block.replace("\n", f"{end}{joint}{prefix}")
+            yield f"{prefix}{block}{end}"
 
 
 def orbit_size(e: tuple[int, ...]) -> int:

@@ -8,11 +8,16 @@ with the label and exit code that its class carries.
 
 Each command's handler runs all of its checks and builds its kernel rows
 when it is called, then returns its output as an iterable of text pieces:
-the head, each row or run of terms, the tail.  ``run`` joins them into
-batches of at least 64 KiB and writes each batch, so no byte is written
-and no --out file is opened before the last check has passed, and memory
-tracks a row of output, not the whole document.  Only a failed write can
-leave partial output.
+the head, each table row or each run of terms that share e_1 and e_2, the
+tail.  ``run`` joins them into batches of at least 64 KiB and writes each
+batch, so no byte is written and no --out file is opened before the last
+check has passed, and memory tracks a row of output, not the whole
+document.  Term lists are written from the kernel's orbit representatives
+by ``chebyshev.orbit_lines``: the lines of the last coordinates are made
+once per block of an orbit and shared by every prefix, with no tuple, sort
+or format per term; only ``fgcount --method oracle``, the independent
+route, formats term by term.  Only a failed write can leave partial
+output.
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -29,10 +34,11 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Sequence
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import cltstats, freegroup, symmetrized
-from .chebyshev import ChebKind, orbit_terms
+from .chebyshev import ChebKind, orbit_lines
 from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
 
@@ -86,30 +92,27 @@ def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
     yield "]}\n"
 
 
-_TERMS_PER_PIECE = 256  # a generator step per term would cost more than formatting it
-
-
 def _terms_text(
-    fmt: str, head: dict, key: str, name: str, k: int, terms: Sequence[tuple[tuple, str]]
+    fmt: str, head: dict, key: str, name: str, k: int, lines: Callable[[tuple], Iterable[str]]
 ) -> Iterator[str]:
-    """A list of (exponents, text) terms, each text already JSON in JSON: in
-    JSON, under ``key`` after the ``head`` fields; in CSV, as columns e1..ek
-    and ``name``.  Terms are formatted as they are written, _TERMS_PER_PIECE
-    to a piece."""
+    """A term list, as ``lines(layout)`` writes its terms: in JSON,
+    under ``key`` after the ``head`` fields; in CSV, as columns e1..ek and
+    ``name``.  With layout (head, sep, tail, end, joint), a term is head e_1
+    sep ... sep e_k tail text end, and the terms of a piece are joined by
+    joint."""
     if fmt == "json":
-        line = f'{{"e": [{", ".join(["%d"] * k)}], {json.dumps(name)}: %s}}'
-        return _json_list(head, key, _joined(", ", line, terms))
-    header = ",".join([*(f"e{i + 1}" for i in range(k)), name])
-    line = ",".join(["%d"] * k + ["%s"])
-    return _csv_lines(header, _joined("\n", line, terms))
+        layout = ('{"e": [', ", ", f"], {json.dumps(name)}: ", "}", ", ")
+        return _json_list(head, key, lines(layout))
+    header = ",".join([*map("e{}".format, range(1, k + 1)), name])
+    return _csv_lines(header, lines(("", ",", ",", "", "\n")))
 
 
-def _joined(separator: str, line: str, terms: Sequence[tuple[tuple, str]]) -> Iterator[str]:
-    """line % (*e, text) for each term, joined by separator in runs of
-    _TERMS_PER_PIECE terms."""
-    for start in range(0, len(terms), _TERMS_PER_PIECE):
-        chunk = terms[start : start + _TERMS_PER_PIECE]
-        yield separator.join([line % (*e, text) for e, text in chunk])
+def _plain_lines(terms: Iterable[tuple[tuple, int]], layout: tuple) -> Iterator[str]:
+    """Each (exponents, count) term as one piece in the layout of
+    ``_terms_text``: the term-by-term writer of the enumeration route."""
+    head, sep, tail, end, _ = layout
+    for e, count in terms:
+        yield f"{head}{sep.join(map(str, e))}{tail}{count}{end}"
 
 
 def _ratio_text(entry: int, scale: int) -> str:
@@ -145,8 +148,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     reps, row, scale = symmetrized._scaled_row(spec)
     ratio = _RATIO[args.format]
-    texts = orbit_terms(reps, row, lambda entry: ratio(entry, scale))
-    return _terms_text(args.format, head, "terms", "coeff", args.k, texts)
+    lines = partial(orbit_lines, reps, row, lambda entry: ratio(entry, scale))
+    return _terms_text(args.format, head, "terms", "coeff", args.k, lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
@@ -221,11 +224,10 @@ def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
 
 def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
     if args.method == "oracle":
-        table = freegroup.enumerate_counts(args.r, args.n)
-        texts = [(e, str(count)) for e, count in table.sorted_items()]
+        lines = partial(_plain_lines, freegroup.enumerate_counts(args.r, args.n).sorted_items())
     else:
-        texts = orbit_terms(*freegroup._formula_row(args.r, args.n), str)
-    return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, texts)
+        lines = partial(orbit_lines, *freegroup._formula_row(args.r, args.n), str)
+    return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, lines)
 
 
 def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:

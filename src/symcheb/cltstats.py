@@ -460,10 +460,15 @@ def fg_marginal_moments_float(
     out = []
     for m, m2, m4 in _float_moments(1 / r, (r - 1) / r, ns):
         # Trivial-class correction, applied as the correctly rounded ratio
-        # (total - correction) / total; negligible for large n.
-        total = total_count(r, m)
-        factor = (total - trivial_class_correction(r, m)) / total
-        out.append((m, m2 * factor, m4 * factor))
+        # (total - correction) / total.  It is 1.0 once total > (2r-1)^m >=
+        # 2^54 correction, which m (bit_length(2r-1) - 1) bits certify without
+        # the O(m)-bit total; odd m has no correction.
+        correction = trivial_class_correction(r, m)
+        if correction and m * ((2 * r - 1).bit_length() - 1) < 54 + correction.bit_length():
+            total = total_count(r, m)
+            factor = (total - correction) / total
+            m2, m4 = m2 * factor, m4 * factor
+        out.append((m, m2, m4))
     return out
 
 

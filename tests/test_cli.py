@@ -452,6 +452,9 @@ class TestDeterminism:
             ("clt_c2_k1_exact.csv", ["clt", "--c", "2", "--k", "1", "--n", "2,4,8,16,32"]),
             ("clt_fg_r2_float.csv",
              ["clt", "--fg-r", "2", "--n", "16,32,64", "--mode", "float_normalized"]),
+            ("coeffs_T6_c7-5_k3.csv",
+             ["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "6", "--format", "csv"]),
+            ("fgcount_r4_n4.json", ["fgcount", "--r", "4", "--n", "4"]),
         ],
     )
     def test_golden_files(self, capsys, name, argv):
@@ -733,6 +736,8 @@ def test_help_is_unchanged(capsys, argv):
 EXACT_C = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "-2"]).map(parse_exact),
     st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.fractions(max_value=0, min_value=-3, max_denominator=9),  # c <= 0
+    st.fractions(min_value=-1, max_value=1, max_denominator=9),  # |c| <= 1: cancelled zeros
 )
 KINDS = st.sampled_from(list(ChebKind))
 FORMATS = st.sampled_from(["json", "csv"])
@@ -742,20 +747,37 @@ def _c_text(c):
     return f"{c.numerator}/{c.denominator}"
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+def run_to_both(argv, out_dir):
+    """run_text(argv), once it has checked that --out writes the same text
+    to a file, with nothing on standard output."""
+    code, out, err = run_text(argv)
+    target = out_dir / "out.txt"
+    assert run_text([*argv, "--out", str(target)]) == (code, "", err)
+    assert target.read_text(encoding="utf-8") == out
+    return code, out, err
+
+
 class TestOrbitWriter:
     """The command line writes term lists from the kernel's orbit
     representatives; the oracles write them term by term, as it once did."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(kind=KINDS, c=EXACT_C, k=st.integers(1, 4), n=st.integers(0, 7), fmt=FORMATS)
+    @settings(max_examples=80, deadline=None)
+    @given(kind=KINDS, c=EXACT_C, k=st.integers(1, 5), n=st.integers(0, 12), fmt=FORMATS)
     @example(kind=ChebKind.FIRST, c=parse_exact("0"), k=2, n=3, fmt="json")  # all-zero row
     @example(kind=ChebKind.SECOND, c=parse_exact("1"), k=3, n=0, fmt="csv")
     @example(kind=ChebKind.FIRST, c=parse_exact("-7/3"), k=4, n=5, fmt="json")
-    def test_coeffs_matches_the_term_by_term_route(self, kind, c, k, n, fmt):
-        n = min(n, 5) if k == 4 else n
+    @example(kind=ChebKind.FIRST, c=parse_exact("1/2"), k=5, n=12, fmt="csv")
+    @example(kind=ChebKind.SECOND, c=parse_exact("-3/4"), k=5, n=11, fmt="json")
+    @example(kind=ChebKind.FIRST, c=parse_exact("0"), k=1, n=12, fmt="csv")  # one term survives
+    def test_coeffs_matches_the_term_by_term_route(self, out_dir, kind, c, k, n, fmt):
         argv = ["coeffs", "--kind", kind.value, "--n", str(n), "--c", _c_text(c),
                 "--k", str(k), "--format", fmt]
-        assert run_text(argv) == (0, coeffs_text(kind, n, c, k, fmt), "")
+        assert run_to_both(argv, out_dir) == (0, coeffs_text(kind, n, c, k, fmt), "")
 
     @settings(max_examples=40, deadline=None)
     @given(kind=KINDS, c=EXACT_C, n_max=st.integers(0, 9), fmt=FORMATS)
@@ -766,15 +788,19 @@ class TestOrbitWriter:
                 "--format", fmt]
         assert run_text(argv) == (0, table_text(kind, c, n_max, fmt), "")
 
-    @settings(max_examples=30, deadline=None)
-    @given(r=st.integers(2, 5), n=st.integers(1, 6), fmt=FORMATS)
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(2, 6), n=st.integers(1, 12), fmt=FORMATS)
     @example(r=5, n=4, fmt="json")
-    def test_fgcount_matches_the_table_route(self, r, n, fmt):
-        n = min(n, 4) if r == 5 else n
+    @example(r=6, n=12, fmt="csv")
+    @example(r=4, n=6, fmt="csv")  # the most words that the oracle route is run on
+    def test_fgcount_matches_the_table_route(self, out_dir, r, n, fmt):
         expected = fgcount_text(r, n, fmt)
-        for method in ("formula", "oracle"):
+        methods = ["formula"]
+        if 2 * r * (2 * r - 1) ** (n - 1) <= 134_456:  # words enumerated; every r <= 4, n <= 6
+            methods.append("oracle")
+        for method in methods:
             argv = ["fgcount", "--r", str(r), "--n", str(n), "--method", method, "--format", fmt]
-            assert run_text(argv) == (0, expected, "")
+            assert run_to_both(argv, out_dir) == (0, expected, "")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
@@ -831,6 +857,30 @@ class TestStreamedOutput:
             tracemalloc.stop()
         size = target.stat().st_size
         assert (code, size) == (0, 2835291)
+        assert peak < size / 2
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "48", "--format", "json"],
+             11_874_477),
+            (["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "48", "--format", "csv"],
+             9_991_662),
+            (["fgcount", "--r", "5", "--n", "14"], 4_602_211),
+        ],
+        ids=["coeffs_json", "coeffs_csv", "fgcount"],
+    )
+    def test_term_list_peak_is_a_fraction_of_the_output(self, tmp_path, argv, size):
+        # a tuple per orbit member, sorted before the first byte, peaked at
+        # 1.1 to 3.7 times the size of the document
+        target = tmp_path / "terms.txt"
+        tracemalloc.start()
+        try:
+            code = run([*argv, "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, target.stat().st_size) == (0, size)
         assert peak < size / 2
 
     def test_stdout_is_written_in_batches(self):

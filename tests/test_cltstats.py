@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 from itertools import islice
 
@@ -18,6 +19,7 @@ from symcheb import (
     cheb_coeffs,
     cltstats,
     convergence_report,
+    freegroup,
     distribution,
     freegroup_convergence_report,
     moments,
@@ -743,6 +745,32 @@ class TestFloatMomentRecurrence:
         # O(n) bits long, and rounds to 1.0 long before n = 10^8
         ((n, m2, _),) = cltstats._float_moments(1 / r, (r - 1) / r, [10**8])
         assert m2 / n == pytest.approx(1 / (r - 1), rel=1e-15)
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_fg_trivial_class_factor_is_the_exact_ratio(self, r):
+        # past the bit-length bound the exact total is skipped, since the
+        # correctly rounded ratio is 1.0 there; no bit may change
+        ns = list(range(1, 401))
+        engine = cltstats._float_moments(1 / r, (r - 1) / r, ns)
+        for (n, m2, m4), (_, e2, e4) in zip(fg_marginal_moments_float(r, ns), engine):
+            total = freegroup.total_count(r, n)
+            factor = (total - freegroup.trivial_class_correction(r, n)) / total
+            assert (m2, m4) == (e2 * factor, e4 * factor)
+
+    def test_fg_large_n_skips_the_exact_total(self, monkeypatch):
+        calls, total_count = [], cltstats.total_count
+
+        def counted(r, n):
+            calls.append((r, n))
+            return total_count(r, n)
+
+        monkeypatch.setattr(cltstats, "total_count", counted)
+        start = time.perf_counter()
+        rows = fg_marginal_moments_float(2, [54, 56, 10**7])
+        elapsed = time.perf_counter() - start
+        assert calls == [(2, 54)]  # bit lengths certify 3^n >= 2^n >= 2^54 * 2^2 from n = 56 on
+        assert [n for n, *_ in rows] == [54, 56, 10**7]
+        assert elapsed < 0.25  # the 1.6e7-bit total of n = 10^7 alone took seconds
 
     def test_hundred_thousand(self):
         (row,) = convergence_report(2.0, 1, [100_000], mode=MODE_FLOAT).rows
