@@ -32,13 +32,13 @@ setting every other variable to 1, i.e. of
 
     T_n((c/2k)(x + 1/x) + c(k-1)/k).
 
-Rescaled as in ``chebyshev.orbit_rows``, its rows obey
-P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints from P_0 = 2
-(a = p, b = 2(k-1)p, g = (kq)^2 for c = p/q; a = 1, b = 2(r-1), g = 2r-1
-for rank-r word counts), so row n is the Lucas polynomial
+Rescaled as in ``chebyshev.orbit_rows(a, g, 2, k, n)``, its rows obey
+P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints from P_0 = 2,
+b = 2(k-1)a (a = p, g = (kq)^2 for c = p/q; a = 1, g = 2r-1, k = r for
+rank-r word counts), so row n is the Lucas polynomial
 V_n(a(x + 1/x) + b, g).  Applying x d/dx at x = 1 gives its moments
 M_d = sum_j j^d P_n[j] from the Lucas pair (U_n, V_n) of (P, g), with
-P = 2a + b and D = P^2 - 4g:
+P = 2a + b = 2ka and D = P^2 - 4g:
 
     M0 = V_n,  M2 = 2a n U_n,  M4 = M2 + 12 a^2 n (n V_n - P U_n) / D,
 
@@ -67,13 +67,19 @@ that add nonnegative terms only (``_float_moments``): within 16 ulp of the
 exact moments of the same binary c, whatever c and n.  Exact mode is
 capped at n = 1024 by default, for every k and for word counts
 (``DEFAULT_EXACT_CEILING``); it is a parameter.
+
+Both families are one family here, so one body, ``_convergence``, serves
+``convergence_report`` and ``freegroup_convergence_report``: it checks the
+mode and the ceiling once, and each front end gives it only its parameter
+check, its limit constants and its exact and float rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chebyshev import ChebKind, check_arity, orbit_size
 from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetError, UsageError
@@ -279,10 +285,11 @@ def _lucas(big_p: int, g: int, n: int) -> tuple[int, int]:
     return u, v
 
 
-def _moments(a: int, b: int, g: int, ns: list[int], where: str) -> Iterator[tuple]:
-    """(n, M0, M2, M4) per n in ns by the closed form of the module docstring;
+def _moments(a: int, g: int, k: int, ns: list[int], where: str) -> Iterator[tuple]:
+    """(n, M0, M2, M4) per n in ns by the closed form of the module docstring,
+    for the marginal rows of ``orbit_rows(a, g, 2, k, n)`` (b = 2(k-1)a);
     InternalError ``where`` unless its checks hold."""
-    big_p = 2 * a + b
+    big_p = 2 * k * a  # 2a + b
     big_d = big_p * big_p - 4 * g
     m, u, v, d, du, dv = 0, 0, 2, 0, 0, 2
     for n in ns:
@@ -298,9 +305,9 @@ def _moments(a: int, b: int, g: int, ns: list[int], where: str) -> Iterator[tupl
 
 
 def _c_moments(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple]:
-    """``_moments`` of the marginal rows at c = p/q: a = p, b = 2(k-1)p, g = (kq)^2."""
-    p, kq = c.numerator, k * c.denominator
-    return _moments(p, 2 * (k - 1) * p, kq * kq, ns, f"for c = {c}, k = {k}")
+    """``_moments`` of the marginal rows at c = p/q: a = p, g = (kq)^2."""
+    kq = k * c.denominator
+    return _moments(c.numerator, kq * kq, k, ns, f"for c = {c}, k = {k}")
 
 
 def _float_moments(lam: float, t: float, ns: list[int]) -> list[tuple[int, float, float]]:
@@ -443,7 +450,7 @@ def fg_marginal_moments_exact(
     ns = _check_n_list(n_list)
     check_rank(r)
     out = []
-    for m, m0, m2, m4 in _moments(1, 2 * (r - 1), 2 * r - 1, ns, f"for rank {r}"):
+    for m, m0, m2, m4 in _moments(1, 2 * r - 1, r, ns, f"for rank {r}"):
         total = total_count(r, m)
         if m0 + trivial_class_correction(r, m) != total:
             raise InternalError(f"count total mismatch at n = {m} for rank {r}")
@@ -477,20 +484,36 @@ def fg_marginal_moments_float(
 # ---------------------------------------------------------------------------
 
 
-def _check_ceiling(ns: list[int], exact_ceiling: int | None) -> None:
+def _convergence(
+    mode: str,
+    k: int,
+    check: Callable[[int], None],
+    n_list: Sequence[int],
+    exact_ceiling: int | None,
+    constants: Callable[[], tuple[float, float, float]],
+    exact_rows: Callable[[list[int]], list[tuple]],
+    float_rows: Callable[[list[int]], list[tuple]],
+) -> ConvergenceReport:
+    """The report of one family, for both report functions.  Checks, in
+    this order: the mode, ``check(k)``, the n list, the ceiling argument,
+    ``constants()`` = (c, sigma2_reported, sigma2_rederived) and, in exact
+    mode, that no n is above the ceiling.  Then ``exact_rows(ns)`` or
+    ``float_rows(ns)`` gives (n, m2, m4) per n, with the structural zero of
+    the mode as every max_offdiag."""
+    if mode not in (MODE_EXACT, MODE_FLOAT):
+        raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
+    check(k)
+    ns = _check_n_list(n_list)
+    if exact_ceiling is not None and (not isinstance(exact_ceiling, int) or exact_ceiling < 1):
+        raise UsageError(f"the exact-mode ceiling must be a positive integer, got {exact_ceiling!r}")
+    c, s2_reported, s2_rederived = constants()
     ceiling = DEFAULT_EXACT_CEILING if exact_ceiling is None else exact_ceiling
-    if ns[-1] > ceiling:
+    if mode == MODE_EXACT and ns[-1] > ceiling:
         raise UsageError(
             f"n = {ns[-1]} exceeds the exact-mode ceiling of {ceiling}; "
             f"use mode={MODE_FLOAT!r} or raise the ceiling"
         )
-
-
-def _report(
-    c: float, k: int, mode: str, s2_reported: float, s2_rederived: float, rows: list[tuple]
-) -> ConvergenceReport:
-    """Assemble a report from (n, m2, m4) per requested n, with the
-    structural zero of the mode as every max_offdiag."""
+    rows = (exact_rows if mode == MODE_EXACT else float_rows)(ns)
     max_offdiag = _ZERO if mode == MODE_EXACT else 0.0
     out = []
     for n, m2, m4 in rows:
@@ -506,11 +529,6 @@ def _report(
             )
         )
     return ConvergenceReport(c, k, mode, s2_reported, s2_rederived, tuple(out))
-
-
-def _check_exact_ceiling(exact_ceiling: int | None) -> None:
-    if exact_ceiling is not None and (not isinstance(exact_ceiling, int) or exact_ceiling < 1):
-        raise UsageError(f"the exact-mode ceiling must be a positive integer, got {exact_ceiling!r}")
 
 
 def convergence_report(
@@ -533,23 +551,17 @@ def convergence_report(
     the exact structural zero (each coordinate can be mirrored
     independently, forcing E[l_i l_j] = 0 at every n).
     """
-    if mode not in (MODE_EXACT, MODE_FLOAT):
-        raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
-    check_arity(k)
-    ns = _check_n_list(n_list)
-    _check_exact_ceiling(exact_ceiling)
-    s2_reported = sigma2_reported(c, k)
-    s2_rederived = sigma2_rederived(c, k)
-    if mode == MODE_EXACT:
-        if isinstance(c, float):
+
+    def constants() -> tuple[float, float, float]:
+        s2 = sigma2_reported(c, k), sigma2_rederived(c, k)
+        if mode == MODE_EXACT and isinstance(c, float):
             raise UsageError("exact mode requires a rational c (int or Fraction)")
-        _check_ceiling(ns, exact_ceiling)
-        c = as_scalar(c)
-        rows = marginal_moments_exact(c, k, ns)
-    else:
-        c = float(c)
-        rows = marginal_moments_float(c, k, ns)
-    return _report(float(c), k, mode, s2_reported, s2_rederived, rows)
+        return (float(c), *s2)
+
+    return _convergence(
+        mode, k, check_arity, n_list, exact_ceiling, constants,
+        partial(marginal_moments_exact, c, k), partial(marginal_moments_float, c, k),
+    )
 
 
 def freegroup_convergence_report(
@@ -566,17 +578,12 @@ def freegroup_convergence_report(
     reported constant is evaluated at the same parameter point.  Exact mode
     has the ceiling of ``convergence_report``.
     """
-    if mode not in (MODE_EXACT, MODE_FLOAT):
-        raise UsageError(f"mode must be {MODE_EXACT!r} or {MODE_FLOAT!r}, got {mode!r}")
-    check_rank(r)
-    ns = _check_n_list(n_list)
-    _check_exact_ceiling(exact_ceiling)
-    c_float = _to_float(r, "r") / math.sqrt(_to_float(2 * r - 1, "2r - 1"))
-    s2_reported = sigma2_reported(c_float, r)
-    s2_rederived = 1.0 / (r - 1)
-    if mode == MODE_EXACT:
-        _check_ceiling(ns, exact_ceiling)
-        rows = fg_marginal_moments_exact(r, ns)
-    else:
-        rows = fg_marginal_moments_float(r, ns)
-    return _report(c_float, r, mode, s2_reported, s2_rederived, rows)
+
+    def constants() -> tuple[float, float, float]:
+        c = _to_float(r, "r") / math.sqrt(_to_float(2 * r - 1, "2r - 1"))
+        return c, sigma2_reported(c, r), 1.0 / (r - 1)
+
+    return _convergence(
+        mode, r, check_rank, n_list, exact_ceiling, constants,
+        partial(fg_marginal_moments_exact, r), partial(fg_marginal_moments_float, r),
+    )

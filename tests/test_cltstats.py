@@ -863,3 +863,70 @@ class TestFreeGroupLink:
     def test_rank_validation(self):
         with pytest.raises(UsageError):
             freegroup_convergence_report(1, [4])
+
+
+# Invalid inputs of the two reports, in the order their checks run: (name,
+# the arguments it replaces, the error it raises alone).  An input that
+# is wrong in two ways raises the error of the earlier check.
+CEILING_MESSAGE = "the exact-mode ceiling must be a positive integer, got {}"
+COMMON_FAULTS = [
+    ("n_list", {"n_list": [8, 4]}, UsageError,
+     "n values must be strictly increasing, got [8, 4]"),
+    ("ceiling_0", {"exact_ceiling": 0}, UsageError, CEILING_MESSAGE.format(0)),
+    ("ceiling_-5", {"exact_ceiling": -5}, UsageError, CEILING_MESSAGE.format(-5)),
+    ("ceiling_2.5", {"exact_ceiling": 2.5}, UsageError, CEILING_MESSAGE.format(2.5)),
+]
+OVER_CEILING = ("over_ceiling", {"n_list": [4, 1025]}, UsageError,
+                "n = 1025 exceeds the exact-mode ceiling of 1024; "
+                "use mode='float_normalized' or raise the ceiling")
+MODE_FAULT = ("mode", {"mode": "bogus"}, UsageError,
+              "mode must be 'exact' or 'float_normalized', got 'bogus'")
+REPORTS = {
+    "c": (
+        convergence_report,
+        {"c": F(5, 2), "k": 2, "n_list": [4, 8], "mode": MODE_EXACT},
+        [
+            MODE_FAULT,
+            ("k", {"k": 0}, UsageError, "k must be a positive integer, got 0"),
+            *COMMON_FAULTS,
+            ("c_at_most_1", {"c": F(1)}, DomainError,
+             "variance constant is defined for c > 1 only, got c = 1.0"),
+            ("float_c", {"c": 2.5}, UsageError,
+             "exact mode requires a rational c (int or Fraction)"),
+            OVER_CEILING,
+        ],
+    ),
+    "fg": (
+        freegroup_convergence_report,
+        {"r": 2, "n_list": [4, 8], "mode": MODE_EXACT},
+        [
+            MODE_FAULT,
+            ("r", {"r": 1}, UsageError, "rank must be an integer >= 2, got 1"),
+            *COMMON_FAULTS,
+            OVER_CEILING,
+        ],
+    ),
+}
+FIRST_ERROR_CASES = [
+    pytest.param(report, [fault], id=f"{report}-{fault[0]}")
+    for report, (_, _, faults) in REPORTS.items()
+    for fault in faults
+] + [
+    pytest.param(report, [first, second], id=f"{report}-{first[0]}-{second[0]}")
+    for report, (_, _, faults) in REPORTS.items()
+    for i, first in enumerate(faults)
+    for second in faults[i + 1 :]
+    if not first[1].keys() & second[1].keys()
+]
+
+
+@pytest.mark.parametrize("report,faults", FIRST_ERROR_CASES)
+def test_report_raises_the_first_error_of_its_inputs(report, faults):
+    function, base, _ = REPORTS[report]
+    kwargs = dict(base)
+    for _, replaced, _, _ in faults:
+        kwargs.update(replaced)
+    _, _, error, message = faults[0]
+    with pytest.raises(error) as caught:
+        function(**kwargs)
+    assert (type(caught.value), str(caught.value)) == (error, message)
