@@ -247,13 +247,19 @@ def orbit_terms(
     return sorted(terms, key=itemgetter(0))
 
 
+# A zero level of ``orbit_lines`` with at most this many coordinates is a
+# shared block like any other; nested, such blocks copy a line at most this
+# many times.
+_ZERO_BLOCK_LENGTH = 8
+
+
 def orbit_lines(
     reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], str], layout: tuple
 ) -> Iterator[str]:
     """The terms of ``orbit_terms(reps, row, value)`` as text, in order, one
-    piece per run of terms that share e_1 and e_2.  With layout (head, sep,
-    tail, end, joint), a term is head e_1 sep ... sep e_k tail text end, and
-    a piece joins its terms by joint.
+    piece per run of terms that share a prefix of their coordinates.  With
+    layout (head, sep, tail, end, joint), a term is head e_1 sep ... sep e_k
+    tail text end, and a piece joins its terms by joint.
 
     The members with e_1 = -v or v of a representative holding v are
     (e_1, *f), f in the orbit of the representative with one copy of v taken
@@ -261,35 +267,67 @@ def orbit_lines(
     entries taken off, as one "\\n"-joined block, and one str.replace puts
     the coordinates before j on each of its lines.  Each block is made
     once; the e_1 = -v slice keeps its blocks until e_1 = v, and no slice
-    is joined whole."""
+    is joined whole.  A long run of zero coordinates is walked in a loop
+    rather than nested into blocks, so stack depth and memory follow the
+    nonzero entries, not k."""
     head, sep, tail, end, joint = layout
-    blocks = {}
+    zero, blocks = f"0{sep}", {}
 
     def parts(taken, items, v):
-        """(x sep, block of the lines after x) for each first coordinate x of
-        the members of the orbits of the items with one copy of v taken off,
-        ascending; taken is the sorted tuple of the entries taken off, v
-        included."""
-        buckets = {}
-        for rest, text in items:
-            i = rest.index(v)
-            rest = rest[:i] + rest[i + 1 :]
-            for w in set(rest):
-                buckets.setdefault(w, []).append((rest, text))
-        out = []
-        for x in sorted({*buckets, *map(neg, buckets)}):
-            sub = buckets[abs(x)]
-            if len(sub[0][0]) == 1:  # the last coordinate: the block is the text
-                out.append((f"{x}{tail}", sub[0][1]))
-                continue
-            key = tuple(sorted((*taken, abs(x))))
-            if key not in blocks:
-                lines = []
-                for p, block in parts(key, sub, abs(x)):
-                    lines.append(p + block.replace("\n", "\n" + p))
-                blocks[key] = "\n".join(lines)
-            out.append((f"{x}{sep}", blocks[key]))
-        return out
+        """(prefix, block of the lines after it) for the members of the orbits
+        of the items with one copy of v taken off, ascending; taken is the
+        sorted tuple of the nonzero entries taken off, v included.  The lines
+        of the last coordinate are one block.  A zero level with more than
+        _ZERO_BLOCK_LENGTH coordinates is walked in the loop, not recursed
+        into: each level's negatives, then the next zero level, then the
+        positives in reverse level order; the item that is all zeros waits
+        for the first shorter level, or is one line at the turn."""
+        later, flat, depth = [], None, 0
+        while True:
+            zeros = zero * depth
+            buckets = {}
+            for rest, text in items:
+                i = rest.index(v)
+                rest = rest[:i] + rest[i + 1 :]
+                if rest[0]:
+                    for w in set(rest):
+                        buckets.setdefault(w, []).append((rest, text))
+                else:  # all zeros, as rest is sorted descending
+                    flat = text
+            short = len(rest) <= _ZERO_BLOCK_LENGTH
+            if short and flat is not None:
+                buckets.setdefault(0, []).append(((0,) * len(rest), flat))
+                flat = None
+            if len(rest) == 1:
+                lines = []  # a loop: a comprehension adds GC-tracked objects at start-up
+                for x in sorted({*buckets, *map(neg, buckets)}):
+                    lines.append(f"{x}{tail}{buckets[abs(x)][0][1]}")
+                yield zeros, "\n".join(lines)
+                break
+            level = []
+            for w in sorted(buckets):
+                if w or short:
+                    inner = tuple(sorted((*taken, w))) if w else taken
+                    key = (len(rest), *inner)  # len(rest) fixes how many zeros were taken off
+                    if key not in blocks:
+                        lines = []
+                        for p, block in parts(inner, buckets[w], w):
+                            lines.append(p + block.replace("\n", "\n" + p))
+                        blocks[key] = "\n".join(lines)
+                    level.append((w, blocks[key]))
+            for w, block in reversed(level):
+                if w:
+                    yield f"{zeros}-{w}{sep}", block
+            later.append((depth, level))
+            if short or 0 not in buckets:
+                break
+            items, v, depth = buckets[0], 0, depth + 1
+        if flat is not None:
+            yield f"{zeros}{sep.join(['0'] * len(rest))}{tail}", flat
+        for depth, level in reversed(later):
+            zeros = zero * depth
+            for w, block in level:
+                yield f"{zeros}{w}{sep}", block
 
     buckets = {}  # each nonzero representative under each of its entries
     for e, entry in zip(reps, row):
@@ -303,9 +341,9 @@ def orbit_lines(
         if len(sub[0][0]) == 1:  # k = 1
             yield f"{head}{x}{tail}{sub[0][1]}{end}"
             continue
-        pairs = kept.pop(x, None) or parts((abs(x),), sub, abs(x))
+        pairs = kept.pop(x, None) or parts((abs(x),) if x else (), sub, abs(x))
         if x < 0:
-            kept[-x] = pairs
+            kept[-x] = pairs = list(pairs)
         for p, block in pairs:
             prefix = f"{head}{x}{sep}{p}"
             block = block.replace("\n", f"{end}{joint}{prefix}")

@@ -8,7 +8,7 @@ with the label and exit code that its class carries.
 
 Each command's handler runs all of its checks and builds its kernel rows
 when it is called, then returns its output as an iterable of text pieces:
-the head, each table row or each run of terms that share e_1 and e_2, the
+the head, each table row or each run of terms that share a prefix, the
 tail.  ``run`` joins them into batches of at least 64 KiB and writes each
 batch, so no byte is written and no --out file is opened before the last
 check has passed, and memory tracks a row of output, not the whole
@@ -271,16 +271,18 @@ def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, s
     try:
         c = parse_exact(args.c)
         c_text = format_exact(c)
-    except UsageError:
+    except UsageError as exc:
+        try:
+            c = float(args.c)
+        except ValueError:
+            if args.mode != cltstats.MODE_FLOAT:
+                raise exc from None  # no decimal either: parse_exact's message
+            raise UsageError(f"cannot parse c: {args.c!r}") from None
         if args.mode != cltstats.MODE_FLOAT:
             raise UsageError(
                 f"exact mode takes c as p/q or an integer, got {args.c!r} "
                 "(decimals are float-mode only)"
             ) from None
-        try:
-            c = float(args.c)
-        except ValueError:
-            raise UsageError(f"cannot parse c: {args.c!r}") from None
         c_text = repr(c)
     report = cltstats.convergence_report(
         c, args.k, args.n, mode=args.mode, exact_ceiling=args.exact_ceiling

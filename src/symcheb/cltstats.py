@@ -196,7 +196,8 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     Evaluated as a ratio, without cancellation or overflow at any n: with
     rho(x) = |x| + sqrt(x^2 - 1), T_n(x) = sign(x)^n (rho^n + rho^-n) / 2 for
     |x| >= 1 and cos(n acos x) for |x| < 1, so the result is assembled from
-    (rho_y / rho_c)^n and powers of 1/rho_c, all at most about 1.
+    (rho_y / rho_c)^n and powers of 1/rho_c, all at most about 1.  rho/2 is
+    formed as x/2 + sqrt(x^2 - 1)/2, exactly half the float of rho(x).
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
@@ -205,20 +206,21 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     if len(theta) != k:
         raise UsageError(f"theta has length {len(theta)}, expected k = {k}")
     y = (c_float / k) * sum(math.cos(t) for t in theta)
-    half_c = _half_rho(c_float)
+    half_c = 0.5 * c_float + 0.5 * _root_x2_minus_1(c_float)
     inv_c = (0.5 / half_c) ** n
     if abs(y) < 1.0:
         return math.cos(n * math.acos(y)) * 2.0 * inv_c / (1.0 + inv_c * inv_c)
-    half_y = _half_rho(abs(y))
+    half_y = 0.5 * abs(y) + 0.5 * _root_x2_minus_1(abs(y))
     sign = -1.0 if y < 0 and n % 2 else 1.0
     inv_y = (0.5 / half_y) ** n
     return sign * (half_y / half_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
 
 
-def _half_rho(x: float) -> float:
-    """rho(x) / 2 for x >= 1, exactly half the float of rho(x) and finite
-    wherever x is: from x = 2^27 on, sqrt(x^2 - 1) rounds to x, and is x."""
-    return 0.5 * x + 0.5 * (x if x >= 2.0**27 else math.sqrt(x * x - 1.0))
+def _root_x2_minus_1(x: float) -> float:
+    """sqrt(x^2 - 1) for x >= 1, finite wherever x is: sqrt((x - 1)(x + 1))
+    below 2^27, where x - 1 is exact up to x = 2, so nothing cancels near
+    x = 1; from 2^27 on it rounds to x, and is x."""
+    return x if x >= 2.0**27 else math.sqrt((x - 1.0) * (x + 1.0))
 
 
 def _to_float(value: Scalar | float, name: str) -> float:
@@ -267,7 +269,7 @@ def sigma2_rederived(c: Scalar | float, k: int) -> float:
     """c / (k sqrt(c^2-1)): the variance constant the exact moments converge to."""
     c_float, k_float = _variance_args(c, k)
     if c_float < 2.0**27:
-        return c_float / (k_float * math.sqrt(c_float * c_float - 1.0))
+        return c_float / (k_float * _root_x2_minus_1(c_float))
     # sqrt(c^2 - 1) rounds to c: c / (k c), scaled into [1/2, 1) so that k c stays finite
     mantissa = math.frexp(c_float)[0]
     return mantissa / (k_float * mantissa)

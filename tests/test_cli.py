@@ -699,8 +699,11 @@ USAGE_ERROR_ARGVS = [
          "argument --c: not an exact rational (use p/q or an integer): '1/0'"),
         (["clt", "--c", "abc", "--k", "1", "--n", "4", "--mode", "float_normalized"],
          "cannot parse c: 'abc'"),
+        # was "exact mode takes c as p/q ... (decimals are float-mode only)"
+        (["clt", "--c", "2/0", "--k", "1", "--n", "4"],
+         "not an exact rational (use p/q or an integer): '2/0'"),
     ],
-    ids=["kind", "n_list", "c", "c_zero_denominator", "float_c"],
+    ids=["kind", "n_list", "c", "c_zero_denominator", "float_c", "clt_c_zero_denominator"],
 )
 def test_usage_error_keeps_the_package_message(capsys, argv, message):
     # argparse used to print "invalid _parse_kind value: 'X'", naming a
@@ -724,6 +727,24 @@ def test_usage_error_is_one_line_in_a_process(flags):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "usage error: the following arguments are required: --c\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["coeffs", "--kind", "T", "--n", "1", "--c", "2", "--k", "1200", "--format", "csv"],
+         5_784_099),
+        (["fgcount", "--r", "1200", "--n", "1"], 8_691_632),
+    ],
+    ids=["coeffs", "fgcount"],
+)
+def test_term_list_at_large_k_in_a_process(flags, argv, size):
+    # the writer recursed once per coordinate: a RecursionError traceback, exit 1
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "symcheb", *argv], capture_output=True
+    )
+    assert (result.returncode, len(result.stdout), result.stderr) == (0, size, b"")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
@@ -802,6 +823,21 @@ class TestOrbitWriter:
             argv = ["fgcount", "--r", str(r), "--n", str(n), "--method", method, "--format", fmt]
             assert run_to_both(argv, out_dir) == (0, expected, "")
 
+    @pytest.mark.parametrize(
+        "k,n",
+        [(1200, 1), (12, 4), (10, 5)],
+        ids=["k1200_n1", "k12_n4", "k10_n5"],
+    )
+    def test_long_zero_runs_match_the_term_by_term_route(self, k, n):
+        # one level of recursion per coordinate raised RecursionError at
+        # k = 1200; k = 10 and 12 walk zero runs longer than a shared block
+        expected = coeffs_text(ChebKind.FIRST, n, parse_exact("3/2"), k, "csv")
+        argv = ["coeffs", "--kind", "T", "--n", str(n), "--c", "3/2", "--k", str(k),
+                "--format", "csv"]
+        assert run_text(argv) == (0, expected, "")
+        argv = ["fgcount", "--r", str(k), "--n", str(n), "--format", "json"]
+        assert run_text(argv) == (0, fgcount_text(k, n, "json"), "")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
         spec = symmetrized.SymChebSpec(ChebKind.FIRST, 12, parse_exact("7/5"), 3)
@@ -860,19 +896,27 @@ class TestStreamedOutput:
         assert peak < size / 2
 
     @pytest.mark.parametrize(
-        "argv,size",
+        "argv,size,share",
         [
             (["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "48", "--format", "json"],
-             11_874_477),
+             11_874_477, 1 / 2),
             (["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "48", "--format", "csv"],
-             9_991_662),
-            (["fgcount", "--r", "5", "--n", "14"], 4_602_211),
+             9_991_662, 1 / 2),
+            (["fgcount", "--r", "5", "--n", "14"], 4_602_211, 1 / 2),
+            # each zero level's blocks wait for its positive slice: about a
+            # third of the document at large k, with the 128 KiB of batches
+            (["coeffs", "--kind", "T", "--c", "2", "--k", "300", "--n", "1", "--format", "json"],
+             556_555, 1),
+            (["coeffs", "--kind", "T", "--c", "2", "--k", "60", "--n", "2", "--format", "json"],
+             1_497_922, 1),
         ],
-        ids=["coeffs_json", "coeffs_csv", "fgcount"],
+        ids=["coeffs_json", "coeffs_csv", "fgcount", "coeffs_k300_n1", "coeffs_k60_n2"],
     )
-    def test_term_list_peak_is_a_fraction_of_the_output(self, tmp_path, argv, size):
+    def test_term_list_peak_is_a_fraction_of_the_output(self, tmp_path, argv, size, share):
         # a tuple per orbit member, sorted before the first byte, peaked at
-        # 1.1 to 3.7 times the size of the document
+        # 1.1 to 3.7 times the size of the document; a block nested in the
+        # block of each zero coordinate, at 105 times it at k = 300, n = 1
+        # and 19 times at k = 60, n = 2
         target = tmp_path / "terms.txt"
         tracemalloc.start()
         try:
@@ -881,7 +925,7 @@ class TestStreamedOutput:
         finally:
             tracemalloc.stop()
         assert (code, target.stat().st_size) == (0, size)
-        assert peak < size / 2
+        assert peak < size * share
 
     def test_stdout_is_written_in_batches(self):
         # one write per term or row would be one system call each when

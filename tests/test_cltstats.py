@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import islice
 
@@ -399,6 +400,22 @@ class TestVarianceConstants:
         for c in (2.0**27, 2.0**27 + 1, 3e9, 1e100, 1.3e154):
             for k in (1, 3, 7):
                 assert sigma2_rederived(c, k) == c / (k * math.sqrt(c * c - 1.0))
+
+    @pytest.mark.parametrize(
+        "c", [1 + 2**-30, 1 + 1e-7, 1.001], ids=["1+2^-30", "1+1e-7", "1.001"]
+    )
+    def test_constants_keep_their_bits_near_one(self, c):
+        # sqrt(c c - 1) lost bits to cancellation: the rederived constant was
+        # 1.5e6 ulp off at c = 1 + 2^-30, and char_fn's rho(c) / 2 46 ulp
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = Decimal(c)  # the binary value of c
+            root = (exact * exact - 1).sqrt()
+            for value, expected in [
+                (sigma2_rederived(c, 1), exact / root),
+                (cltstats._root_x2_minus_1(c), root),
+            ]:
+                assert abs(Decimal(value) - expected) <= 4 * Decimal(math.ulp(value))
 
     def test_domain(self):
         for fn in (sigma2_reported, sigma2_rederived):
