@@ -455,6 +455,17 @@ class TestDeterminism:
             ("coeffs_T6_c7-5_k3.csv",
              ["coeffs", "--kind", "T", "--c", "7/5", "--k", "3", "--n", "6", "--format", "csv"]),
             ("fgcount_r4_n4.json", ["fgcount", "--r", "4", "--n", "4"]),
+            ("positivity_T3_c11-10_k2.csv",
+             ["positivity", "--kind", "T", "--n", "3", "--c", "11/10", "--k", "2",
+              "--format", "csv"]),
+            ("survey_T_k1_n12.csv",
+             ["sign-survey", "--kind", "T", "--k", "1", "--n-max", "12",
+              "--c", "2", "--c", "-2", "--c", "1/2", "--format", "csv"]),
+            ("clt_c2_k1_exact.json",
+             ["clt", "--c", "2", "--k", "1", "--n", "2,4,8,16,32", "--format", "json"]),
+            ("clt_c2.5_k2_float.json",
+             ["clt", "--c", "2.5", "--k", "2", "--n", "16,32", "--mode", "float_normalized",
+              "--format", "json"]),
         ],
     )
     def test_golden_files(self, capsys, name, argv):
