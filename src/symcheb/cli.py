@@ -45,10 +45,6 @@ from .laurent import format_exact, parse_exact
 _KINDS = {"T": ChebKind.FIRST, "U": ChebKind.SECOND}
 
 
-def _fmt_float(value: float) -> str:
-    return f"{value:.9g}"
-
-
 # Option types raise ArgumentTypeError: argparse replaces the message of
 # any other exception with its generic "invalid <function name> value".
 def _parse_kind(text: str) -> ChebKind:
@@ -72,6 +68,20 @@ def _parse_c(text: str) -> Fraction:
         return parse_exact(text)
     except UsageError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _cell(value: object) -> str:
+    """A CSV value: a bool as true or false, None as empty, a list
+    ";"-joined, a float or Fraction to 9 significant digits, else str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, (float, Fraction)):
+        return f"{float(value):.9g}"
+    return str(value)
 
 
 def _csv_lines(header: str, rows: Iterable[str]) -> Iterator[str]:
@@ -154,7 +164,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
     ratio = _RATIO[args.format]
-    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, ratio, ratio(0, 1))
+    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, ratio)
     if args.format == "json":
         head = {"kind": args.kind.value, "c": format_exact(args.c), "n_max": args.n_max}
         items = (f'{{"n": {n}, "coeffs": [{", ".join(row)}]}}' for n, row in enumerate(rows))
@@ -169,21 +179,15 @@ def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
 def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     report = symmetrized.positivity_report(spec)
-    witness = list(report.witness) if report.witness is not None else None
+    fields = {
+        "all_nonnegative": report.all_nonnegative,
+        "pattern_ok": report.pattern_ok,
+        "min_coefficient": format_exact(report.min_coefficient),
+        "witness": None if report.witness is None else list(report.witness),
+    }
     if args.format == "json":
-        payload = {
-            **head,
-            "all_nonnegative": report.all_nonnegative,
-            "pattern_ok": report.pattern_ok,
-            "min_coefficient": format_exact(report.min_coefficient),
-            "witness": witness,
-        }
-        return [json.dumps(payload) + "\n"]
-    pattern = "" if report.pattern_ok is None else str(report.pattern_ok).lower()
-    witness_text = "" if witness is None else ";".join(str(x) for x in witness)
-    nonnegative = str(report.all_nonnegative).lower()
-    row = f"{nonnegative},{pattern},{format_exact(report.min_coefficient)},{witness_text}"
-    return _csv_lines("all_nonnegative,pattern_ok,min_coefficient,witness", [row])
+        return [json.dumps({**head, **fields}) + "\n"]
+    return _csv_lines(",".join(fields), [",".join(map(_cell, fields.values()))])
 
 
 def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
@@ -211,14 +215,9 @@ def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
         return [json.dumps(payload) + "\n"]
     lines = []
     for row in rows:
-        if row.witness is None:
-            lines.append(f"{format_exact(row.c)},{row.classification.value},,,")
-        else:
-            e_text = ";".join(str(x) for x in row.witness.exponents)
-            lines.append(
-                f"{format_exact(row.c)},{row.classification.value},"
-                f"{row.witness.n},{e_text},{format_exact(row.witness.value)}"
-            )
+        w = row.witness
+        found = (None,) * 3 if w is None else (w.n, list(w.exponents), format_exact(w.value))
+        lines.append(",".join(map(_cell, (format_exact(row.c), row.classification.value, *found))))
     return _csv_lines("c,classification,witness_n,witness_e,witness_value", lines)
 
 
@@ -290,6 +289,11 @@ def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, s
     return report, c_text
 
 
+# the columns of a clt row, in ConvergenceRow field order; dist_reported is
+# written dist_paper
+_CLT_FIELDS = ("n", "m2_over_n", "kurtosis", "max_offdiag", "dist_paper", "dist_rederived")
+
+
 def _cmd_clt(args: argparse.Namespace) -> Iterable[str]:
     report, c_text = _clt_report(args)
     if args.format == "json":
@@ -299,33 +303,11 @@ def _cmd_clt(args: argparse.Namespace) -> Iterable[str]:
             "mode": report.mode,
             "sigma2_paper": report.sigma2_reported,
             "sigma2_rederived": report.sigma2_rederived,
-            "rows": [
-                {
-                    "n": row.n,
-                    "m2_over_n": _exact_or_float(row.m2_over_n),
-                    "kurtosis": _exact_or_float(row.kurtosis),
-                    "max_offdiag": _exact_or_float(row.max_offdiag),
-                    "dist_paper": row.dist_reported,
-                    "dist_rederived": row.dist_rederived,
-                }
-                for row in report.rows
-            ],
+            "rows": [dict(zip(_CLT_FIELDS, map(_exact_or_float, row))) for row in report.rows],
         }
         return [json.dumps(payload) + "\n"]
-    lines = [
-        ",".join(
-            [
-                str(row.n),
-                _fmt_float(float(row.m2_over_n)),
-                _fmt_float(float(row.kurtosis)),
-                _fmt_float(float(row.max_offdiag)),
-                _fmt_float(row.dist_reported),
-                _fmt_float(row.dist_rederived),
-            ]
-        )
-        for row in report.rows
-    ]
-    return _csv_lines("n,m2_over_n,kurtosis,max_offdiag,dist_paper,dist_rederived", lines)
+    lines = [",".join(map(_cell, row)) for row in report.rows]
+    return _csv_lines(",".join(_CLT_FIELDS), lines)
 
 
 # --- parser -----------------------------------------------------------------

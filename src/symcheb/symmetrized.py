@@ -198,13 +198,13 @@ def _fractions(
 
 
 def _univariate_rows(
-    kind: ChebKind, c: Fraction, n_max: int, value: Callable[[int, int], object], zero: object
+    kind: ChebKind, c: Fraction, n_max: int, value: Callable[[int, int], object]
 ) -> Iterator[tuple]:
     """Rows 0..n_max at k = 1 for j = -m..m: value(entry, s_m) once per
-    nonzero kernel entry at j >= 0, mirrored to -j, and zero elsewhere.
+    nonzero kernel entry at j >= 0, mirrored to -j, and value(0, 1) elsewhere.
     The arguments and the budget are checked at the call; each row is made
     as it is read."""
-    rows = _scaled(kind, c, 1, n_max)
+    rows, zero = _scaled(kind, c, 1, n_max), value(0, 1)
 
     def mirrored() -> Iterator[tuple]:
         for m, (_, row, scale) in enumerate(rows):
@@ -240,7 +240,7 @@ def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTa
     exactly with the coefficients of build().
     """
     c = as_scalar(c)
-    rows = tuple(_univariate_rows(kind, c, n_max, Fraction, _ZERO))
+    rows = tuple(_univariate_rows(kind, c, n_max, Fraction))
     return UnivariateCoeffTable(kind=kind, c=c, rows=rows)
 
 

@@ -475,6 +475,17 @@ class TestDeterminism:
         assert out == expected
 
 
+@pytest.mark.parametrize(
+    "value,text",
+    [(True, "true"), (False, "false"), (None, ""), ([-1, 0, 2], "-1;0;2"),
+     (Fraction(1, 3), "0.333333333"), (Fraction(0), "0"), (2.0**-60, "8.67361738e-19"),
+     (7, "7"), ("-1221/16000", "-1221/16000")],
+)
+def test_csv_cell(value, text):
+    # the one rule behind every clt, positivity and sign-survey CSV value
+    assert cli._cell(value) == text
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "symcheb", "coeffs", "--kind", "T", "--n", "1", "--c", "3/2"],

@@ -290,7 +290,7 @@ class TestUnivariateTable:
         # are read, so the budget must fail before the first one
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
-            symmetrized._univariate_rows(T, F(2), 20, F, F(0))
+            symmetrized._univariate_rows(T, F(2), 20, F)
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
             symmetrized._scaled(T, F(2), 1, 20)
 
