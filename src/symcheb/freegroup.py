@@ -140,13 +140,7 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
     filtered at full length.
     """
     _check_rank_length(r, n)
-    budget = resolve_enum_budget(budget)
-    bound = 2 * r * (2 * r - 1) ** (n - 1)
-    if bound > budget:
-        raise ResourceBudgetError(
-            f"enumeration of {bound} words exceeds the budget of {budget} "
-            f"(raise {ENUM_BUDGET_ENV} or pass a larger budget)"
-        )
+    _check_words(r, n, budget)
     counts: dict[HomologyClass, int] = {}
     alphabet = range(2 * r)
     exponents = [0] * r
@@ -172,6 +166,26 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
 
     extend(0, -1, -1)  # at the root, -1 and -1 ^ 1 = -2 rule out no letter
     return HomologyCountTable(r=r, n=n, counts=counts)
+
+
+def _check_words(r: int, n: int, budget: int | None = None) -> None:
+    """Raise ResourceBudgetError when the 2r (2r-1)^(n-1) words that
+    ``enumerate_counts`` visits are over the budget, before any is visited.
+    A bound of more than 128 bits is written as more than 2^b, the largest
+    such power; past 2^65536 and the budget it is not computed, and b is a
+    lower bound on that power."""
+    budget = resolve_enum_budget(budget)
+    low = (n - 1) * ((2 * r - 1).bit_length() - 1)  # (2r - 1)^(n - 1) >= 2^low
+    if low < max(budget.bit_length(), 1 << 16):
+        bound = 2 * r * (2 * r - 1) ** (n - 1)
+        if bound <= budget:
+            return
+        low = bound.bit_length() - 1
+    size = str(bound) if low < 128 else f"more than 2^{low}"
+    raise ResourceBudgetError(
+        f"enumeration of {size} words exceeds the budget of {budget} "
+        f"(raise {ENUM_BUDGET_ENV} or pass a larger budget)"
+    )
 
 
 def counts_by_formula(r: int, n: int) -> HomologyCountTable:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -749,6 +750,22 @@ def test_usage_error_is_one_line_in_a_process(flags):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "usage error: the following arguments are required: --c\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("r,n", [("10", "10"), (ARITY, "4")], ids=["words", "row"])
+def test_fgverify_refuses_before_counting_in_a_process(flags, r, n):
+    # the word budget was checked only after the formula route had counted
+    # every class: about 20 s at r = n = 10
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "symcheb", "fgverify", "--r", r, "--n", n],
+        capture_output=True, text=True,
+    )
+    assert time.perf_counter() - start < 5
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("resource error: ") and result.stderr.count("\n") == 1
+    assert len(result.stderr) < 200
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

@@ -99,6 +99,25 @@ class TestEnumeration:
         with pytest.raises(ResourceBudgetError, match=r"26244"):
             enumerate_counts(2, 9, budget=10_000)
 
+    @pytest.mark.parametrize(
+        "r,n,size",
+        [
+            (2, 80, "197078439219127897754777613608511063468"),  # 128 bits: written whole
+            (2, 81, "more than 2^128"),
+            (2, 200, "more than 2^317"),
+            (10**300, 1, "more than 2^997"),
+            # past 2^65536 the bound is not computed: a lower bound on its power
+            (3, 10**11, "more than 2^199999999998"),
+        ],
+    )
+    def test_budget_error_keeps_a_large_bound_short(self, r, n, size):
+        with pytest.raises(ResourceBudgetError) as info:
+            enumerate_counts(r, n)
+        assert str(info.value) == (
+            f"enumeration of {size} words exceeds the budget of 100000000 "
+            "(raise SYMCHEB_ENUM_BUDGET or pass a larger budget)"
+        )
+
     def test_budget_env_variable(self, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
         with pytest.raises(ResourceBudgetError):
