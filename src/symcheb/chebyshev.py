@@ -219,13 +219,37 @@ def orbit_rows(
     return rows()
 
 
+def _distinct_orders(items: list) -> Iterator[tuple]:
+    """Each distinct order of items once, ascending: from the sorted items,
+    each next order swaps the last ascent's left item with the least larger
+    item to its right and reverses the tail, so copies of one item are never
+    exchanged and k equal items cost one order, not k!."""
+    items = sorted(items)
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = items[:i:-1]
+
+
 def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The orbit of e under B_k, each member once: the nonzero entries in
-    every distinct order on every choice of positions, in every sign."""
+    every distinct order on every choice of positions, in every sign.
+    Distinct entries take itertools' permutations; repeated ones the walk
+    of ``_distinct_orders``."""
     nonzero = [(x, -x) for x in e if x]
+    distinct = len(set(nonzero)) == len(nonzero)
+    orders = list(permutations(nonzero) if distinct else _distinct_orders(nonzero))
     members = []
     for positions in combinations(range(len(e)), len(nonzero)):
-        for order in set(permutations(nonzero)):
+        for order in orders:
             factors = [(0,)] * len(e)
             for i, signed in zip(positions, order):
                 factors[i] = signed

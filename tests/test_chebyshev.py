@@ -152,8 +152,12 @@ class TestOrbitRows:
         )
         assert len(orbit((2, 1) + (0,) * 28)) == orbit_size((2, 1) + (0,) * 28) == 30 * 29 * 4
 
-    @pytest.mark.parametrize("e", [(0,), (3,), (0, 0), (2, 2), (2, 0), (3, 1, 1), (2, 1, 0, 0)])
+    @pytest.mark.parametrize(
+        "e",
+        [(0,), (3,), (0, 0), (2, 2), (2, 0), (3, 1, 1), (2, 1, 0, 0), (1,) * 12, (2,) + (1,) * 9],
+    )
     def test_orbit(self, e):
+        # (1,) * 12 was 12! orders of its entries before the repeats were dropped
         members = orbit(e)
         assert len(set(members)) == len(members) == orbit_size(e)
         assert all(tuple(sorted(map(abs, x), reverse=True)) == e for x in members)
