@@ -104,22 +104,30 @@ def coeff_formula_T(n: int, m: int) -> Fraction:
     return value
 
 
+def _root_x2_minus_1(x: float) -> float:
+    """sqrt(x^2 - 1) for x >= 1, finite wherever x is: sqrt((x - 1)(x + 1))
+    below 2^27, where x - 1 is exact up to x = 2, so nothing cancels near
+    x = 1; from 2^27 on it rounds to x, and is x."""
+    return x if x >= 2.0**27 else math.sqrt((x - 1.0) * (x + 1.0))
+
+
 def eval_closed_T(n: int, x: float) -> float:
     """T_n(x) for |x| >= 1 via the square-root closed form.
 
-    sign(x)^n (rho^n + rho^-n) / 2 with rho = |x| + sqrt(x^2-1); where that
-    exceeds the float range the result is sign(x)^n inf.  Callers needing
-    |x| < 1 should evaluate the coefficient vector instead.
+    sign(x)^n (rho^n + rho^-n) / 2 with rho = |x| + sqrt(x^2-1), formed as
+    2^(n-1) h^n + (2h)^-n / 2 with h = rho / 2, which is finite wherever x
+    is; where T_n(x) exceeds the float range the result is sign(x)^n inf.
+    Callers needing |x| < 1 should evaluate the coefficient vector instead.
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"degree must be a nonnegative integer, got {n!r}")
     x = float(x)
     if abs(x) < 1.0:
         raise DomainError(f"closed form requires |x| >= 1, got x = {x}")
-    rho = abs(x) + math.sqrt(x * x - 1.0)
+    half = 0.5 * abs(x) + 0.5 * _root_x2_minus_1(abs(x))
     sign = -1.0 if x < 0 and n % 2 else 1.0
     try:
-        return sign * 0.5 * (rho**n + rho**-n)
+        return sign * (math.ldexp(half**n, n - 1) + 0.5 * (2.0 * half) ** -n)
     except OverflowError:
         return sign * math.inf
 

@@ -81,7 +81,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity, orbit_size
+from .chebyshev import ChebKind, _root_x2_minus_1, check_arity, orbit_size
 from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetError, UsageError
 from .errors import resolve_enum_budget
 from .freegroup import check_rank, total_count, trivial_class_correction
@@ -214,13 +214,6 @@ def char_fn(n: int, c: Scalar | float, k: int, theta: Sequence[float]) -> float:
     sign = -1.0 if y < 0 and n % 2 else 1.0
     inv_y = (0.5 / half_y) ** n
     return sign * (half_y / half_c) ** n * (1.0 + inv_y * inv_y) / (1.0 + inv_c * inv_c)
-
-
-def _root_x2_minus_1(x: float) -> float:
-    """sqrt(x^2 - 1) for x >= 1, finite wherever x is: sqrt((x - 1)(x + 1))
-    below 2^27, where x - 1 is exact up to x = 2, so nothing cancels near
-    x = 1; from 2^27 on it rounds to x, and is x."""
-    return x if x >= 2.0**27 else math.sqrt((x - 1.0) * (x + 1.0))
 
 
 def _to_float(value: Scalar | float, name: str) -> float:

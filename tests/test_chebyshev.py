@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -268,6 +269,23 @@ class TestClosedForm:
     @pytest.mark.parametrize("n,x,expected", [(1000, 2.0, math.inf), (1001, -2.0, -math.inf)])
     def test_overflow_is_signed_infinity(self, n, x, expected):
         assert eval_closed_T(n, x) == expected
+
+    @pytest.mark.parametrize("n,x", [(1000, 1 + 1e-7), (10, 1.001)])
+    def test_keeps_its_bits_near_one(self, n, x):
+        # sqrt(x x - 1) cancelled: 18,658 and 19.6 ulp off
+        with localcontext() as ctx:
+            ctx.prec = 80
+            exact = Decimal(x)  # the binary value of x
+            rho = exact + (exact * exact - 1).sqrt()
+            expected = (rho**n + rho**-n) / 2
+            value = eval_closed_T(n, x)
+            assert abs(Decimal(value) - expected) <= n * Decimal(math.ulp(value))
+
+    @pytest.mark.parametrize("x", [1e200, -1e200, 1.7e308, -1.7e308])
+    def test_finite_wherever_x_is(self, x):
+        # x x overflowed from about 1.34e154 on: T_1(1e200) was inf
+        assert eval_closed_T(1, x) == x
+        assert eval_closed_T(0, x) == 1.0
 
 
 def test_boundedness_on_unit_interval():
