@@ -115,19 +115,24 @@ def eval_closed_T(n: int, x: float) -> float:
     """T_n(x) for |x| >= 1 via the square-root closed form.
 
     sign(x)^n (rho^n + rho^-n) / 2 with rho = |x| + sqrt(x^2-1), formed as
-    2^(n-1) h^n + (2h)^-n / 2 with h = rho / 2, which is finite wherever x
-    is; where T_n(x) exceeds the float range the result is sign(x)^n inf.
-    Callers needing |x| < 1 should evaluate the coefficient vector instead.
+    p + 1 / (4p) with p = rho^n / 2 = h rho^(n-1) and h = rho / 2, which is
+    finite wherever x is; rho is infinite only from |x| = 2^1023 on, where
+    T_n(x) overflows for n >= 2.  Where T_n(x) exceeds the float range the
+    result is sign(x)^n inf.  Callers needing |x| < 1 should evaluate the
+    coefficient vector instead.
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"degree must be a nonnegative integer, got {n!r}")
     x = float(x)
     if abs(x) < 1.0:
         raise DomainError(f"closed form requires |x| >= 1, got x = {x}")
+    if n == 0:
+        return 1.0
     half = 0.5 * abs(x) + 0.5 * _root_x2_minus_1(abs(x))
     sign = -1.0 if x < 0 and n % 2 else 1.0
     try:
-        return sign * (math.ldexp(half**n, n - 1) + 0.5 * (2.0 * half) ** -n)
+        power = half * (2.0 * half) ** (n - 1)
+        return sign * (power + 0.25 / power)
     except OverflowError:
         return sign * math.inf
 

@@ -245,7 +245,7 @@ class TestClosedForm:
         assert value == pytest.approx(26.0, abs=1e-12)
         assert cheb_coeffs(T, 3).evaluate(2) == 26  # 4*8 - 3*2
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 12, 31])
+    @pytest.mark.parametrize("n", [0, 1, 5, 12, 31, 2000])
     def test_at_one(self, n):
         assert eval_closed_T(n, 1.0) == pytest.approx(1.0, abs=1e-12)
 
