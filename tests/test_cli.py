@@ -757,10 +757,11 @@ def test_usage_error_is_one_line_in_a_process(flags):
 def test_fgverify_refuses_before_counting_in_a_process(flags, r, n):
     # the word budget was checked only after the formula route had counted
     # every class: about 20 s at r = n = 10
+    env = {**os.environ, "SYMCHEB_ENUM_BUDGET": "100000000"}
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, *flags, "-m", "symcheb", "fgverify", "--r", r, "--n", n],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert time.perf_counter() - start < 5
     assert (result.returncode, result.stdout) == (3, "")

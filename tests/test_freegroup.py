@@ -112,7 +112,7 @@ class TestEnumeration:
     )
     def test_budget_error_keeps_a_large_bound_short(self, r, n, size):
         with pytest.raises(ResourceBudgetError) as info:
-            enumerate_counts(r, n)
+            enumerate_counts(r, n, budget=10**8)
         assert str(info.value) == (
             f"enumeration of {size} words exceeds the budget of 100000000 "
             "(raise SYMCHEB_ENUM_BUDGET or pass a larger budget)"
