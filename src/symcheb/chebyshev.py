@@ -15,7 +15,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product, repeat
+from itertools import combinations, product, repeat
 from operator import itemgetter, neg
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -232,40 +232,34 @@ def orbit_rows(
     return rows()
 
 
-def _distinct_orders(items: list) -> Iterator[tuple]:
-    """Each distinct order of items once, ascending: from the sorted items,
-    each next order swaps the last ascent's left item with the least larger
-    item to its right and reverses the tail, so copies of one item are never
-    exchanged and k equal items cost one order, not k!."""
-    items = sorted(items)
+def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit of e under B_k, each member once: the nonzero entries in
+    every distinct order on every choice of positions, in every sign.
+
+    The orders are walked from the sorted entries: each next order swaps
+    the last ascent's left entry with the least larger entry to its right
+    and reverses the tail, so equal entries are never exchanged and k
+    copies of one entry cost one order, not k!."""
+    items = sorted(filter(None, e))
+    orders = [tuple(items)]
     while True:
-        yield tuple(items)
         i = len(items) - 2
         while i >= 0 and items[i] >= items[i + 1]:
             i -= 1
         if i < 0:
-            return
+            break
         j = len(items) - 1
         while items[j] <= items[i]:
             j -= 1
         items[i], items[j] = items[j], items[i]
         items[i + 1 :] = items[:i:-1]
-
-
-def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The orbit of e under B_k, each member once: the nonzero entries in
-    every distinct order on every choice of positions, in every sign.
-    Distinct entries take itertools' permutations; repeated ones the walk
-    of ``_distinct_orders``."""
-    nonzero = [(x, -x) for x in e if x]
-    distinct = len(set(nonzero)) == len(nonzero)
-    orders = list(permutations(nonzero) if distinct else _distinct_orders(nonzero))
+        orders.append(tuple(items))
     members = []
-    for positions in combinations(range(len(e)), len(nonzero)):
+    for positions in combinations(range(len(e)), len(items)):
         for order in orders:
             factors = [(0,)] * len(e)
-            for i, signed in zip(positions, order):
-                factors[i] = signed
+            for i, v in zip(positions, order):
+                factors[i] = (v, -v)
             members += product(*factors)
     return members
 
