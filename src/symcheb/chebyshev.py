@@ -115,11 +115,13 @@ def eval_closed_T(n: int, x: float) -> float:
     """T_n(x) for |x| >= 1 via the square-root closed form.
 
     sign(x)^n (rho^n + rho^-n) / 2 with rho = |x| + sqrt(x^2-1), formed as
-    p + 1 / (4p) with p = rho^n / 2 = h rho^(n-1) and h = rho / 2, which is
-    finite wherever x is; rho is infinite only from |x| = 2^1023 on, where
-    T_n(x) overflows for n >= 2.  Where T_n(x) exceeds the float range the
-    result is sign(x)^n inf.  Callers needing |x| < 1 should evaluate the
-    coefficient vector instead.
+    p + 1 / (4p) with p = rho^n / 2 = h rho^a rho^b, h = rho / 2 and
+    a + b = n - 1, a = b or b - 1.  h is finite wherever x is; rho is
+    infinite only from |x| = 2^1023 on, where T_n(x) overflows for n >= 2.
+    rho^(n-1) whole would overflow before p does when rho < 2, but rho^a
+    and rho^b overflow only where p does.  Where T_n(x) exceeds the float
+    range the result is sign(x)^n inf.  Callers needing |x| < 1 should
+    evaluate the coefficient vector instead.
     """
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"degree must be a nonnegative integer, got {n!r}")
@@ -130,8 +132,9 @@ def eval_closed_T(n: int, x: float) -> float:
         return 1.0
     half = 0.5 * abs(x) + 0.5 * _root_x2_minus_1(abs(x))
     sign = -1.0 if x < 0 and n % 2 else 1.0
+    a = (n - 1) // 2
     try:
-        power = half * (2.0 * half) ** (n - 1)
+        power = half * (2.0 * half) ** a * (2.0 * half) ** (n - 1 - a)
         return sign * (power + 0.25 / power)
     except OverflowError:
         return sign * math.inf

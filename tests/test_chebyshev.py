@@ -270,15 +270,17 @@ class TestClosedForm:
     def test_overflow_is_signed_infinity(self, n, x, expected):
         assert eval_closed_T(n, x) == expected
 
-    @pytest.mark.parametrize("n,x", [(1000, 1 + 1e-7), (10, 1.001)])
+    @pytest.mark.parametrize("n,x", [(1000, 1 + 1e-7), (10, 1.001), (1_587_898, 1 + 1e-7)])
     def test_keeps_its_bits_near_one(self, n, x):
-        # sqrt(x x - 1) cancelled: 18,658 and 19.6 ulp off
+        # sqrt(x x - 1) cancelled: 18,658 and 19.6 ulp off; at n = 1,587,898,
+        # T_n(x) is 1.27e308, but rho^(n - 1) whole overflowed to inf
         with localcontext() as ctx:
             ctx.prec = 80
             exact = Decimal(x)  # the binary value of x
             rho = exact + (exact * exact - 1).sqrt()
             expected = (rho**n + rho**-n) / 2
             value = eval_closed_T(n, x)
+            assert math.isfinite(value)
             assert abs(Decimal(value) - expected) <= n * Decimal(math.ulp(value))
 
     @pytest.mark.parametrize("x", [1e200, -1e200, 1.7e308, -1.7e308])
