@@ -166,7 +166,8 @@ def _check_row_size(k: int, n_max: int) -> None:
         count = row_size(k, n_max)
         if count <= budget:
             return
-        size = str(count) if count.bit_length() <= 128 else f"more than 2^{count.bit_length() - 1}"
+        low = (count - 1).bit_length() - 1  # 2^low < count, also at a power of two
+        size = str(count) if low < 128 else f"more than 2^{low}"
     raise ResourceBudgetError(
         f"row {n_max} of the recurrence has {size} terms, over the budget of {budget} "
         f"(raise {ENUM_BUDGET_ENV})"

@@ -171,16 +171,16 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
 def _check_words(r: int, n: int, budget: int | None = None) -> None:
     """Raise ResourceBudgetError when the 2r (2r-1)^(n-1) words that
     ``enumerate_counts`` visits are over the budget, before any is visited.
-    A bound of more than 128 bits is written as "more than 2^b", with b
-    its bit length less one.  A bound known from (2r-1)^(n-1) >= 2^low to
-    be over both the budget and 2^65536 is not computed, and b is low."""
+    A bound over 2^128 is written as "more than 2^b", with 2^b < bound <=
+    2^(b+1).  A bound known from (2r-1)^(n-1) >= 2^low to be over both the
+    budget and 2^65536 is not computed, and b is low."""
     budget = resolve_enum_budget(budget)
     low = (n - 1) * ((2 * r - 1).bit_length() - 1)  # (2r - 1)^(n - 1) >= 2^low
     if low < max(budget.bit_length(), 1 << 16):
         bound = 2 * r * (2 * r - 1) ** (n - 1)
         if bound <= budget:
             return
-        low = bound.bit_length() - 1
+        low = (bound - 1).bit_length() - 1  # 2^low < bound, also at a power of two
     size = str(bound) if low < 128 else f"more than 2^{low}"
     raise ResourceBudgetError(
         f"enumeration of {size} words exceeds the budget of {budget} "

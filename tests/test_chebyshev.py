@@ -94,8 +94,15 @@ class TestRowBudget:
 
     @pytest.mark.parametrize(
         "k,n_max,size",
-        [(10**300, 4, "more than 2^3985"), (40, 40, "at least 2^40"), (2, 10**6, "1000002000001")],
-        ids=["huge-k", "k-and-n-40", "huge-n"],
+        [
+            (10**300, 4, "more than 2^3985"),
+            (40, 40, "at least 2^40"),
+            (2, 10**6, "1000002000001"),
+            # row n of k = 1 has n + 1 terms: 2^128 is written whole, 2^129 is more than 2^128
+            (1, 2**128 - 1, str(2**128)),
+            (1, 2**129 - 1, "more than 2^128"),
+        ],
+        ids=["huge-k", "k-and-n-40", "huge-n", "2^128", "2^129"],
     )
     def test_huge_rows_fail_fast(self, k, n_max, size):
         with pytest.raises(ResourceBudgetError, match=re.escape(f"has {size} terms")):

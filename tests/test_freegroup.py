@@ -106,6 +106,9 @@ class TestEnumeration:
             (2, 81, "more than 2^128"),
             (2, 200, "more than 2^317"),
             (10**300, 1, "more than 2^997"),
+            # at n = 1 the bound is 2r: 2^128 is written whole, 2^129 is more than 2^128
+            (2**127, 1, str(2**128)),
+            (2**128, 1, "more than 2^128"),
             # past 2^65536 the bound is not computed: a lower bound on its power
             (3, 10**11, "more than 2^199999999998"),
         ],
