@@ -38,7 +38,7 @@ from functools import partial
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import cltstats, freegroup, symmetrized
-from .chebyshev import ChebKind, _check_row_size, orbit_lines
+from .chebyshev import ChebKind, orbit_lines
 from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
 
@@ -230,11 +230,7 @@ def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:
-    # both routes' budgets are closed forms: refuse before either one runs,
-    # the formula route's kernel row first
-    freegroup._check_rank_length(args.r, args.n)
-    _check_row_size(args.r, args.n)
-    freegroup._check_words(args.r, args.n)
+    freegroup._check_budgets(args.r, args.n)
     formula = freegroup.counts_by_formula(args.r, args.n)
     oracle = freegroup.enumerate_counts(args.r, args.n)
     mismatches = [

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .chebyshev import orbit_rows, orbit_terms
+from .chebyshev import _check_row_size, orbit_rows, orbit_terms
 from .errors import ENUM_BUDGET_ENV, ResourceBudgetError, UsageError, resolve_enum_budget
 
 HomologyClass = tuple[int, ...]
@@ -186,6 +186,16 @@ def _check_words(r: int, n: int, budget: int | None = None) -> None:
         f"enumeration of {size} words exceeds the budget of {budget} "
         f"(raise {ENUM_BUDGET_ENV} or pass a larger budget)"
     )
+
+
+def _check_budgets(r: int, n: int) -> None:
+    """Raise before either route runs when r or n is invalid, then when the
+    kernel row that ``counts_by_formula`` walks (k = r, n_max = n) or the
+    words that ``enumerate_counts`` visits are over the budget.  Both
+    budgets are closed forms, so the check costs no row and no word."""
+    _check_rank_length(r, n)
+    _check_row_size(r, n)
+    _check_words(r, n)
 
 
 def counts_by_formula(r: int, n: int) -> HomologyCountTable:
