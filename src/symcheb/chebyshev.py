@@ -6,7 +6,9 @@ Python ints; evaluation is generic Horner, so it works with floats
 and Fractions alike.  ``orbit_rows`` runs the same recurrence on integer
 Laurent polynomials in k variables, one entry per orbit of the sign flips and
 permutations of the variables (``orbit``); every construction in the package
-uses it.
+uses it but one: a single row at k = 1, which ``univariate_row`` reads off
+the Chebyshev differential equation instead, a recurrence in the exponent j
+of O(n) steps rather than O(n^2), each a checked exact division.
 """
 
 from __future__ import annotations
@@ -234,6 +236,71 @@ def orbit_rows(
             yield reps[(m + 1) % 2], cur
 
     return rows()
+
+
+def univariate_row(a: int, g: int, q0: int, n: int) -> list[int]:
+    """The last row of ``orbit_rows(a, g, q0, 1, n)`` for q0 = 2 or 1: Q_n[j]
+    for j = n % 2, n % 2 + 2, ..., n, in O(n) big-int steps, not O(n^2).
+
+    Q_n = s P_n(c u / 2) with P = T (q0 = 2) or U (q0 = 1), c^2 = a^2 / g,
+    u = x + 1/x, v = x - 1/x and a constant s.  With theta = x d/dx, the
+    Chebyshev equation of P_n reads, times g,
+
+        T: 4 (g - a^2) (v theta^2 - u theta) Q = a^2 v^3 (theta^2 - n^2) Q,
+        U: 4 (g - a^2) (v theta^2 - u theta) Q
+               = a^2 v^2 (v (theta^2 - n (n + 2)) + 2 u theta) Q,
+
+    and at x^(i+3) it gives Q_n[i] from Q_n[i+2], Q_n[i+4], Q_n[i+6] over
+    the divisor a^2 (i^2 - n^2) or a^2 ((i + 1)^2 - (n + 1)^2), nonzero for
+    0 <= i < n; the row runs down from Q_n[n] = a^n, zero above it.  Every
+    division must be exact, so a remainder raises InternalError.  At a = 0
+    the row is q0 (-g)^(n/2) at j = 0 for even n, zeros elsewhere.  Raises
+    ResourceBudgetError as ``orbit_rows`` does, at the call.
+    """
+    _check_row_size(1, n)
+    if q0 not in (1, 2):
+        raise UsageError(f"q0 must be 2 (first kind) or 1 (second kind), got {q0!r}")
+    if not a:
+        row = [0] * (n // 2 + 1)
+        if n % 2 == 0:
+            row[0] = q0 * (-g) ** (n // 2)
+        return row
+    return _univariate_descent(a, g, q0, n, a**n if n else q0)
+
+
+def _univariate_descent(a: int, g: int, q0: int, n: int, top: int) -> list[int]:
+    """Q_n[j] for j = n % 2, ..., n from Q_n[n] = top down, for a != 0, by
+    the relation of ``univariate_row`` at x^(i+3):
+
+        a^2 d Q_i = (G (i+1)(i+2) + a^2 w_2) Q_(i+2)
+                    - (G (i+4)(i+5) + a^2 w_4) Q_(i+4) + a^2 w_6 Q_(i+6),
+
+    G = 4 (g - a^2), with (d, w_2, w_4, w_6) = (r_i, 3 r_(i+2), 3 r_(i+4),
+    r_(i+6)), r_t = t^2 - n^2, for T, and (h_(i+1), h_(i+1) + 2 h_(i+3),
+    2 h_(i+3) + h_(i+5), h_(i+5)), h_t = t^2 - (n+1)^2, for U."""
+    a2, g4 = a * a, 4 * (g - a * a)
+    m = n * n if q0 == 2 else (n + 1) ** 2
+    down, q2, q4, q6 = [top], top, 0, 0  # Q_n, Q_(n-2), ...; Q_(i+2), Q_(i+4), Q_(i+6)
+    for i in range(n - 2, -1, -2):
+        if q0 == 2:
+            r2, r4 = (i + 2) ** 2 - m, (i + 4) ** 2 - m
+            d, w2, w4, w6 = i * i - m, 3 * r2, 3 * r4, (i + 6) ** 2 - m
+        else:
+            d, h3, h5 = (i + 1) ** 2 - m, (i + 3) ** 2 - m, (i + 5) ** 2 - m
+            w2, w4, w6 = d + 2 * h3, 2 * h3 + h5, h5
+        total = (
+            (g4 * (i + 1) * (i + 2) + a2 * w2) * q2
+            - (g4 * (i + 4) * (i + 5) + a2 * w4) * q4
+            + a2 * w6 * q6
+        )
+        entry, rest = divmod(total, a2 * d)
+        if rest:
+            raise InternalError(
+                f"inexact step at j = {i} of the k = 1 row n = {n} (a = {a}, g = {g}, q0 = {q0})"
+            )
+        down.append(entry)
+        q2, q4, q6 = entry, q2, q4
+    return down[::-1]
 
 
 def orbit(e: tuple[int, ...]) -> list[tuple[int, ...]]:

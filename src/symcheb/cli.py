@@ -132,7 +132,9 @@ def _ratio_text(entry: int, scale: int) -> str:
 
 
 def _ratio_json(entry: int, scale: int) -> str:
-    return json.dumps(_ratio_text(entry, scale))
+    """json.dumps(_ratio_text(entry, scale)): the text is digits, "-" and
+    "/", so quoting it is all the escaping it needs."""
+    return '"' + _ratio_text(entry, scale) + '"'
 
 
 _RATIO = {"json": _ratio_json, "csv": _ratio_text}

@@ -10,10 +10,15 @@ and under permutations of the variables.  The canonical construction is the
 three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, run on integers by
 ``chebyshev.orbit_rows`` on one representative e_1 >= ... >= e_k >= 0 per
 orbit of those symmetries: with c = p/q it computes Q_m = s_m P_m(A) for
-the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind).  Only rows a
-caller reads become Fractions, one per representative, shared by its orbit.
-Signs and witnesses need no orbit: the lexicographically first member of
-the orbit of e is (-e_1, ..., -e_k).
+the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind).  One row
+at k = 1 (``build``, ``positivity_report`` and the command line's
+``coeffs``) comes from ``chebyshev.univariate_row`` instead: the Chebyshev
+equation of P_n, run as a recurrence in the exponent j from x^n down, in
+O(n) steps with one exact division each, a remainder raising InternalError.
+``table``, ``sign_survey`` and ``build_sequence`` read every row and keep
+the kernel.  Only rows a caller reads become Fractions, one per
+representative, shared by its orbit.  Signs and witnesses need no orbit:
+the lexicographically first member of the orbit of e is (-e_1, ..., -e_k).
 
 For k = 1 and c > 1 all coefficients on the parity support (|j| <= n,
 n - j even) are strictly positive; for c < -1 every coefficient has sign
@@ -66,7 +71,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity, check_kind, orbit_rows, orbit_terms
+from .chebyshev import ChebKind, check_arity, check_kind, orbit_rows, orbit_terms, univariate_row
 from .errors import UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
@@ -169,24 +174,35 @@ def _check_rows_args(kind: ChebKind, k: int, n_max: int) -> None:
         raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
 
 
+def _kernel_args(kind: ChebKind, c: Scalar, k: int, n_max: int) -> tuple[int, int, int, int]:
+    """(a, g, q0, kq) of the kernel rows of P_m(A), with kq^m q0 their scale;
+    the arguments are checked."""
+    _check_rows_args(kind, k, n_max)
+    c = as_scalar(c)
+    kq = k * c.denominator
+    return c.numerator, kq * kq, 2 if kind is ChebKind.FIRST else 1, kq
+
+
 def _scaled(
     kind: ChebKind, c: Scalar, k: int, n_max: int
 ) -> Iterator[tuple[Sequence[Exponents], list[int], int]]:
     """(reps, Q_m, s_m) for m = 0..n_max, P_m(A) = Q_m / s_m on reps; the
     arguments and the budget are checked at the call."""
-    _check_rows_args(kind, k, n_max)
-    c = as_scalar(c)
-    kq = k * c.denominator
-    q0 = 2 if kind is ChebKind.FIRST else 1
-    rows = orbit_rows(c.numerator, kq * kq, q0, k, n_max)
+    a, g, q0, kq = _kernel_args(kind, c, k, n_max)
+    rows = orbit_rows(a, g, q0, k, n_max)
     return ((reps, row, q0 * kq**m) for m, (reps, row) in enumerate(rows))
 
 
 def _scaled_row(spec: SymChebSpec) -> tuple[Sequence[Exponents], list[int], int]:
-    """(reps, Q_n, s_n): the last row of ``_scaled`` for one polynomial."""
-    for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
-        pass
-    return reps, row, scale
+    """(reps, Q_n, s_n): the last row of ``_scaled`` for one polynomial.  At
+    k = 1 it is ``univariate_row``'s, made without rows 0..n - 1."""
+    if spec.k > 1:
+        for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
+            pass
+        return reps, row, scale
+    a, g, q0, q = _kernel_args(spec.kind, spec.c, 1, spec.n)
+    row = univariate_row(a, g, q0, spec.n)
+    return [(j,) for j in range(spec.n % 2, spec.n + 1, 2)], row, q0 * q**spec.n
 
 
 def _fractions(

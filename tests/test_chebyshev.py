@@ -16,9 +16,10 @@ from symcheb import (
     cheb_coeffs,
     coeff_formula_T,
     eval_closed_T,
+    fullform_coeff,
 )
 from symcheb import chebyshev
-from symcheb.chebyshev import orbit, orbit_rows, orbit_size, row_size
+from symcheb.chebyshev import orbit, orbit_rows, orbit_size, row_size, univariate_row
 
 from oracles import lattice_rows, scaled_rows, unpack_exponents
 
@@ -170,6 +171,72 @@ class TestOrbitRows:
         assert len(set(members)) == len(members) == orbit_size(e)
         assert all(tuple(sorted(map(abs, x), reverse=True)) == e for x in members)
         assert min(members) == tuple(-x for x in e)  # the first member, in lexicographic order
+
+
+def kernel_last_row(a, g, q0, n):
+    """Row n of ``orbit_rows`` at k = 1, walked from row 0."""
+    for _, row in orbit_rows(a, g, q0, 1, n):
+        pass
+    return row
+
+
+@st.composite
+def univariate_c(draw):
+    """c = p/q of either sign: |c| < 1, c = 0, c = +-1 and c near +-1 included."""
+    q = draw(st.integers(1, 12))
+    special = st.sampled_from([0, q, -q, q - 1, q + 1, -q - 1, 1 - q])
+    return draw(st.one_of(st.integers(-3 * q, 3 * q), special)), q
+
+
+class TestUnivariateRow:
+    @settings(max_examples=120, deadline=None)
+    @given(c=univariate_c(), q0=st.sampled_from([1, 2]), n=st.integers(0, 250))
+    def test_matches_the_kernel(self, c, q0, n):
+        p, q = c
+        assert univariate_row(p, q * q, q0, n) == kernel_last_row(p, q * q, q0, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.integers(-9, 9),
+        g=st.integers(-20, 20),
+        q0=st.sampled_from([1, 2]),
+        n=st.integers(0, 40),
+    )
+    def test_matches_the_kernel_at_any_g(self, a, g, q0, n):
+        # the relations are polynomial in a and g, so g need not be a square
+        # nor positive; a = 1, g = 2r - 1 is the free group's
+        assert univariate_row(a, g, q0, n) == kernel_last_row(a, g, q0, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=univariate_c(), n=st.integers(1, 250), data=st.data())
+    def test_first_kind_matches_fullform(self, c, n, data):
+        # Q_n[j] = 2 q^n T_n(c (x + 1/x) / 2)[x^j], by the explicit expansion
+        p, q = c
+        if not p:
+            return
+        row = univariate_row(p, q * q, 2, n)
+        for i in data.draw(st.lists(st.integers(0, n // 2), min_size=1, max_size=4)):
+            j = n % 2 + 2 * i
+            assert F(row[i], 2 * q**n) == fullform_coeff(n, F(p, q), j)
+
+    def test_examples(self):
+        # c = 3/2: Q_2 = 9x^2 + 10 + 9x^-2 for q0 = 2, and 9x^2 + 14 + 9x^-2 for q0 = 1
+        assert univariate_row(3, 4, 2, 2) == [10, 9]
+        assert univariate_row(3, 4, 1, 2) == [14, 9]
+        assert univariate_row(5, 7, 2, 0) == [2]
+        assert univariate_row(0, 4, 2, 6) == [2 * (-4) ** 3, 0, 0, 0]
+        assert univariate_row(0, 4, 1, 5) == [0, 0, 0]
+
+    def test_other_q0_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="q0 must be 2"):
+            univariate_row(1, 1, 3, 4)
+
+    def test_checks_the_budget_first(self, monkeypatch):
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "5")
+        with pytest.raises(ResourceBudgetError, match=r"^row 10 of .* has 11 terms, over .* 5 "):
+            univariate_row(1, 1, 2, 10)
+        with pytest.raises(ResourceBudgetError, match=r"has more than 2\^128 terms"):
+            univariate_row(0, 1, 2, 2**129 - 1)
 
 
 class TestCoeffVectors:

@@ -794,6 +794,52 @@ def test_help_is_unchanged(capsys, argv):
     assert out.startswith(f"usage: {' '.join(['symcheb', *argv[:-1]])} [-h]")
 
 
+class KernelCalled(Exception):
+    pass
+
+
+def no_kernel(*args):
+    raise KernelCalled
+
+
+K1_ROW_ARGVS = [
+    ["coeffs", "--kind", "T", "--n", "40", "--c", "-7/5", "--k", "1"],
+    ["coeffs", "--kind", "U", "--n", "33", "--c", "3/4", "--format", "csv"],
+    ["positivity", "--kind", "U", "--n", "41", "--c", "0", "--k", "1"],
+    ["positivity", "--kind", "T", "--n", "12", "--c", "11/10", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", K1_ROW_ARGVS)
+def test_one_row_at_k1_skips_the_kernel(capsys, monkeypatch, argv):
+    expected = capture(capsys, argv)
+    monkeypatch.setattr(symmetrized, "orbit_rows", no_kernel)
+    assert capture(capsys, argv) == expected and expected[0] == 0
+
+
+def test_build_at_k1_skips_the_kernel(monkeypatch):
+    spec = symmetrized.SymChebSpec(ChebKind.SECOND, 30, Fraction(-5, 3), 1)
+    expected = symmetrized.build(spec)
+    monkeypatch.setattr(symmetrized, "orbit_rows", no_kernel)
+    assert symmetrized.build(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--kind", "T", "--c", "3/2", "--n-max", "6"],
+        ["sign-survey", "--kind", "U", "--k", "1", "--n-max", "6", "--c", "1/2"],
+        ["coeffs", "--kind", "T", "--n", "6", "--c", "3/2", "--k", "2"],
+        ["positivity", "--kind", "T", "--n", "6", "--c", "3/2", "--k", "2"],
+    ],
+    ids=["table", "sign-survey", "coeffs-k2", "positivity-k2"],
+)
+def test_every_row_and_k_above_1_keep_the_kernel(monkeypatch, argv):
+    monkeypatch.setattr(symmetrized, "orbit_rows", no_kernel)
+    with pytest.raises(KernelCalled):
+        run(argv)
+
+
 EXACT_C = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "-2"]).map(parse_exact),
     st.fractions(min_value=-3, max_value=3, max_denominator=7),

@@ -106,3 +106,32 @@ def test_readme_examples_run():
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert (argv, run(argv)) == (argv, 0)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_univariate_row_checks_each_division(flags):
+    # a start that is not a^n leaves a remainder in some exact division
+    code = """
+from symcheb.chebyshev import _univariate_descent
+from symcheb.errors import InternalError
+try:
+    _univariate_descent(3, 4, 2, 10, 3**10 + 1)
+except InternalError as exc:
+    print(exc)
+"""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.startswith("inexact step at j = 8 of the k = 1 row n = 10 ")
+
+
+def test_univariate_route_prints_the_same_bytes_optimized():
+    argv = ["coeffs", "--kind", "U", "--n", "301", "--c", "-7/5", "--k", "1", "--format", "json"]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "symcheb", *argv], capture_output=True, check=True
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout.startswith(b'{"kind": "U", "n": 301, ') and plain.stderr == b""
+    assert (optimized.stdout, optimized.stderr) == (plain.stdout, plain.stderr)

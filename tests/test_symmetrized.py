@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcheb import (
@@ -282,6 +282,37 @@ class TestLatticeDifferential:
         ]
         assert survey_oracle(polys) == (SignClass.MIXED, (1, (-2, -1), F(7, 4)))
         assert row == (F(2), SignClass.MIXED, (1, (-2, -1), F(7, 4)))
+
+
+def kernel_scaled_row(spec):
+    """``symmetrized._scaled_row`` by the kernel at every k: the last of rows
+    0..n."""
+    *_, last = symmetrized._scaled(spec.kind, spec.c, spec.k, spec.n)
+    return last
+
+
+class TestUnivariateRoute:
+    """At k = 1 one row comes from ``chebyshev.univariate_row``; the kernel,
+    walked from row 0, is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from([T, U]),
+        q=st.integers(1, 12),
+        p=st.one_of(st.integers(-40, 40), st.sampled_from([0, 1, -1])),
+        n=st.integers(0, 120),
+    )
+    @example(kind=T, q=1, p=0, n=6)
+    @example(kind=U, q=1, p=1, n=9)
+    @example(kind=T, q=1, p=-1, n=10)
+    @example(kind=U, q=7, p=-3, n=0)
+    def test_build_and_positivity_match_the_kernel(self, kind, q, p, n):
+        # |p| < q is |c| < 1
+        spec = SymChebSpec(kind, n, F(p, q), 1)
+        routed = build(spec), positivity_report(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetrized, "_scaled_row", kernel_scaled_row)
+            assert (build(spec), positivity_report(spec)) == routed
 
 
 class TestUnivariateTable:
