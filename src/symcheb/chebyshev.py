@@ -353,15 +353,20 @@ def orbit_terms(
 # shared block like any other; nested, such blocks copy a line at most this
 # many times.
 _ZERO_BLOCK_LENGTH = 8
+# At k = 1 ``orbit_lines`` joins whole terms into pieces of at least this
+# many characters, or the rest of the list: one write batch of ``cli._copy``.
+_PIECE_LENGTH = 1 << 16
 
 
 def orbit_lines(
     reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], str], layout: tuple
 ) -> Iterator[str]:
     """The terms of ``orbit_terms(reps, row, value)`` as text, in order, one
-    piece per run of terms that share a prefix of their coordinates.  With
-    layout (head, sep, tail, end, joint), a term is head e_1 sep ... sep e_k
-    tail text end, and a piece joins its terms by joint.
+    piece per run of terms that share a prefix of their coordinates, or at
+    k = 1 per run of at least _PIECE_LENGTH characters.  With layout (head,
+    sep, tail, end, joint), a term is head e_1 sep ... sep e_k tail text
+    end, and a piece joins its terms by joint.  value is called once per
+    nonzero entry, before the first piece.
 
     The members with e_1 = -v or v of a representative holding v are
     (e_1, *f), f in the orbit of the representative with one copy of v taken
@@ -431,6 +436,22 @@ def orbit_lines(
             for w, block in level:
                 yield f"{zeros}{w}{sep}", block
 
+    if reps and len(reps[0]) == 1:  # k = 1: one term per e_1
+        texts = {}
+        for (e,), entry in zip(reps, row):
+            if entry:
+                texts[e] = value(entry)
+        del reps, row  # the texts stand for them from here on: their ints can go
+        run, size = [], 0
+        for x in sorted({*texts, *map(neg, texts)}):
+            run.append(f"{head}{x}{tail}{texts[abs(x)]}{end}")
+            size += len(run[-1])
+            if size >= _PIECE_LENGTH:
+                piece, run, size = joint.join(run), [], 0
+                yield piece
+        if run:
+            yield joint.join(run)
+        return
     buckets = {}  # each nonzero representative under each of its entries
     for e, entry in zip(reps, row):
         if entry:
@@ -440,9 +461,6 @@ def orbit_lines(
     kept = {}  # the parts of e_1 = -v, until e_1 = v
     for x in sorted({*buckets, *map(neg, buckets)}):
         sub = buckets[abs(x)]
-        if len(sub[0][0]) == 1:  # k = 1
-            yield f"{head}{x}{tail}{sub[0][1]}{end}"
-            continue
         pairs = kept.pop(x, None) or parts((abs(x),) if x else (), sub, abs(x))
         if x < 0:
             kept[-x] = pairs = list(pairs)

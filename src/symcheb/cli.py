@@ -8,16 +8,22 @@ with the label and exit code that its class carries.
 
 Each command's handler runs all of its checks and builds its kernel rows
 when it is called, then returns its output as an iterable of text pieces:
-the head, each table row or each run of terms that share a prefix, the
-tail.  ``run`` joins them into batches of at least 64 KiB and writes each
-batch, so no byte is written and no --out file is opened before the last
-check has passed, and memory tracks a row of output, not the whole
-document.  Term lists are written from the kernel's orbit representatives
-by ``chebyshev.orbit_lines``: the lines of the last coordinates are made
-once per block of an orbit and shared by every prefix, with no tuple, sort
-or format per term; only ``fgcount --method oracle``, the independent
-route, formats term by term.  Only a failed write can leave partial
-output.
+the head, each table row or each run of terms that share a prefix (at
+k = 1, each run of whole terms of at least 64 KiB), the tail.  ``run``
+joins them into batches of at least 64 KiB and writes each batch, so no
+byte is written and no --out file is opened before the last check has
+passed, and memory tracks a row of output, not the whole document.  Term
+lists are written from the kernel's orbit representatives by
+``chebyshev.orbit_lines``: the lines of the last coordinates are made once
+per block of an orbit and shared by every prefix, with no tuple, sort or
+format per term; only ``fgcount --method oracle``, the independent route,
+formats term by term.  Only a failed write can leave partial output.
+
+``coeffs`` and ``table`` write each nonzero kernel entry once as p/q in
+lowest terms, reduced against its row's scale s = q0 (kq)^m by
+``_ratio_text``: a remainder by the part of s below 2^30 in place of a
+big-int gcd, which only a scale of at most 128 bits, or an entry that
+holds a prime to the full power of that part, still takes.
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -125,19 +131,73 @@ def _plain_lines(terms: Iterable[tuple[tuple, int]], layout: tuple) -> Iterator[
         yield f"{head}{sep.join(map(str, e))}{tail}{count}{end}"
 
 
-def _ratio_text(entry: int, scale: int) -> str:
-    """format_exact(Fraction(entry, scale)) for scale > 0, by one gcd."""
-    g = math.gcd(entry, scale)
-    return f"{entry // g}/{scale // g}"
+# A remainder by a divisor below 2^30, one CPython digit, takes time linear
+# in the dividend, where a gcd of two big ints takes quadratic time.
+_WORD = 1 << 30
+# A scale of at most this many bits is reduced by one gcd per entry: below
+# it, finding the word divisor costs more than the gcds it saves.
+_SMALL_SCALE = 128
 
 
-def _ratio_json(entry: int, scale: int) -> str:
-    """json.dumps(_ratio_text(entry, scale)): the text is digits, "-" and
-    "/", so quoting it is all the escaping it needs."""
-    return '"' + _ratio_text(entry, scale) + '"'
+def _word_divisor(scale: int, base: int) -> tuple[int, int]:
+    """(M, r) for a scale s = q0 (kq)^m with base b = q0 kq, m >= 1: M =
+    gcd(s, b^j) for the largest j with M < 2^30, and r = gcd(s / M, b),
+    which holds every prime that s holds to a higher power than M does.
+    (0, 0) when s has at most _SMALL_SCALE bits or b is not below 2^30."""
+    if scale.bit_length() <= _SMALL_SCALE or base >= _WORD:
+        return 0, 0
+    divisor, power = 1, base
+    while (larger := math.gcd(scale % power, power)) < _WORD:
+        divisor, power = larger, power * base
+    return divisor, math.gcd(scale // divisor, base)
 
 
-_RATIO = {"json": _ratio_json, "csv": _ratio_text}
+def _covers(u: int, x: int) -> bool:
+    """Whether every prime of x divides u."""
+    while x > 1:
+        g = math.gcd(x, u)
+        if g == 1:
+            return False
+        x //= g
+    return True
+
+
+def _ratio_text(scale: int, base: int, quote: str) -> Callable[[int], str]:
+    """The function that writes format_exact(Fraction(entry, scale)) between
+    two quotes, for a scale s = q0 (kq)^m with base b = q0 kq.
+
+    With M and r of ``_word_divisor``, h = gcd(entry % M, M) is gcd(entry,
+    s) unless a prime of r divides the entry to its full power in M, which
+    holds exactly when some prime of r does not divide M / h; only then, or
+    for a small s, is the big gcd taken.  So an entry costs one remainder
+    and one exact division by a word, and the denominator text s / h is made
+    once per distinct h.  The text is digits, "-" and "/", so in JSON the
+    quotes are all the escaping it needs."""
+    divisor, short = _word_divisor(scale, base)
+
+    def reduced(entry: int) -> str:  # by one gcd with the scale
+        g = math.gcd(entry, scale)
+        return f"{quote}{entry // g}/{scale // g}{quote}"
+
+    if not divisor:
+        return reduced
+    tails = {}  # h: "/" s / h quote, or "" where a prime of M is saturated
+
+    def text(entry: int) -> str:
+        h = math.gcd(entry % divisor, divisor)
+        tail = tails.get(h)
+        if tail is None:
+            tail = tails[h] = f"/{scale // h}{quote}" if _covers(divisor // h, short) else ""
+        return f"{quote}{entry // h}{tail}" if tail else reduced(entry)
+
+    return text
+
+
+def _ratios(args: argparse.Namespace, k: int) -> Callable[[int], Callable[[int], str]]:
+    """The ``_ratio_text`` of each scale of the kernel rows of args.kind and
+    args.c at arity k, quoted for args.format."""
+    _, _, q0, kq = symmetrized._kernel_args(args.kind, args.c, k, 0)
+    return partial(_ratio_text, base=q0 * kq, quote='"' if args.format == "json" else "")
 
 
 def _spec_head(args: argparse.Namespace) -> tuple[symmetrized.SymChebSpec, dict]:
@@ -159,14 +219,12 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     reps, row, scale = symmetrized._scaled_row(spec)
-    ratio = _RATIO[args.format]
-    lines = partial(orbit_lines, reps, row, lambda entry: ratio(entry, scale))
+    lines = partial(orbit_lines, reps, row, _ratios(args, args.k)(scale))
     return _terms_text(args.format, head, "terms", "coeff", args.k, lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
-    ratio = _RATIO[args.format]
-    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, ratio)
+    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, _ratios(args, 1))
     if args.format == "json":
         head = {"kind": args.kind.value, "c": format_exact(args.c), "n_max": args.n_max}
         items = (f'{{"n": {n}, "coeffs": [{", ".join(row)}]}}' for n, row in enumerate(rows))

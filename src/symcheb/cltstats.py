@@ -86,7 +86,7 @@ from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetE
 from .errors import resolve_enum_budget
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
-from .symmetrized import _first, _fractions, _scaled
+from .symmetrized import SymChebSpec, _first, _fractions, _scaled, _scaled_row
 
 DEFAULT_EXACT_CEILING = 1024
 FULL_TABLE_CEILING = 32  # how far ``_certify`` walks kernel rows below c_k
@@ -145,10 +145,11 @@ class ConvergenceReport(NamedTuple):
 def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
     """The exact coefficient distribution of T_n(A) on Z^k.
 
-    Requires c > 1.  Read off the integer kernel row Q_n = s_n T_n(A): a
-    negative entry raises DomainError carrying the witness exponent (the
-    distribution is undefined there), the row sum is checked against the
-    exact s_n T_n(c), and each probability is one entry over that sum.
+    Requires c > 1.  Read off the integer kernel row Q_n = s_n T_n(A), at
+    k = 1 made alone by ``univariate_row``: a negative entry raises
+    DomainError carrying the witness exponent (the distribution is
+    undefined there), the row sum is checked against the exact s_n T_n(c),
+    and each probability is one entry over that sum.
     """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
@@ -355,11 +356,15 @@ def _negative(exponents: Exponents, coeff: int, scale: int) -> DomainError:
 
 def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, tuple, list, int]]:
     """(n, reps, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n =
-    2 (kq)^n T_n(A).  Raises the DomainError of ``distribution`` at the first
-    negative coefficient, and InternalError unless the row sum,
-    sum_e |orbit(e)| Q_n[e], is M0 = 2 (kq)^n T_n(c)."""
-    wanted = set(ns)
-    rows = ((n, row) for n, row in enumerate(_scaled(ChebKind.FIRST, c, k, ns[-1])) if n in wanted)
+    2 (kq)^n T_n(A), at k = 1 each row alone from ``_scaled_row``.  Raises
+    the DomainError of ``distribution`` at the first negative coefficient,
+    and InternalError unless the row sum, sum_e |orbit(e)| Q_n[e], is
+    M0 = 2 (kq)^n T_n(c)."""
+    if k == 1:
+        rows = ((n, _scaled_row(SymChebSpec(ChebKind.FIRST, n, c, 1))) for n in ns)
+    else:
+        wanted, walked = set(ns), enumerate(_scaled(ChebKind.FIRST, c, k, ns[-1]))
+        rows = ((n, row) for n, row in walked if n in wanted)
     for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, _c_moments(c, k, ns)):
         negative = _first(reps, row, -1)
         if negative is not None:

@@ -11,10 +11,11 @@ three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, run on integers by
 ``chebyshev.orbit_rows`` on one representative e_1 >= ... >= e_k >= 0 per
 orbit of those symmetries: with c = p/q it computes Q_m = s_m P_m(A) for
 the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind).  One row
-at k = 1 (``build``, ``positivity_report`` and the command line's
-``coeffs``) comes from ``chebyshev.univariate_row`` instead: the Chebyshev
-equation of P_n, run as a recurrence in the exponent j from x^n down, in
-O(n) steps with one exact division each, a remainder raising InternalError.
+at k = 1 (``build``, ``positivity_report``, ``cltstats.distribution`` and
+the command line's ``coeffs``) comes from ``chebyshev.univariate_row``
+instead: the Chebyshev equation of P_n, run as a recurrence in the
+exponent j from x^n down, in O(n) steps with one exact division each, a
+remainder raising InternalError.
 ``table``, ``sign_survey`` and ``build_sequence`` read every row and keep
 the kernel.  Only rows a caller reads become Fractions, one per
 representative, shared by its orbit.  Signs and witnesses need no orbit:
@@ -69,6 +70,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chebyshev import ChebKind, check_arity, check_kind, orbit_rows, orbit_terms, univariate_row
@@ -214,18 +216,19 @@ def _fractions(
 
 
 def _univariate_rows(
-    kind: ChebKind, c: Fraction, n_max: int, value: Callable[[int, int], object]
+    kind: ChebKind, c: Fraction, n_max: int, values: Callable[[int], Callable[[int], object]]
 ) -> Iterator[tuple]:
-    """Rows 0..n_max at k = 1 for j = -m..m: value(entry, s_m) once per
-    nonzero kernel entry at j >= 0, mirrored to -j, and value(0, 1) elsewhere.
-    The arguments and the budget are checked at the call; each row is made
-    as it is read."""
-    rows, zero = _scaled(kind, c, 1, n_max), value(0, 1)
+    """Rows 0..n_max at k = 1 for j = -m..m: values(s_m)(entry) once per
+    nonzero kernel entry at j >= 0, mirrored to -j, and values(1)(0)
+    elsewhere.  The arguments and the budget are checked at the call; each
+    row is made as it is read."""
+    rows, zero = _scaled(kind, c, 1, n_max), values(1)(0)
 
     def mirrored() -> Iterator[tuple]:
         for m, (_, row, scale) in enumerate(rows):
+            value = values(scale)
             half = [zero] * (m + 1)  # j = 0..m; row holds j = m % 2, m % 2 + 2, ..., m
-            half[m % 2 :: 2] = [value(entry, scale) if entry else zero for entry in row]
+            half[m % 2 :: 2] = [value(entry) if entry else zero for entry in row]
             yield (*half[:0:-1], *half)
 
     return mirrored()
@@ -256,7 +259,7 @@ def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTa
     exactly with the coefficients of build().
     """
     c = as_scalar(c)
-    rows = tuple(_univariate_rows(kind, c, n_max, Fraction))
+    rows = tuple(_univariate_rows(kind, c, n_max, lambda s: partial(Fraction, denominator=s)))
     return UnivariateCoeffTable(kind=kind, c=c, rows=rows)
 
 

@@ -82,6 +82,13 @@ def constant_term(p, g, n, walks):
     return acc
 
 
+def ratio_text(entry, scale):
+    """Oracle: format_exact(Fraction(entry, scale)) for scale > 0, by one
+    gcd of the entry and the scale."""
+    g = math.gcd(entry, scale)
+    return f"{entry // g}/{scale // g}"
+
+
 def _terms_text(fmt, head, key, name, k, terms):
     """A list of (exponents, value) terms: in JSON, one dict per term under
     ``key`` after the ``head`` fields; in CSV, columns e1..ek and ``name``."""

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 
 from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
 from symcheb.cli import build_parser, run
-from symcheb.laurent import parse_exact
+from symcheb.laurent import format_exact, parse_exact
 
-from oracles import coeffs_text, fgcount_text, table_text
+from oracles import coeffs_text, fgcount_text, ratio_text, table_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 400  # beyond the float range
@@ -928,8 +929,7 @@ class TestOrbitWriter:
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
         spec = symmetrized.SymChebSpec(ChebKind.FIRST, 12, parse_exact("7/5"), 3)
         _, row, _ = symmetrized._scaled_row(spec)
-        ratio, texts = cli._RATIO[fmt], []
-        monkeypatch.setitem(cli._RATIO, fmt, lambda *args: texts.append(ratio(*args)) or texts[-1])
+        texts = count_texts(monkeypatch)
         format_exact, formatted = cli.format_exact, []
         monkeypatch.setattr(cli, "format_exact", lambda v: formatted.append(v) or format_exact(v))
         argv = ["coeffs", "--kind", "T", "--n", "12", "--c", "7/5", "--k", "3", "--format", fmt]
@@ -938,6 +938,120 @@ class TestOrbitWriter:
         assert (code, terms, len(texts)) == (0, 1469, 57)
         assert sum(map(bool, row)) == 57
         assert formatted == [spec.c]  # the c head field only
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_value_text_per_entry_at_k1(self, capsys, monkeypatch, fmt):
+        spec = symmetrized.SymChebSpec(ChebKind.SECOND, 151, parse_exact("-11/10"), 1)
+        _, row, scale = symmetrized._scaled_row(spec)
+        texts = count_texts(monkeypatch)
+        argv = ["coeffs", "--kind", "U", "--n", "151", "--c", "-11/10", "--format", fmt]
+        code, out, _ = capture(capsys, argv)
+        terms = len(json.loads(out)["terms"]) if fmt == "json" else out.count("\n") - 1
+        assert (code, terms, len(texts)) == (0, 152, 76)
+        assert texts == [(entry, scale) for entry in row]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_value_text_per_table_entry(self, capsys, monkeypatch, fmt):
+        # one per nonzero kernel entry at j >= 0, mirrored to -j, and the zero
+        rows = list(symmetrized._scaled(ChebKind.FIRST, parse_exact("13/12"), 1, 60))
+        nonzero = [(entry, scale) for _, row, scale in rows for entry in row if entry]
+        texts = count_texts(monkeypatch)
+        argv = ["table", "--kind", "T", "--c", "13/12", "--n-max", "60", "--format", fmt]
+        assert capture(capsys, argv)[0] == 0
+        assert (len(texts), len(nonzero)) == (962, 961)
+        assert texts == [(0, 1), *nonzero]
+
+
+def count_texts(monkeypatch):
+    """The (entry, scale) of every value text that the command line makes."""
+    made, texts = cli._ratio_text, []
+
+    def counting(scale, base, quote):
+        text = made(scale, base, quote)
+        return lambda entry: texts.append((entry, scale)) or text(entry)
+
+    monkeypatch.setattr(cli, "_ratio_text", counting)
+    return texts
+
+
+QUOTES = st.sampled_from(["", '"'])
+
+
+def check_texts(q0, kq, rows, quote):
+    """``cli._ratio_text`` over rows of (m, entries) at s = q0 kq^m, diffed
+    against the one-gcd reference and format_exact."""
+    for m, entries in rows:
+        scale = q0 * kq**m
+        text = cli._ratio_text(scale, q0 * kq, quote)
+        for entry in entries:
+            expected = ratio_text(entry, scale)
+            assert expected == format_exact(Fraction(entry, scale))
+            assert text(entry) == f"{quote}{expected}{quote}"
+
+
+class TestRatioTexts:
+    """The reduction rule of ``coeffs`` and ``table``: a remainder by a
+    word-sized part M of the scale, the full gcd where a prime of M is
+    saturated."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q0=st.sampled_from([1, 2]),
+        kq=st.one_of(
+            st.integers(1, 60),
+            st.sampled_from([1, 15, 3**18, 2**29 + 11, 2**30, 1_000_000_000_007]),
+        ),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 400),
+                st.lists(
+                    st.tuples(st.integers(-(10**250), 10**250), st.integers(0, 500)),
+                    min_size=1, max_size=6,
+                ),
+            ),
+            min_size=1, max_size=4,
+        ),
+        quote=QUOTES,
+    )
+    @example(q0=2, kq=15, rows=[(60, [(7, 60), (-1, 3), (1, 0)])], quote="")  # q0 = 2, odd kq
+    @example(q0=2, kq=1, rows=[(0, [(5, 0)]), (300, [(-4, 2)])], quote='"')  # kq = 1
+    @example(q0=1, kq=2, rows=[(0, [(0, 0), (3, 0)]), (200, [(3, 1)])], quote="")  # m = 0
+    @example(q0=1, kq=1_000_000_000_007, rows=[(40, [(-9, 40), (9, 39)])], quote="")
+    @example(q0=1, kq=10, rows=[(50, [(7, 20), (-7, 9), (7, 10)])], quote='"')  # saturated
+    def test_matches_the_one_gcd_reference(self, q0, kq, rows, quote):
+        # an entry is a unit times gcd(s, b^i), so it shares from none to
+        # all of the scale, and often more of a prime than M holds; s stays
+        # within 12,000 bits, and the text within str's default digit limit
+        top, shared = 12_000 // (q0 * kq).bit_length(), []
+        for m, entries in rows:
+            m = min(m, top)
+            parts = [math.gcd(q0 * kq**m, (q0 * kq) ** i) for _, i in entries]
+            shared.append((m, [unit * part for (unit, _), part in zip(entries, parts)]))
+        check_texts(q0, kq, shared, quote)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    @pytest.mark.parametrize("kind", list(ChebKind))
+    def test_saturated_rows(self, kind, n):
+        # every entry holds 3^n, all of the scale's 3s: past the word part
+        # of a 160-bit scale at n = 100, so each takes the full gcd
+        spec = symmetrized.SymChebSpec(kind, n, Fraction(3), 3)
+        reps, row, scale = symmetrized._scaled_row(spec)
+        assert all(entry % 3**n == 0 for entry in row)
+        q0 = 2 if kind is ChebKind.FIRST else 1
+        assert scale == q0 * 3**n
+        check_texts(q0, 3, [(n, [entry for entry in row if entry])], "")
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_table_zero_text(self, quote):
+        # table writes value(0, 1) at every j outside a row's support
+        assert cli._ratio_text(1, 11 * 2, quote)(0) == f"{quote}0/1{quote}"
+        assert format_exact(Fraction(0, 1)) == "0/1"
+
+    def test_word_divisor(self):
+        # s = 2 10^150, b = 20: 20^6 < 2^30 < 20^7; s / M holds 2 and 5
+        assert cli._word_divisor(2 * 10**150, 20) == (20**6, 20)
+        assert cli._word_divisor(2 * 10**38, 20) == (0, 0)  # 127 bits: one gcd each
+        assert cli._word_divisor(1_000_000_000_007**20, 1_000_000_000_007) == (0, 0)
 
 
 BATCH = 1 << 16
@@ -995,8 +1109,14 @@ class TestStreamedOutput:
              556_555, 1),
             (["coeffs", "--kind", "T", "--c", "2", "--k", "60", "--n", "2", "--format", "json"],
              1_497_922, 1),
+            # at k = 1 each text is held from -j to j, so about half the document
+            (["coeffs", "--kind", "U", "--n", "3000", "--c", "3/2", "--k", "1",
+              "--format", "json"], 8_678_749, 0.77),
+            (["coeffs", "--kind", "T", "--n", "1500", "--c", "11/10", "--k", "1",
+              "--format", "csv"], 4_851_593, 0.77),
         ],
-        ids=["coeffs_json", "coeffs_csv", "fgcount", "coeffs_k300_n1", "coeffs_k60_n2"],
+        ids=["coeffs_json", "coeffs_csv", "fgcount", "coeffs_k300_n1", "coeffs_k60_n2",
+             "coeffs_k1_json", "coeffs_k1_csv"],
     )
     def test_term_list_peak_is_a_fraction_of_the_output(self, tmp_path, argv, size, share):
         # a tuple per orbit member, sorted before the first byte, peaked at

@@ -27,6 +27,7 @@ from symcheb import (
     sigma2_rederived,
     sigma2_reported,
     sign_survey,
+    symmetrized,
 )
 from symcheb.cltstats import (
     MODE_EXACT,
@@ -271,6 +272,49 @@ class TestDistribution:
         with pytest.raises(InternalError) as info:
             distribution(3, F(2), 1)
         assert str(info.value) == "normalizer mismatch between build and direct evaluation"
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 60), q=st.integers(1, 13), n=st.integers(1, 150))
+    def test_k1_matches_the_kernel_route(self, p, q, n):
+        # at k = 1 the row comes from univariate_row; the kernel walks rows 0..n
+        c = F(p, q)
+        assume(c > 1)
+        terms = list(build_sequence(T, c, 1, n)[-1].terms())
+        total = sum(v for _, v in terms)
+        got = distribution(n, c, 1).probabilities
+        assert list(got.items()) == [(e, v / total) for e, v in terms]
+
+    def test_k1_skips_the_kernel(self, monkeypatch):
+        expected = distribution(60, F(11, 10), 1)
+
+        def no_kernel(*args):
+            raise AssertionError("orbit_rows called")
+
+        monkeypatch.setattr(symmetrized, "orbit_rows", no_kernel)
+        assert distribution(60, F(11, 10), 1) == expected
+        with pytest.raises(AssertionError):
+            distribution(6, F(3), 2)
+
+    def test_k1_keeps_the_sign_check(self, monkeypatch):
+        # no c > 1 gives a negative entry at k = 1; a corrupted row must
+        # still raise the witness
+        scaled_row = cltstats._scaled_row
+
+        def corrupted(spec):
+            reps, row, scale = scaled_row(spec)
+            return reps, [*row[:-1], -row[-1]], scale
+
+        monkeypatch.setattr(cltstats, "_scaled_row", corrupted)
+        with pytest.raises(DomainError) as info:
+            distribution(7, F(3, 2), 1)
+        assert info.value.witness == (-7,)
+
+    def test_k1_row_1000_is_fast(self):
+        # walking kernel rows 0..1000 took 0.56 s; the one row takes milliseconds
+        start = time.perf_counter()
+        d = distribution(1000, F(11, 10), 1)
+        assert time.perf_counter() - start < 0.25
+        assert len(d.probabilities) == 1001 and sum(d.probabilities.values()) == 1
 
 
 class TestMoments:

@@ -5,9 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from symcheb import ChebKind
+
+from oracles import table_text
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "symcheb"
 # Loaded only through `dataclasses`; importing them costs each CLI process
@@ -134,4 +139,18 @@ def test_univariate_route_prints_the_same_bytes_optimized():
         for flags in ([], ["-O"])
     )
     assert plain.stdout.startswith(b'{"kind": "U", "n": 301, ') and plain.stderr == b""
+    assert (optimized.stdout, optimized.stderr) == (plain.stdout, plain.stderr)
+
+
+def test_table_prints_the_same_bytes_optimized():
+    # rows past 128 bits take the word-sized reduction of ``cli._ratio_text``
+    argv = ["table", "--kind", "U", "--c", "-7/5", "--n-max", "120", "--format", "json"]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "symcheb", *argv], capture_output=True, check=True
+        )
+        for flags in ([], ["-O"])
+    )
+    expected = table_text(ChebKind.SECOND, Fraction(-7, 5), 120, "json")
+    assert (plain.stdout, plain.stderr) == (expected.encode(), b"")
     assert (optimized.stdout, optimized.stderr) == (plain.stdout, plain.stderr)

@@ -321,7 +321,7 @@ class TestUnivariateTable:
         # are read, so the budget must fail before the first one
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
-            symmetrized._univariate_rows(T, F(2), 20, F)
+            symmetrized._univariate_rows(T, F(2), 20, lambda s: F)
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
             symmetrized._scaled(T, F(2), 1, 20)
 
