@@ -109,15 +109,16 @@ def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
 
 
 def _terms_text(
-    fmt: str, head: dict, key: str, name: str, k: int, lines: Callable[[tuple], Iterable[str]]
+    fmt: str, head: dict, key: str, name: str, k: int, lines: Callable[[tuple], Iterable[str]],
+    quote: str = "",
 ) -> Iterator[str]:
     """A term list, as ``lines(layout)`` writes its terms: in JSON,
-    under ``key`` after the ``head`` fields; in CSV, as columns e1..ek and
-    ``name``.  With layout (head, sep, tail, end, joint), a term is head e_1
-    sep ... sep e_k tail text end, and the terms of a piece are joined by
-    joint."""
+    under ``key`` after the ``head`` fields, each text between two quotes;
+    in CSV, as columns e1..ek and ``name``.  With layout (head, sep, tail,
+    end, joint), a term is head e_1 sep ... sep e_k tail text end, and the
+    terms of a piece are joined by joint."""
     if fmt == "json":
-        layout = ('{"e": [', ", ", f"], {json.dumps(name)}: ", "}", ", ")
+        layout = ('{"e": [', ", ", f"], {json.dumps(name)}: {quote}", f"{quote}}}", ", ")
         return _json_list(head, key, lines(layout))
     header = ",".join([*map("e{}".format, range(1, k + 1)), name])
     return _csv_lines(header, lines(("", ",", ",", "", "\n")))
@@ -139,65 +140,42 @@ _WORD = 1 << 30
 _SMALL_SCALE = 128
 
 
-def _word_divisor(scale: int, base: int) -> tuple[int, int]:
-    """(M, r) for a scale s = q0 (kq)^m with base b = q0 kq, m >= 1: M =
-    gcd(s, b^j) for the largest j with M < 2^30, and r = gcd(s / M, b),
-    which holds every prime that s holds to a higher power than M does.
-    (0, 0) when s has at most _SMALL_SCALE bits or b is not below 2^30."""
-    if scale.bit_length() <= _SMALL_SCALE or base >= _WORD:
-        return 0, 0
-    divisor, power = 1, base
-    while (larger := math.gcd(scale % power, power)) < _WORD:
-        divisor, power = larger, power * base
-    return divisor, math.gcd(scale // divisor, base)
+def _ratio_text(scale: int, base: int) -> Callable[[int], str]:
+    """format_exact(Fraction(entry, scale)) as a function of the entry, for
+    a scale s = q0 (kq)^m with base b = q0 kq.
 
+    Above _SMALL_SCALE bits and for b below 2^30, M = gcd(s, b^j) for the
+    largest j with M < 2^30, and r = gcd(s / M, b) holds every prime that s
+    holds to a higher power than M does.  Then h = gcd(entry % M, M) is
+    gcd(entry, s) unless the entry holds a prime of r to its full power in
+    M, which shows as that prime not dividing M / h; only then, or for a
+    small s, is the big gcd taken.  So an entry costs one remainder and one
+    exact division by a word, and the denominator text s / h is made once
+    per distinct h.  The text is digits, "-" and "/": in JSON, quotes are
+    all the escaping it needs."""
+    divisor = short = 0
+    if scale.bit_length() > _SMALL_SCALE and base < _WORD:
+        divisor, power = 1, base
+        while (larger := math.gcd(scale % power, power)) < _WORD:
+            divisor, power = larger, power * base
+        short = math.gcd(scale // divisor, base)
+    tails = {}  # h: "/" s / h, or "" where the entry may hold more of a prime of r
 
-def _covers(u: int, x: int) -> bool:
-    """Whether every prime of x divides u."""
-    while x > 1:
-        g = math.gcd(x, u)
-        if g == 1:
-            return False
-        x //= g
-    return True
-
-
-def _ratio_text(scale: int, base: int, quote: str) -> Callable[[int], str]:
-    """The function that writes format_exact(Fraction(entry, scale)) between
-    two quotes, for a scale s = q0 (kq)^m with base b = q0 kq.
-
-    With M and r of ``_word_divisor``, h = gcd(entry % M, M) is gcd(entry,
-    s) unless a prime of r divides the entry to its full power in M, which
-    holds exactly when some prime of r does not divide M / h; only then, or
-    for a small s, is the big gcd taken.  So an entry costs one remainder
-    and one exact division by a word, and the denominator text s / h is made
-    once per distinct h.  The text is digits, "-" and "/", so in JSON the
-    quotes are all the escaping it needs."""
-    divisor, short = _word_divisor(scale, base)
-
-    def reduced(entry: int) -> str:  # by one gcd with the scale
+    def text(entry):
+        if divisor:
+            h = math.gcd(entry % divisor, divisor)
+            tail = tails.get(h)
+            if tail is None:
+                rest, spare = short, divisor // h
+                while rest > 1 and (g := math.gcd(rest, spare)) > 1:
+                    rest //= g  # the primes of r that also divide M / h
+                tail = tails[h] = f"/{scale // h}" if rest == 1 else ""
+            if tail:
+                return f"{entry // h}{tail}"
         g = math.gcd(entry, scale)
-        return f"{quote}{entry // g}/{scale // g}{quote}"
-
-    if not divisor:
-        return reduced
-    tails = {}  # h: "/" s / h quote, or "" where a prime of M is saturated
-
-    def text(entry: int) -> str:
-        h = math.gcd(entry % divisor, divisor)
-        tail = tails.get(h)
-        if tail is None:
-            tail = tails[h] = f"/{scale // h}{quote}" if _covers(divisor // h, short) else ""
-        return f"{quote}{entry // h}{tail}" if tail else reduced(entry)
+        return f"{entry // g}/{scale // g}"
 
     return text
-
-
-def _ratios(args: argparse.Namespace, k: int) -> Callable[[int], Callable[[int], str]]:
-    """The ``_ratio_text`` of each scale of the kernel rows of args.kind and
-    args.c at arity k, quoted for args.format."""
-    _, _, q0, kq = symmetrized._kernel_args(args.kind, args.c, k, 0)
-    return partial(_ratio_text, base=q0 * kq, quote='"' if args.format == "json" else "")
 
 
 def _spec_head(args: argparse.Namespace) -> tuple[symmetrized.SymChebSpec, dict]:
@@ -219,15 +197,19 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     reps, row, scale = symmetrized._scaled_row(spec)
-    lines = partial(orbit_lines, reps, row, _ratios(args, args.k)(scale))
-    return _terms_text(args.format, head, "terms", "coeff", args.k, lines)
+    _, _, q0, kq = symmetrized._kernel_args(args.kind, args.c, args.k, 0)
+    lines = partial(orbit_lines, reps, row, _ratio_text(scale, q0 * kq))
+    return _terms_text(args.format, head, "terms", "coeff", args.k, lines, '"')
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
-    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, _ratios(args, 1))
+    _, _, q0, q = symmetrized._kernel_args(args.kind, args.c, 1, 0)
+    texts = partial(_ratio_text, base=q0 * q)
+    rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, texts)
     if args.format == "json":
         head = {"kind": args.kind.value, "c": format_exact(args.c), "n_max": args.n_max}
-        items = (f'{{"n": {n}, "coeffs": [{", ".join(row)}]}}' for n, row in enumerate(rows))
+        quoted = '", "'.join
+        items = (f'{{"n": {n}, "coeffs": ["{quoted(row)}"]}}' for n, row in enumerate(rows))
         return _json_list(head, "rows", items)
     lines = (
         "\n".join([f"{n},{idx - n},{text}" for idx, text in enumerate(row)])

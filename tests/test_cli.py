@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
+from symcheb.chebyshev import orbit_lines
 from symcheb.cli import build_parser, run
 from symcheb.laurent import format_exact, parse_exact
 
@@ -925,6 +926,16 @@ class TestOrbitWriter:
         argv = ["fgcount", "--r", str(k), "--n", str(n), "--format", "json"]
         assert run_text(argv) == (0, fgcount_text(k, n, "json"), "")
 
+    def test_k1_terms_come_in_runs_of_64_kib(self):
+        # one piece per term cost a yield, a separator and a copy per term
+        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 1200, parse_exact("11/10"), 1)
+        reps, row, _ = symmetrized._scaled_row(spec)
+        pieces = list(orbit_lines(reps, row, str, ("", ",", ",", "", "\n")))
+        assert len(pieces) > 10 and min(map(len, pieces[:-1])) >= 1 << 16
+        entries = {j: entry for (j,), entry in zip(reps, row)}
+        terms = [f"{x},{entries[abs(x)]}" for x in range(-1200, 1201, 2)]
+        assert "\n".join(pieces) == "\n".join(terms)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
         spec = symmetrized.SymChebSpec(ChebKind.FIRST, 12, parse_exact("7/5"), 3)
@@ -966,27 +977,24 @@ def count_texts(monkeypatch):
     """The (entry, scale) of every value text that the command line makes."""
     made, texts = cli._ratio_text, []
 
-    def counting(scale, base, quote):
-        text = made(scale, base, quote)
+    def counting(scale, base):
+        text = made(scale, base)
         return lambda entry: texts.append((entry, scale)) or text(entry)
 
     monkeypatch.setattr(cli, "_ratio_text", counting)
     return texts
 
 
-QUOTES = st.sampled_from(["", '"'])
-
-
-def check_texts(q0, kq, rows, quote):
+def check_texts(q0, kq, rows):
     """``cli._ratio_text`` over rows of (m, entries) at s = q0 kq^m, diffed
     against the one-gcd reference and format_exact."""
     for m, entries in rows:
         scale = q0 * kq**m
-        text = cli._ratio_text(scale, q0 * kq, quote)
+        text = cli._ratio_text(scale, q0 * kq)
         for entry in entries:
             expected = ratio_text(entry, scale)
             assert expected == format_exact(Fraction(entry, scale))
-            assert text(entry) == f"{quote}{expected}{quote}"
+            assert text(entry) == expected
 
 
 class TestRatioTexts:
@@ -1011,14 +1019,13 @@ class TestRatioTexts:
             ),
             min_size=1, max_size=4,
         ),
-        quote=QUOTES,
     )
-    @example(q0=2, kq=15, rows=[(60, [(7, 60), (-1, 3), (1, 0)])], quote="")  # q0 = 2, odd kq
-    @example(q0=2, kq=1, rows=[(0, [(5, 0)]), (300, [(-4, 2)])], quote='"')  # kq = 1
-    @example(q0=1, kq=2, rows=[(0, [(0, 0), (3, 0)]), (200, [(3, 1)])], quote="")  # m = 0
-    @example(q0=1, kq=1_000_000_000_007, rows=[(40, [(-9, 40), (9, 39)])], quote="")
-    @example(q0=1, kq=10, rows=[(50, [(7, 20), (-7, 9), (7, 10)])], quote='"')  # saturated
-    def test_matches_the_one_gcd_reference(self, q0, kq, rows, quote):
+    @example(q0=2, kq=15, rows=[(60, [(7, 60), (-1, 3), (1, 0)])])  # q0 = 2, odd kq
+    @example(q0=2, kq=1, rows=[(0, [(5, 0)]), (300, [(-4, 2)])])  # kq = 1
+    @example(q0=1, kq=2, rows=[(0, [(0, 0), (3, 0)]), (200, [(3, 1)])])  # m = 0
+    @example(q0=1, kq=1_000_000_000_007, rows=[(40, [(-9, 40), (9, 39)])])
+    @example(q0=1, kq=10, rows=[(50, [(7, 20), (-7, 9), (7, 10)])])  # saturated
+    def test_matches_the_one_gcd_reference(self, q0, kq, rows):
         # an entry is a unit times gcd(s, b^i), so it shares from none to
         # all of the scale, and often more of a prime than M holds; s stays
         # within 12,000 bits, and the text within str's default digit limit
@@ -1027,7 +1034,7 @@ class TestRatioTexts:
             m = min(m, top)
             parts = [math.gcd(q0 * kq**m, (q0 * kq) ** i) for _, i in entries]
             shared.append((m, [unit * part for (unit, _), part in zip(entries, parts)]))
-        check_texts(q0, kq, shared, quote)
+        check_texts(q0, kq, shared)
 
     @pytest.mark.parametrize("n", [40, 100])
     @pytest.mark.parametrize("kind", list(ChebKind))
@@ -1039,19 +1046,36 @@ class TestRatioTexts:
         assert all(entry % 3**n == 0 for entry in row)
         q0 = 2 if kind is ChebKind.FIRST else 1
         assert scale == q0 * 3**n
-        check_texts(q0, 3, [(n, [entry for entry in row if entry])], "")
+        check_texts(q0, 3, [(n, [entry for entry in row if entry])])
 
-    @pytest.mark.parametrize("quote", ["", '"'])
-    def test_table_zero_text(self, quote):
-        # table writes value(0, 1) at every j outside a row's support
-        assert cli._ratio_text(1, 11 * 2, quote)(0) == f"{quote}0/1{quote}"
+    def test_table_zero_text(self):
+        # table writes the text of 0 over 1 at every j outside a row's support
+        assert cli._ratio_text(1, 11 * 2)(0) == "0/1"
         assert format_exact(Fraction(0, 1)) == "0/1"
 
-    def test_word_divisor(self):
-        # s = 2 10^150, b = 20: 20^6 < 2^30 < 20^7; s / M holds 2 and 5
-        assert cli._word_divisor(2 * 10**150, 20) == (20**6, 20)
-        assert cli._word_divisor(2 * 10**38, 20) == (0, 0)  # 127 bits: one gcd each
-        assert cli._word_divisor(1_000_000_000_007**20, 1_000_000_000_007) == (0, 0)
+    def test_big_gcd_only_for_small_scales_and_saturated_entries(self, monkeypatch):
+        # a gcd of two ints past 64 bits is the quadratic step the rule avoids
+        big = []
+
+        class Math:
+            @staticmethod
+            def gcd(a, b):
+                big.append(min(abs(a), abs(b)).bit_length() > 64)
+                return math.gcd(a, b)
+
+        monkeypatch.setattr(cli, "math", Math)
+        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 150, parse_exact("11/10"), 1)
+        _, row, scale = symmetrized._scaled_row(spec)
+        assert scale == 2 * 10**150
+        text = cli._ratio_text(scale, 20)
+        for entry in row:
+            text(entry)
+        assert len(big) > len(row) and not any(big)
+        # 20^6 < 2^30: 7 10^100 holds every 2 and 5 of M and more
+        assert text(7 * 10**100) == f"7/{2 * 10**50}" and sum(big) == 1
+        text = cli._ratio_text(2 * 10**38, 20)  # 127 bits: one gcd each
+        big.clear()
+        assert text(3 * 10**40 + 1) == f"{3 * 10**40 + 1}/{2 * 10**38}" and big == [True]
 
 
 BATCH = 1 << 16
