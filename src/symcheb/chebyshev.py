@@ -209,13 +209,14 @@ def orbit_rows(
     """Yield (reps, Q_m) for Q_0..Q_{n_max} of Q_0 = q0, Q_1 = a S,
     Q_{m+1} = a S Q_m - g Q_{m-1}, S = sum_i (x_i + 1/x_i), over the ints.
 
-    With c = p/q, a = p and g = (kq)^2, Q_m is 2 (kq)^m T_m(A) for q0 = 2
-    and (kq)^m U_m(A) for q0 = 1; a = 1, g = 2r - 1, q0 = 2 gives the
-    free-group counts.  Q_m is invariant under B_k, the sign flips and
-    permutations of the variables, so Q_m[i] is the coefficient at every
-    member of the ``orbit`` of reps[i] = (e_1 >= ... >= e_k >= 0), |e|_1 <=
-    m, |e|_1 = m (mod 2); cancelled entries may stay as zeros.  Rows run in
-    pull form, Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f].
+    With c/k = a/d and g = d^2, Q_m is 2 d^m T_m(A) for q0 = 2 and
+    d^m U_m(A) for q0 = 1 (``symmetrized._kernel_args``); a = 1,
+    g = 2r - 1, q0 = 2 gives the free-group counts.  Q_m is invariant
+    under B_k, the sign flips and permutations of the variables, so
+    Q_m[i] is the coefficient at every member of the ``orbit`` of reps[i]
+    = (e_1 >= ... >= e_k >= 0), |e|_1 <= m, |e|_1 = m (mod 2); cancelled
+    entries may stay as zeros.  Rows run in pull form,
+    Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f].
     Raises ResourceBudgetError when row n_max has too many terms, at the
     call, before any row is made.
     """

@@ -20,7 +20,7 @@ format per term; only ``fgcount --method oracle``, the independent route,
 formats term by term.  Only a failed write can leave partial output.
 
 ``coeffs`` and ``table`` write each nonzero kernel entry once as p/q in
-lowest terms, reduced against its row's scale s = q0 (kq)^m by
+lowest terms, reduced against its row's scale s = q0 d^m by
 ``_ratio_text``: a remainder by the part of s below 2^30 in place of a
 big-int gcd, which only a scale of at most 128 bits, or an entry that
 holds a prime to the full power of that part, still takes.
@@ -142,7 +142,7 @@ _SMALL_SCALE = 128
 
 def _ratio_text(scale: int, base: int) -> Callable[[int], str]:
     """format_exact(Fraction(entry, scale)) as a function of the entry, for
-    a scale s = q0 (kq)^m with base b = q0 kq.
+    a scale s = q0 d^m with base b = q0 d (``symmetrized._kernel_args``).
 
     Above _SMALL_SCALE bits and for b below 2^30, M = gcd(s, b^j) for the
     largest j with M < 2^30, and r = gcd(s / M, b) holds every prime that s
@@ -196,14 +196,14 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 
 def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
-    reps, row, scale = symmetrized._scaled_row(spec)
-    _, _, q0, kq = symmetrized._kernel_args(args.kind, args.c, args.k, 0)
-    lines = partial(orbit_lines, reps, row, _ratio_text(scale, q0 * kq))
+    ((reps, row, scale),) = symmetrized._rows(spec.kind, spec.c, spec.k, [spec.n])
+    _, _, q0, d = symmetrized._kernel_args(spec.kind, spec.c, spec.k)
+    lines = partial(orbit_lines, reps, row, _ratio_text(scale, q0 * d))
     return _terms_text(args.format, head, "terms", "coeff", args.k, lines, '"')
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
-    _, _, q0, q = symmetrized._kernel_args(args.kind, args.c, 1, 0)
+    _, _, q0, q = symmetrized._kernel_args(args.kind, args.c, 1)
     texts = partial(_ratio_text, base=q0 * q)
     rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, texts)
     if args.format == "json":

@@ -34,15 +34,16 @@ setting every other variable to 1, i.e. of
 
 Rescaled as in ``chebyshev.orbit_rows(a, g, 2, k, n)``, its rows obey
 P_{m+1} = (a(x + 1/x) + b) P_m - g P_{m-1} over the ints from P_0 = 2,
-b = 2(k-1)a (a = p, g = (kq)^2 for c = p/q; a = 1, g = 2r-1, k = r for
-rank-r word counts), so row n is the Lucas polynomial
+b = 2(k-1)a (c/k = a/d in lowest terms and g = d^2, from
+``symmetrized._kernel_args``; a = 1, g = 2r-1, k = r for rank-r word
+counts), so row n is the Lucas polynomial
 V_n(a(x + 1/x) + b, g).  Applying x d/dx at x = 1 gives its moments
 M_d = sum_j j^d P_n[j] from the Lucas pair (U_n, V_n) of (P, g), with
 P = 2a + b = 2ka and D = P^2 - 4g:
 
     M0 = V_n,  M2 = 2a n U_n,  M4 = M2 + 12 a^2 n (n V_n - P U_n) / D,
 
-the division exact; for c, M0 = 2 (kq)^n T_n(c), and the scale cancels in
+the division exact; for c, M0 = 2 d^n T_n(c), and the scale cancels in
 every moment ratio.  The pair steps from one requested n to the next:
 O(log n) multiplications for a sparse n list, a short step per n for a
 dense one.  Checked: the division at every n, V_n^2 - D U_n^2 = 4 g^n at
@@ -86,7 +87,7 @@ from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetE
 from .errors import resolve_enum_budget
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
-from .symmetrized import SymChebSpec, _first, _fractions, _scaled, _scaled_row
+from .symmetrized import _first, _fractions, _kernel_args, _rows
 
 DEFAULT_EXACT_CEILING = 1024
 FULL_TABLE_CEILING = 32  # how far ``_certify`` walks kernel rows below c_k
@@ -300,12 +301,6 @@ def _moments(a: int, g: int, k: int, ns: list[int], where: str) -> Iterator[tupl
         yield n, v, m2, m2 + 12 * a * a * n * quotient
 
 
-def _c_moments(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple]:
-    """``_moments`` of the marginal rows at c = p/q: a = p, g = (kq)^2."""
-    kq = k * c.denominator
-    return _moments(c.numerator, kq * kq, k, ns, f"for c = {c}, k = {k}")
-
-
 def _float_moments(lam: float, t: float, ns: list[int]) -> list[tuple[int, float, float]]:
     """(n, m2, m4) per n in ns by the closed form of the module docstring,
     (tau_n, w_n) by binary powering from (0, 0) with the addition formula of
@@ -356,16 +351,12 @@ def _negative(exponents: Exponents, coeff: int, scale: int) -> DomainError:
 
 def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, tuple, list, int]]:
     """(n, reps, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n =
-    2 (kq)^n T_n(A), at k = 1 each row alone from ``_scaled_row``.  Raises
-    the DomainError of ``distribution`` at the first negative coefficient,
-    and InternalError unless the row sum, sum_e |orbit(e)| Q_n[e], is
-    M0 = 2 (kq)^n T_n(c)."""
-    if k == 1:
-        rows = ((n, _scaled_row(SymChebSpec(ChebKind.FIRST, n, c, 1))) for n in ns)
-    else:
-        wanted, walked = set(ns), enumerate(_scaled(ChebKind.FIRST, c, k, ns[-1]))
-        rows = ((n, row) for n, row in walked if n in wanted)
-    for (n, (reps, row, scale)), (_, m0, _, _) in zip(rows, _c_moments(c, k, ns)):
+    2 d^n T_n(A) of ``_rows``.  Raises the DomainError of ``distribution``
+    at the first negative coefficient, and InternalError unless the row
+    sum, sum_e |orbit(e)| Q_n[e], is M0 = 2 d^n T_n(c)."""
+    a, g, _, _ = _kernel_args(ChebKind.FIRST, c, k)
+    rows, moments = _rows(ChebKind.FIRST, c, k, ns), _moments(a, g, k, ns, f"for c = {c}, k = {k}")
+    for n, (reps, row, scale), (_, m0, _, _) in zip(ns, rows, moments):
         negative = _first(reps, row, -1)
         if negative is not None:
             raise _negative(*negative, scale)
@@ -417,7 +408,9 @@ def marginal_moments_exact(
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
     _certify(c, k, ns)
-    return [(m, Fraction(m2, m0), Fraction(m4, m0)) for m, m0, m2, m4 in _c_moments(c, k, ns)]
+    a, g, _, _ = _kernel_args(ChebKind.FIRST, c, k)
+    moments = _moments(a, g, k, ns, f"for c = {c}, k = {k}")
+    return [(m, Fraction(m2, m0), Fraction(m4, m0)) for m, m0, m2, m4 in moments]
 
 
 def marginal_moments_float(

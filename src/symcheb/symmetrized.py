@@ -9,9 +9,10 @@ kind): Laurent polynomials in k variables, symmetric under every x_i -> 1/x_i
 and under permutations of the variables.  The canonical construction is the
 three-term recurrence P_{m+1} = 2A P_m - P_{m-1}, run on integers by
 ``chebyshev.orbit_rows`` on one representative e_1 >= ... >= e_k >= 0 per
-orbit of those symmetries: with c = p/q it computes Q_m = s_m P_m(A) for
-the scale s_m = 2 (kq)^m (first kind) or (kq)^m (second kind).  One row
-at k = 1 (``build``, ``positivity_report``, ``cltstats.distribution`` and
+orbit of those symmetries: it computes Q_m = s_m P_m(A) for the scale
+s_m = 2 d^m (first kind) or d^m (second kind), c/k = a/d in lowest terms
+(``_kernel_args``).  ``_rows`` is every caller's row source.  One row at
+k = 1 (``build``, ``positivity_report``, ``cltstats.distribution`` and
 the command line's ``coeffs``) comes from ``chebyshev.univariate_row``
 instead: the Chebyshev equation of P_n, run as a recurrence in the
 exponent j from x^n down, in O(n) steps with one exact division each, a
@@ -169,42 +170,44 @@ class SurveyRow(NamedTuple):
     witness: SurveyWitness | None
 
 
-def _check_rows_args(kind: ChebKind, k: int, n_max: int) -> None:
+def _row_range(kind: ChebKind, k: int, n_max: int) -> range:
+    """The rows 0..n_max, after the kind, k and n_max are checked."""
     check_kind(kind)
     check_arity(k)
     if not isinstance(n_max, int) or n_max < 0:
         raise UsageError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return range(n_max + 1)
 
 
-def _kernel_args(kind: ChebKind, c: Scalar, k: int, n_max: int) -> tuple[int, int, int, int]:
-    """(a, g, q0, kq) of the kernel rows of P_m(A), with kq^m q0 their scale;
-    the arguments are checked."""
-    _check_rows_args(kind, k, n_max)
-    c = as_scalar(c)
-    kq = k * c.denominator
-    return c.numerator, kq * kq, 2 if kind is ChebKind.FIRST else 1, kq
+def _kernel_args(kind: ChebKind, c: Scalar, k: int) -> tuple[int, int, int, int]:
+    """(a, g, q0, d) of the kernel rows Q_m = q0 d^m P_m(A), the only map
+    from (c, k) to kernel integers: A = (a/2d) S with c/k = a/d in lowest
+    terms, so Q_{m+1} = a S Q_m - g Q_{m-1}, g = d^2, from Q_0 = q0 = 2
+    (first kind) or 1 (second kind).  A depends on c and k only through
+    c/k, and a, d coprime keep a common factor out of every entry and
+    scale; the kind and k are checked."""
+    check_kind(kind)
+    check_arity(k)
+    ratio = as_scalar(c) / k
+    d = ratio.denominator
+    return ratio.numerator, d * d, 2 if kind is ChebKind.FIRST else 1, d
 
 
-def _scaled(
-    kind: ChebKind, c: Scalar, k: int, n_max: int
+def _rows(
+    kind: ChebKind, c: Scalar, k: int, ns: Sequence[int]
 ) -> Iterator[tuple[Sequence[Exponents], list[int], int]]:
-    """(reps, Q_m, s_m) for m = 0..n_max, P_m(A) = Q_m / s_m on reps; the
-    arguments and the budget are checked at the call."""
-    a, g, q0, kq = _kernel_args(kind, c, k, n_max)
-    rows = orbit_rows(a, g, q0, k, n_max)
-    return ((reps, row, q0 * kq**m) for m, (reps, row) in enumerate(rows))
-
-
-def _scaled_row(spec: SymChebSpec) -> tuple[Sequence[Exponents], list[int], int]:
-    """(reps, Q_n, s_n): the last row of ``_scaled`` for one polynomial.  At
-    k = 1 it is ``univariate_row``'s, made without rows 0..n - 1."""
-    if spec.k > 1:
-        for reps, row, scale in _scaled(spec.kind, spec.c, spec.k, spec.n):
-            pass
-        return reps, row, scale
-    a, g, q0, q = _kernel_args(spec.kind, spec.c, 1, spec.n)
-    row = univariate_row(a, g, q0, spec.n)
-    return [(j,) for j in range(spec.n % 2, spec.n + 1, 2)], row, q0 * q**spec.n
+    """(reps, Q_n, s_n) for each n of the increasing ns, P_n(A) = Q_n / s_n
+    on reps: the one row source.  One row at k = 1 comes from
+    ``univariate_row``, without rows 0..n - 1; anything else from one
+    kernel walk to ns[-1].  The arguments and the budget are checked at
+    the call."""
+    a, g, q0, d = _kernel_args(kind, c, k)
+    if k == 1 and len(ns) == 1:
+        (n,) = ns
+        reps = [(j,) for j in range(n % 2, n + 1, 2)]
+        return iter([(reps, univariate_row(a, g, q0, n), q0 * d**n)])
+    walk = enumerate(orbit_rows(a, g, q0, k, ns[-1]))
+    return ((reps, row, q0 * d**m) for m, (reps, row) in walk if m in ns)
 
 
 def _fractions(
@@ -222,7 +225,7 @@ def _univariate_rows(
     nonzero kernel entry at j >= 0, mirrored to -j, and values(1)(0)
     elsewhere.  The arguments and the budget are checked at the call; each
     row is made as it is read."""
-    rows, zero = _scaled(kind, c, 1, n_max), values(1)(0)
+    rows, zero = _rows(kind, c, 1, _row_range(kind, 1, n_max)), values(1)(0)
 
     def mirrored() -> Iterator[tuple]:
         for m, (_, row, scale) in enumerate(rows):
@@ -243,13 +246,14 @@ def _first(reps: Sequence[Exponents], row: list[int], sign: int) -> tuple[Expone
 
 def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[LaurentPoly]:
     """The polynomials for n = 0..n_max, sharing one recurrence pass."""
-    rows = _scaled(kind, c, k, n_max)
+    rows = _rows(kind, c, k, _row_range(kind, k, n_max))
     return [LaurentPoly._raw(k, _fractions(reps, row, scale)) for reps, row, scale in rows]
 
 
 def build(spec: SymChebSpec) -> LaurentPoly:
     """Construct T_n(A) or U_n(A) exactly."""
-    return LaurentPoly._raw(spec.k, _fractions(*_scaled_row(spec)))
+    ((reps, row, scale),) = _rows(spec.kind, spec.c, spec.k, [spec.n])
+    return LaurentPoly._raw(spec.k, _fractions(reps, row, scale))
 
 
 def univariate_table(kind: ChebKind, c: Scalar, n_max: int) -> UnivariateCoeffTable:
@@ -295,7 +299,7 @@ def positivity_report(spec: SymChebSpec) -> PositivityReport:
     """Sign scan of T_n(A) or U_n(A), read off its integer kernel row (scale
     s_n > 0) without expanding an orbit.  Rows keep cancelled zeros, so the
     minimum is taken over nonzero entries; it is the only Fraction made."""
-    reps, row, scale = _scaled_row(spec)
+    ((reps, row, scale),) = _rows(spec.kind, spec.c, spec.k, [spec.n])
     negative = _first(reps, row, -1)
     # at k = 1 the row holds exactly the j = 0..n with n - j even
     pattern_ok = None if spec.k > 1 else all(entry > 0 for entry in row)
@@ -318,13 +322,13 @@ def sign_survey(
     surviving pattern, scanning n upward and exponents lexicographically:
     in its row, the later of the first term that breaks each pattern.
     """
-    _check_rows_args(kind, k, n_max)
+    ns = _row_range(kind, k, n_max)
     out = []
     for c in c_grid:
         c = as_scalar(c)
         nonneg_ok, alternating_ok = True, True
         witness = None
-        for n, (reps, row, scale) in enumerate(_scaled(kind, c, k, n_max)):
+        for n, (reps, row, scale) in enumerate(_rows(kind, c, k, ns)):
             negative = _first(reps, row, -1) if nonneg_ok or n % 2 == 0 else None
             off_sign = (_first(reps, row, 1) if n % 2 else negative) if alternating_ok else None
             nonneg_ok = nonneg_ok and negative is None

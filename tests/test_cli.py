@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
-from symcheb.chebyshev import orbit_lines
+from symcheb.chebyshev import orbit_lines, orbit_rows
 from symcheb.cli import build_parser, run
 from symcheb.laurent import format_exact, parse_exact
 
@@ -199,10 +199,10 @@ class TestExitCodes:
         assert err.startswith("usage error: cannot write --out") and err.count("\n") == 1
 
     def test_internal_error_exit_4(self, capsys, monkeypatch):
-        def broken(spec):
+        def broken(*args):
             raise InternalError("routes disagree")
 
-        monkeypatch.setattr(symmetrized, "_scaled_row", broken)
+        monkeypatch.setattr(symmetrized, "_rows", broken)
         code, out, err = capture(capsys, ["coeffs", "--kind", "T", "--n", "2", "--c", "2"])
         assert (code, out, err) == (4, "", "internal error: routes disagree\n")
 
@@ -469,6 +469,20 @@ class TestDeterminism:
             ("clt_c2.5_k2_float.json",
              ["clt", "--c", "2.5", "--k", "2", "--n", "16,32", "--mode", "float_normalized",
               "--format", "json"]),
+            # gcd(p, kq) > 1, where the kernel runs at c/k in lowest terms
+            ("coeffs_U9_c8-3_k2.json",
+             ["coeffs", "--kind", "U", "--c", "8/3", "--k", "2", "--n", "9", "--format", "json"]),
+            ("survey_T_k3_n8.json",
+             ["sign-survey", "--kind", "T", "--k", "3", "--n-max", "8",
+              "--c", "3/2", "--c", "3", "--c", "9/4"]),
+            ("positivity_T7_c6-5_k3.csv",
+             ["positivity", "--kind", "T", "--c", "6/5", "--k", "3", "--n", "7",
+              "--format", "csv"]),
+            # below c_k: kernel rows walked, each checked against M0
+            ("clt_c9-7_k3_exact.csv",
+             ["clt", "--c", "9/7", "--k", "3", "--n", "4,8,16", "--format", "csv"]),
+            ("clt_c3_k3_exact.json",
+             ["clt", "--c", "3", "--k", "3", "--n", "2,4,8,16", "--format", "json"]),
         ],
     )
     def test_golden_files(self, capsys, name, argv):
@@ -476,6 +490,14 @@ class TestDeterminism:
         assert code == 0
         expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert out == expected
+
+    def test_refusal_with_a_common_factor(self, capsys):
+        # c/k = 4/7 at c = 8/7, k = 2: the witness value is in lowest terms
+        argv = ["clt", "--c", "8/7", "--k", "2", "--n", "3,5,7"]
+        assert capture(capsys, argv) == (
+            1, "", "domain error: coefficient at [-1, 0] is negative (-6/343); "
+            "the coefficient distribution is undefined\n",
+        )
 
 
 @pytest.mark.parametrize(
@@ -928,8 +950,7 @@ class TestOrbitWriter:
 
     def test_k1_terms_come_in_runs_of_64_kib(self):
         # one piece per term cost a yield, a separator and a copy per term
-        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 1200, parse_exact("11/10"), 1)
-        reps, row, _ = symmetrized._scaled_row(spec)
+        ((reps, row, _),) = symmetrized._rows(ChebKind.FIRST, parse_exact("11/10"), 1, [1200])
         pieces = list(orbit_lines(reps, row, str, ("", ",", ",", "", "\n")))
         assert len(pieces) > 10 and min(map(len, pieces[:-1])) >= 1 << 16
         entries = {j: entry for (j,), entry in zip(reps, row)}
@@ -938,8 +959,8 @@ class TestOrbitWriter:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
-        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 12, parse_exact("7/5"), 3)
-        _, row, _ = symmetrized._scaled_row(spec)
+        c = parse_exact("7/5")
+        ((_, row, _),) = symmetrized._rows(ChebKind.FIRST, c, 3, [12])
         texts = count_texts(monkeypatch)
         format_exact, formatted = cli.format_exact, []
         monkeypatch.setattr(cli, "format_exact", lambda v: formatted.append(v) or format_exact(v))
@@ -948,12 +969,11 @@ class TestOrbitWriter:
         terms = len(json.loads(out)["terms"]) if fmt == "json" else out.count("\n") - 1
         assert (code, terms, len(texts)) == (0, 1469, 57)
         assert sum(map(bool, row)) == 57
-        assert formatted == [spec.c]  # the c head field only
+        assert formatted == [c]  # the c head field only
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_entry_at_k1(self, capsys, monkeypatch, fmt):
-        spec = symmetrized.SymChebSpec(ChebKind.SECOND, 151, parse_exact("-11/10"), 1)
-        _, row, scale = symmetrized._scaled_row(spec)
+        ((_, row, scale),) = symmetrized._rows(ChebKind.SECOND, parse_exact("-11/10"), 1, [151])
         texts = count_texts(monkeypatch)
         argv = ["coeffs", "--kind", "U", "--n", "151", "--c", "-11/10", "--format", fmt]
         code, out, _ = capture(capsys, argv)
@@ -964,7 +984,7 @@ class TestOrbitWriter:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_table_entry(self, capsys, monkeypatch, fmt):
         # one per nonzero kernel entry at j >= 0, mirrored to -j, and the zero
-        rows = list(symmetrized._scaled(ChebKind.FIRST, parse_exact("13/12"), 1, 60))
+        rows = list(symmetrized._rows(ChebKind.FIRST, parse_exact("13/12"), 1, range(61)))
         nonzero = [(entry, scale) for _, row, scale in rows for entry in row if entry]
         texts = count_texts(monkeypatch)
         argv = ["table", "--kind", "T", "--c", "13/12", "--n-max", "60", "--format", fmt]
@@ -1040,12 +1060,14 @@ class TestRatioTexts:
     @pytest.mark.parametrize("kind", list(ChebKind))
     def test_saturated_rows(self, kind, n):
         # every entry holds 3^n, all of the scale's 3s: past the word part
-        # of a 160-bit scale at n = 100, so each takes the full gcd
-        spec = symmetrized.SymChebSpec(kind, n, Fraction(3), 3)
-        reps, row, scale = symmetrized._scaled_row(spec)
-        assert all(entry % 3**n == 0 for entry in row)
+        # of a 160-bit scale at n = 100, so each takes the full gcd.  These
+        # are the kernel rows of c = 3, k = 3 before c/k = 1 is reduced.
         q0 = 2 if kind is ChebKind.FIRST else 1
-        assert scale == q0 * 3**n
+        *_, (_, row) = orbit_rows(3, 9, q0, 3, n)
+        assert all(entry % 3**n == 0 for entry in row)
+        ((_, reduced, scale),) = symmetrized._rows(kind, Fraction(3), 3, [n])
+        assert scale * 3**n == q0 * 3**n
+        assert reduced == [entry // 3**n for entry in row]
         check_texts(q0, 3, [(n, [entry for entry in row if entry])])
 
     def test_table_zero_text(self):
@@ -1064,8 +1086,7 @@ class TestRatioTexts:
                 return math.gcd(a, b)
 
         monkeypatch.setattr(cli, "math", Math)
-        spec = symmetrized.SymChebSpec(ChebKind.FIRST, 150, parse_exact("11/10"), 1)
-        _, row, scale = symmetrized._scaled_row(spec)
+        ((_, row, scale),) = symmetrized._rows(ChebKind.FIRST, parse_exact("11/10"), 1, [150])
         assert scale == 2 * 10**150
         text = cli._ratio_text(scale, 20)
         for entry in row:

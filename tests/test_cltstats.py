@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symcheb import (
@@ -298,13 +298,13 @@ class TestDistribution:
     def test_k1_keeps_the_sign_check(self, monkeypatch):
         # no c > 1 gives a negative entry at k = 1; a corrupted row must
         # still raise the witness
-        scaled_row = cltstats._scaled_row
+        rows = cltstats._rows
 
-        def corrupted(spec):
-            reps, row, scale = scaled_row(spec)
-            return reps, [*row[:-1], -row[-1]], scale
+        def corrupted(*args):
+            for reps, row, scale in rows(*args):
+                yield reps, [*row[:-1], -row[-1]], scale
 
-        monkeypatch.setattr(cltstats, "_scaled_row", corrupted)
+        monkeypatch.setattr(cltstats, "_rows", corrupted)
         with pytest.raises(DomainError) as info:
             distribution(7, F(3, 2), 1)
         assert info.value.witness == (-7,)
@@ -594,6 +594,14 @@ class TestMomentRecurrence:
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(2, 60), q=st.integers(1, 9), k=st.integers(1, 4), ns=n_lists())
+    # gcd(p, kq) > 1, where the Lucas pair runs at c/k in lowest terms and the
+    # oracle at (p, (kq)^2); at 9/7, k = 3, below c_k, rows are walked too
+    @example(p=9, q=7, k=3, ns=[4, 8, 16])
+    @example(p=3, q=1, k=3, ns=[2, 4, 8, 16])
+    @example(p=8, q=3, k=2, ns=[1, 2, 3, 50])
+    @example(p=10, q=3, k=4, ns=[2, 7, 100])
+    @example(p=4, q=1, k=2, ns=[1, 300])
+    @example(p=12, q=5, k=4, ns=[3, 5, 8, 13, 21])
     def test_matches_moment_recurrence(self, p, q, k, ns):
         c = F(p, q)
         assume(c > 1)

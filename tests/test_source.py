@@ -40,6 +40,25 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_one_row_source():
+    # rows of c come from ``symmetrized._rows`` alone, the word counts from
+    # ``freegroup._formula_row``: a second route, or a second map from c to
+    # kernel integers, would call a row engine from somewhere else
+    found = set()
+    for path, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("univariate_row", "orbit_rows"):
+                        found.add((path.stem, getattr(top, "name", None), name))
+    assert found == {
+        ("symmetrized", "_rows", "univariate_row"),
+        ("symmetrized", "_rows", "orbit_rows"),
+        ("freegroup", "_formula_row", "orbit_rows"),
+    }
+
+
 def test_package_does_not_import_dataclasses():
     found = []
     for path, tree in _trees():

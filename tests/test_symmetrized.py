@@ -24,6 +24,7 @@ from symcheb import (
     univariate_table,
 )
 from symcheb import symmetrized
+from symcheb.chebyshev import orbit_rows
 
 from oracles import lattice_rows
 
@@ -274,7 +275,7 @@ class TestLatticeDifferential:
         # positive term.
         reps = ([(0, 0)], [(1, 0), (3, 0), (2, 1)])
         rows = [(reps[0], [1], 1), (reps[1], [5, -2, 7], 4)]
-        monkeypatch.setattr(symmetrized, "_scaled", lambda *args: iter(rows))
+        monkeypatch.setattr(symmetrized, "_rows", lambda *args: iter(rows))
         (row,) = sign_survey(T, 2, 1, [F(2)])
         polys = [
             LaurentPoly(2, symmetrized._fractions(members, entries, scale))
@@ -284,11 +285,12 @@ class TestLatticeDifferential:
         assert row == (F(2), SignClass.MIXED, (1, (-2, -1), F(7, 4)))
 
 
-def kernel_scaled_row(spec):
-    """``symmetrized._scaled_row`` by the kernel at every k: the last of rows
-    0..n."""
-    *_, last = symmetrized._scaled(spec.kind, spec.c, spec.k, spec.n)
-    return last
+def kernel_rows(kind, c, k, ns):
+    """``symmetrized._rows`` by the kernel walk at every k and for every ns:
+    rows 0..ns[-1], those in ns kept."""
+    a, g, q0, d = symmetrized._kernel_args(kind, c, k)
+    walk = enumerate(orbit_rows(a, g, q0, k, ns[-1]))
+    return ((reps, row, q0 * d**m) for m, (reps, row) in walk if m in ns)
 
 
 class TestUnivariateRoute:
@@ -311,8 +313,44 @@ class TestUnivariateRoute:
         spec = SymChebSpec(kind, n, F(p, q), 1)
         routed = build(spec), positivity_report(spec)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(symmetrized, "_scaled_row", kernel_scaled_row)
+            patch.setattr(symmetrized, "_rows", kernel_rows)
             assert (build(spec), positivity_report(spec)) == routed
+
+
+class TestLowestTerms:
+    """The kernel runs at c/k = a/d in lowest terms.  With c = p/q and G =
+    gcd(p, kq), each row and scale of ``_rows`` times G^m is the row and
+    scale of the kernel at (p, (kq)^2)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from([T, U]),
+        p=st.one_of(st.integers(-12, 12), st.sampled_from([0, 6, -9, 12])),
+        q=st.integers(1, 6),
+        k=st.integers(1, 4),
+        n_max=st.integers(0, 9),
+        single=st.booleans(),
+    )
+    @example(kind=U, p=8, q=3, k=2, n_max=9, single=True)  # G = 2
+    @example(kind=T, p=0, q=1, k=4, n_max=6, single=False)  # c = 0: G = k
+    @example(kind=T, p=-9, q=7, k=3, n_max=8, single=False)  # G = 3, c < 0
+    @example(kind=U, p=12, q=1, k=4, n_max=7, single=True)  # c/k = 3: G = 4
+    @example(kind=T, p=-5, q=3, k=1, n_max=9, single=True)  # k = 1: G = 1
+    def test_rows_are_the_unreduced_kernel_over_g_to_the_m(self, kind, p, q, k, n_max, single):
+        c = F(p, q)
+        a, g, q0, d = symmetrized._kernel_args(kind, c, k)
+        assert (F(a, d), g, math.gcd(a, d)) == (c / k, d * d, 1)
+        p, kq = c.numerator, k * c.denominator
+        G = math.gcd(p, kq)
+        unreduced = list(orbit_rows(p, kq * kq, q0, k, n_max))
+        ns = [n_max] if single else range(n_max + 1)
+        rows = list(symmetrized._rows(kind, c, k, ns))
+        assert len(rows) == len(ns)
+        for n, (reps, row, scale) in zip(ns, rows):
+            old_reps, old_row = unreduced[n]
+            assert list(reps) == list(old_reps)
+            assert [entry * G**n for entry in row] == old_row
+            assert scale * G**n == q0 * kq**n
 
 
 class TestUnivariateTable:
@@ -323,7 +361,7 @@ class TestUnivariateTable:
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
             symmetrized._univariate_rows(T, F(2), 20, lambda s: F)
         with pytest.raises(ResourceBudgetError, match=r"^row 20 of .* has 21 terms"):
-            symmetrized._scaled(T, F(2), 1, 20)
+            symmetrized._rows(T, F(2), 1, range(21))
 
     def test_u_kind_base_rows(self):
         table = univariate_table(U, F(2), 2)
