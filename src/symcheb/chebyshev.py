@@ -9,6 +9,10 @@ permutations of the variables (``orbit``); every construction in the package
 uses it but one: a single row at k = 1, which ``univariate_row`` reads off
 the Chebyshev differential equation instead, a recurrence in the exponent j
 of O(n) steps rather than O(n^2), each a checked exact division.
+
+The module is arithmetic only: the kernel, the orbits and the oracles
+(``cheb_coeffs``, ``coeff_formula_T``, ``eval_closed_T``).  Term text is
+the command line's, written from the orbits by ``cli._orbit_lines``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product, repeat
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -348,127 +352,6 @@ def orbit_terms(
         if entry:
             terms += zip(orbit(e), repeat(value(entry)))
     return sorted(terms, key=itemgetter(0))
-
-
-# A zero level of ``orbit_lines`` with at most this many coordinates is a
-# shared block like any other; nested, such blocks copy a line at most this
-# many times.
-_ZERO_BLOCK_LENGTH = 8
-# At k = 1 ``orbit_lines`` joins whole terms into pieces of at least this
-# many characters, or the rest of the list: one write batch of ``cli._copy``.
-_PIECE_LENGTH = 1 << 16
-
-
-def orbit_lines(
-    reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], str], layout: tuple
-) -> Iterator[str]:
-    """The terms of ``orbit_terms(reps, row, value)`` as text, in order, one
-    piece per run of terms that share a prefix of their coordinates, or at
-    k = 1 per run of at least _PIECE_LENGTH characters.  With layout (head,
-    sep, tail, end, joint), a term is head e_1 sep ... sep e_k tail text
-    end, and a piece joins its terms by joint.  value is called once per
-    nonzero entry, before the first piece.
-
-    The members with e_1 = -v or v of a representative holding v are
-    (e_1, *f), f in the orbit of the representative with one copy of v taken
-    off.  So the lines of coordinates j..k are made once per multiset of
-    entries taken off, as one "\\n"-joined block, and one str.replace puts
-    the coordinates before j on each of its lines.  Each block is made
-    once; the e_1 = -v slice keeps its blocks until e_1 = v, and no slice
-    is joined whole.  A long run of zero coordinates is walked in a loop
-    rather than nested into blocks, so stack depth and memory follow the
-    nonzero entries, not k."""
-    head, sep, tail, end, joint = layout
-    zero, blocks = f"0{sep}", {}
-
-    def parts(taken, items, v):
-        """(prefix, block of the lines after it) for the members of the orbits
-        of the items with one copy of v taken off, ascending; taken is the
-        sorted tuple of the nonzero entries taken off, v included.  The lines
-        of the last coordinate are one block.  A zero level with more than
-        _ZERO_BLOCK_LENGTH coordinates is walked in the loop, not recursed
-        into: each level's negatives, then the next zero level, then the
-        positives in reverse level order; the item that is all zeros waits
-        for the first shorter level, or is one line at the turn."""
-        later, flat, depth = [], None, 0
-        while True:
-            zeros = zero * depth
-            buckets = {}
-            for rest, text in items:
-                i = rest.index(v)
-                rest = rest[:i] + rest[i + 1 :]
-                if rest[0]:
-                    for w in set(rest):
-                        buckets.setdefault(w, []).append((rest, text))
-                else:  # all zeros, as rest is sorted descending
-                    flat = text
-            short = len(rest) <= _ZERO_BLOCK_LENGTH
-            if short and flat is not None:
-                buckets.setdefault(0, []).append(((0,) * len(rest), flat))
-                flat = None
-            if len(rest) == 1:
-                lines = []  # a loop: a comprehension adds GC-tracked objects at start-up
-                for x in sorted({*buckets, *map(neg, buckets)}):
-                    lines.append(f"{x}{tail}{buckets[abs(x)][0][1]}")
-                yield zeros, "\n".join(lines)
-                break
-            level = []
-            for w in sorted(buckets):
-                if w or short:
-                    inner = tuple(sorted((*taken, w))) if w else taken
-                    key = (len(rest), *inner)  # len(rest) fixes how many zeros were taken off
-                    if key not in blocks:
-                        lines = []
-                        for p, block in parts(inner, buckets[w], w):
-                            lines.append(p + block.replace("\n", "\n" + p))
-                        blocks[key] = "\n".join(lines)
-                    level.append((w, blocks[key]))
-            for w, block in reversed(level):
-                if w:
-                    yield f"{zeros}-{w}{sep}", block
-            later.append((depth, level))
-            if short or 0 not in buckets:
-                break
-            items, v, depth = buckets[0], 0, depth + 1
-        if flat is not None:
-            yield f"{zeros}{sep.join(['0'] * len(rest))}{tail}", flat
-        for depth, level in reversed(later):
-            zeros = zero * depth
-            for w, block in level:
-                yield f"{zeros}{w}{sep}", block
-
-    if reps and len(reps[0]) == 1:  # k = 1: one term per e_1
-        texts = {}
-        for (e,), entry in zip(reps, row):
-            if entry:
-                texts[e] = value(entry)
-        del reps, row  # the texts stand for them from here on: their ints can go
-        run, size = [], 0
-        for x in sorted({*texts, *map(neg, texts)}):
-            run.append(f"{head}{x}{tail}{texts[abs(x)]}{end}")
-            size += len(run[-1])
-            if size >= _PIECE_LENGTH:
-                piece, run, size = joint.join(run), [], 0
-                yield piece
-        if run:
-            yield joint.join(run)
-        return
-    buckets = {}  # each nonzero representative under each of its entries
-    for e, entry in zip(reps, row):
-        if entry:
-            item = (e, value(entry))
-            for v in set(e):
-                buckets.setdefault(v, []).append(item)
-    kept = {}  # the parts of e_1 = -v, until e_1 = v
-    for x in sorted({*buckets, *map(neg, buckets)}):
-        sub = buckets[abs(x)]
-        pairs = kept.pop(x, None) or parts((abs(x),) if x else (), sub, abs(x))
-        if x < 0:
-            kept[-x] = pairs = list(pairs)
-        for p, block in pairs:
-            prefix = f"{head}{x}{sep}{p}"
-            block = block.replace("\n", f"{end}{joint}{prefix}")
-            yield f"{prefix}{block}{end}"
 
 
 def orbit_size(e: tuple[int, ...]) -> int:

@@ -14,16 +14,16 @@ joins them into batches of at least 64 KiB and writes each batch, so no
 byte is written and no --out file is opened before the last check has
 passed, and memory tracks a row of output, not the whole document.  Term
 lists are written from the kernel's orbit representatives by
-``chebyshev.orbit_lines``: the lines of the last coordinates are made once
-per block of an orbit and shared by every prefix, with no tuple, sort or
+``_orbit_lines``: the lines of the last coordinates are made once per
+block of an orbit and shared by every prefix, with no tuple, sort or
 format per term; only ``fgcount --method oracle``, the independent route,
 formats term by term.  Only a failed write can leave partial output.
 
 ``coeffs`` and ``table`` write each nonzero kernel entry once as p/q in
 lowest terms, reduced against its row's scale s = q0 d^m by
-``_ratio_text``: a remainder by the part of s below 2^30 in place of a
-big-int gcd, which only a scale of at most 128 bits, or an entry that
-holds a prime to the full power of that part, still takes.
+``_ratio_text``: a remainder by a part M of s, below 2^30 unless the base
+q0 d is larger, in place of a big-int gcd, which only an entry that holds
+a prime to its full power in M still takes.
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -41,10 +41,11 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from operator import neg
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import cltstats, freegroup, symmetrized
-from .chebyshev import ChebKind, orbit_lines
+from .chebyshev import ChebKind
 from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
 
@@ -132,46 +133,157 @@ def _plain_lines(terms: Iterable[tuple[tuple, int]], layout: tuple) -> Iterator[
         yield f"{head}{sep.join(map(str, e))}{tail}{count}{end}"
 
 
+# A zero level of ``_orbit_lines`` with at most this many coordinates is a
+# shared block like any other; nested, such blocks copy a line at most this
+# many times.
+_ZERO_BLOCK_LENGTH = 8
+
+
+def _orbit_lines(
+    reps: Sequence[tuple[int, ...]], row: Sequence[int], value: Callable[[int], str], layout: tuple
+) -> Iterator[str]:
+    """The terms of ``chebyshev.orbit_terms(reps, row, value)`` in the
+    layout of ``_terms_text``, in order: one piece per run of terms that
+    share a prefix of their coordinates, or at k = 1 per run of at least
+    _BATCH characters, one write batch of ``_copy``.  value is called once
+    per nonzero entry, before the first piece.
+
+    The members with e_1 = -v or v of a representative holding v are
+    (e_1, *f), f in the orbit of the representative with one copy of v taken
+    off.  So the lines of coordinates j..k are made once per multiset of
+    entries taken off, as one "\\n"-joined block, and one str.replace puts
+    the coordinates before j on each of its lines.  Each block is made
+    once; the e_1 = -v slice keeps its blocks until e_1 = v, and no slice
+    is joined whole.  A long run of zero coordinates is walked in a loop
+    rather than nested into blocks, so stack depth and memory follow the
+    nonzero entries, not k."""
+    head, sep, tail, end, joint = layout
+    zero, blocks = f"0{sep}", {}
+
+    def parts(taken, items, v):
+        """(prefix, block of the lines after it) for the members of the orbits
+        of the items with one copy of v taken off, ascending; taken is the
+        sorted tuple of the nonzero entries taken off, v included.  The lines
+        of the last coordinate are one block.  A zero level with more than
+        _ZERO_BLOCK_LENGTH coordinates is walked in the loop, not recursed
+        into: each level's negatives, then the next zero level, then the
+        positives in reverse level order; the item that is all zeros waits
+        for the first shorter level, or is one line at the turn."""
+        later, flat, depth = [], None, 0
+        while True:
+            zeros = zero * depth
+            buckets = {}
+            for rest, text in items:
+                i = rest.index(v)
+                rest = rest[:i] + rest[i + 1 :]
+                if rest[0]:
+                    for w in set(rest):
+                        buckets.setdefault(w, []).append((rest, text))
+                else:  # all zeros, as rest is sorted descending
+                    flat = text
+            short = len(rest) <= _ZERO_BLOCK_LENGTH
+            if short and flat is not None:
+                buckets.setdefault(0, []).append(((0,) * len(rest), flat))
+                flat = None
+            if len(rest) == 1:
+                lines = []  # a loop: a comprehension adds GC-tracked objects at start-up
+                for x in sorted({*buckets, *map(neg, buckets)}):
+                    lines.append(f"{x}{tail}{buckets[abs(x)][0][1]}")
+                yield zeros, "\n".join(lines)
+                break
+            level = []
+            for w in sorted(buckets):
+                if w or short:
+                    inner = tuple(sorted((*taken, w))) if w else taken
+                    key = (len(rest), *inner)  # len(rest) fixes how many zeros were taken off
+                    if key not in blocks:
+                        lines = []
+                        for p, block in parts(inner, buckets[w], w):
+                            lines.append(p + block.replace("\n", "\n" + p))
+                        blocks[key] = "\n".join(lines)
+                    level.append((w, blocks[key]))
+            for w, block in reversed(level):
+                if w:
+                    yield f"{zeros}-{w}{sep}", block
+            later.append((depth, level))
+            if short or 0 not in buckets:
+                break
+            items, v, depth = buckets[0], 0, depth + 1
+        if flat is not None:
+            yield f"{zeros}{sep.join(['0'] * len(rest))}{tail}", flat
+        for depth, level in reversed(later):
+            zeros = zero * depth
+            for w, block in level:
+                yield f"{zeros}{w}{sep}", block
+
+    if reps and len(reps[0]) == 1:  # k = 1: one term per e_1
+        texts = {}
+        for (e,), entry in zip(reps, row):
+            if entry:
+                texts[e] = value(entry)
+        del reps, row  # the texts stand for them from here on: their ints can go
+        terms, size = [], 0
+        for x in sorted({*texts, *map(neg, texts)}):
+            terms.append(f"{head}{x}{tail}{texts[abs(x)]}{end}")
+            size += len(terms[-1])
+            if size >= _BATCH:
+                piece, terms, size = joint.join(terms), [], 0
+                yield piece
+        if terms:
+            yield joint.join(terms)
+        return
+    buckets = {}  # each nonzero representative under each of its entries
+    for e, entry in zip(reps, row):
+        if entry:
+            item = (e, value(entry))
+            for v in set(e):
+                buckets.setdefault(v, []).append(item)
+    kept = {}  # the parts of e_1 = -v, until e_1 = v
+    for x in sorted({*buckets, *map(neg, buckets)}):
+        sub = buckets[abs(x)]
+        pairs = kept.pop(x, None) or parts((abs(x),) if x else (), sub, abs(x))
+        if x < 0:
+            kept[-x] = pairs = list(pairs)
+        for p, block in pairs:
+            prefix = f"{head}{x}{sep}{p}"
+            block = block.replace("\n", f"{end}{joint}{prefix}")
+            yield f"{prefix}{block}{end}"
+
+
 # A remainder by a divisor below 2^30, one CPython digit, takes time linear
 # in the dividend, where a gcd of two big ints takes quadratic time.
 _WORD = 1 << 30
-# A scale of at most this many bits is reduced by one gcd per entry: below
-# it, finding the word divisor costs more than the gcds it saves.
-_SMALL_SCALE = 128
 
 
 def _ratio_text(scale: int, base: int) -> Callable[[int], str]:
     """format_exact(Fraction(entry, scale)) as a function of the entry, for
     a scale s = q0 d^m with base b = q0 d (``symmetrized._kernel_args``).
 
-    Above _SMALL_SCALE bits and for b below 2^30, M = gcd(s, b^j) for the
-    largest j with M < 2^30, and r = gcd(s / M, b) holds every prime that s
-    holds to a higher power than M does.  Then h = gcd(entry % M, M) is
-    gcd(entry, s) unless the entry holds a prime of r to its full power in
-    M, which shows as that prime not dividing M / h; only then, or for a
-    small s, is the big gcd taken.  So an entry costs one remainder and one
-    exact division by a word, and the denominator text s / h is made once
-    per distinct h.  The text is digits, "-" and "/": in JSON, quotes are
-    all the escaping it needs."""
-    divisor = short = 0
-    if scale.bit_length() > _SMALL_SCALE and base < _WORD:
-        divisor, power = 1, base
-        while (larger := math.gcd(scale % power, power)) < _WORD:
-            divisor, power = larger, power * base
+    M = gcd(s, b^j), grown from j = 1 while it grows and stays below 2^30,
+    is the divisor, and r = gcd(s / M, b) the next factor it would take.
+    Every prime of s divides b, so M holds every prime of s, and to its
+    power in s unless the prime divides r.  Hence h = gcd(entry % M, M) is
+    gcd(entry, s) whenever every prime of r divides M / h; only an entry
+    that fails this, holding a prime of r to its full power in M, takes the
+    big gcd.  The test is made once per distinct h, as is the denominator
+    text s / h.  The text is digits, "-" and "/": in JSON, quotes are all
+    the escaping it needs."""
+    divisor = math.gcd(scale, base)
+    short = math.gcd(scale // divisor, base)
+    while short > 1 and divisor * short < _WORD:  # gcd(s, b^(j+1)) = M gcd(s / M, b)
+        divisor *= short
         short = math.gcd(scale // divisor, base)
     tails = {}  # h: "/" s / h, or "" where the entry may hold more of a prime of r
+    exponent = short.bit_length()  # at least each prime's power in r
 
     def text(entry):
-        if divisor:
-            h = math.gcd(entry % divisor, divisor)
-            tail = tails.get(h)
-            if tail is None:
-                rest, spare = short, divisor // h
-                while rest > 1 and (g := math.gcd(rest, spare)) > 1:
-                    rest //= g  # the primes of r that also divide M / h
-                tail = tails[h] = f"/{scale // h}" if rest == 1 else ""
-            if tail:
-                return f"{entry // h}{tail}"
+        h = math.gcd(entry % divisor, divisor)
+        tail = tails.get(h)
+        if tail is None:
+            fits = pow(divisor // h, exponent, short) == 0  # every prime of r divides M / h
+            tail = tails[h] = f"/{scale // h}" if fits else ""
+        if tail:
+            return f"{entry // h}{tail}"
         g = math.gcd(entry, scale)
         return f"{entry // g}/{scale // g}"
 
@@ -198,7 +310,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     ((reps, row, scale),) = symmetrized._rows(spec.kind, spec.c, spec.k, [spec.n])
     _, _, q0, d = symmetrized._kernel_args(spec.kind, spec.c, spec.k)
-    lines = partial(orbit_lines, reps, row, _ratio_text(scale, q0 * d))
+    lines = partial(_orbit_lines, reps, row, _ratio_text(scale, q0 * d))
     return _terms_text(args.format, head, "terms", "coeff", args.k, lines, '"')
 
 
@@ -233,41 +345,25 @@ def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
-    rows = symmetrized.sign_survey(args.kind, args.k, args.n_max, args.c)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind.value,
-            "k": args.k,
-            "n_max": args.n_max,
-            "rows": [
-                {
-                    "c": format_exact(row.c),
-                    "classification": row.classification.value,
-                    "witness": None
-                    if row.witness is None
-                    else {
-                        "n": row.witness.n,
-                        "e": list(row.witness.exponents),
-                        "value": format_exact(row.witness.value),
-                    },
-                }
-                for row in rows
-            ],
-        }
-        return [json.dumps(payload) + "\n"]
-    lines = []
-    for row in rows:
+    names = ("n", "e", "value")  # the witness fields, witness_n ... in CSV
+    items, lines = [], []
+    for row in symmetrized.sign_survey(args.kind, args.k, args.n_max, args.c):
         w = row.witness
-        found = (None,) * 3 if w is None else (w.n, list(w.exponents), format_exact(w.value))
-        lines.append(",".join(map(_cell, (format_exact(row.c), row.classification.value, *found))))
-    return _csv_lines("c,classification,witness_n,witness_e,witness_value", lines)
+        found = None if w is None else (w.n, list(w.exponents), format_exact(w.value))
+        c, sign = format_exact(row.c), row.classification.value
+        items.append({"c": c, "classification": sign, "witness": found and dict(zip(names, found))})
+        lines.append(",".join(map(_cell, (c, sign, *(found or (None,) * 3)))))
+    if args.format == "json":
+        head = {"kind": args.kind.value, "k": args.k, "n_max": args.n_max}
+        return [json.dumps({**head, "rows": items}) + "\n"]
+    return _csv_lines(",".join(["c", "classification", *map("witness_{}".format, names)]), lines)
 
 
 def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
     if args.method == "oracle":
         lines = partial(_plain_lines, freegroup.enumerate_counts(args.r, args.n).sorted_items())
     else:
-        lines = partial(orbit_lines, *freegroup._formula_row(args.r, args.n), str)
+        lines = partial(_orbit_lines, *freegroup._formula_row(args.r, args.n), str)
     return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, lines)
 
 

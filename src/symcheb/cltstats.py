@@ -83,8 +83,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chebyshev import ChebKind, _root_x2_minus_1, check_arity, orbit_size
-from .errors import ENUM_BUDGET_ENV, DomainError, InternalError, ResourceBudgetError, UsageError
-from .errors import resolve_enum_budget
+from .errors import DomainError, InternalError, UsageError
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
 from .symmetrized import _first, _fractions, _kernel_args, _rows
@@ -304,13 +303,7 @@ def _moments(a: int, g: int, k: int, ns: list[int], where: str) -> Iterator[tupl
 def _float_moments(lam: float, t: float, ns: list[int]) -> list[tuple[int, float, float]]:
     """(n, m2, m4) per n in ns by the closed form of the module docstring,
     (tau_n, w_n) by binary powering from (0, 0) with the addition formula of
-    tanh; ResourceBudgetError if ns[-1] is over the budget."""
-    budget = resolve_enum_budget()
-    if ns[-1] > budget:
-        raise ResourceBudgetError(
-            f"float moments to n = {ns[-1]} are over the budget of {budget} "
-            f"recurrence steps (raise {ENUM_BUDGET_ENV})"
-        )
+    tanh; DomainError at the first n where m4 or m2^2 is not a finite float."""
     out = []
     for n in ns:
         tau = w = 0.0
@@ -320,8 +313,14 @@ def _float_moments(lam: float, t: float, ns: list[int]) -> list[tuple[int, float
             if bit == "1":
                 s, p = tau + t, tau * t
                 tau, w = s / (1 + p), w + s * p / (1 + p)  # m -> m + 1
-        m2 = lam * n * tau / t
-        out.append((n, m2, m2 + 3 * lam * lam * n * w / (t * t * t)))
+        try:
+            m2 = lam * n * tau / t
+            m4 = m2 + 3 * lam * lam * n * w / (t * t * t)
+        except OverflowError:  # n itself is past the float range
+            m2 = m4 = math.inf
+        if max(m4, m2 * m2) == math.inf:
+            raise DomainError(f"the float moments at n = {n} are past the float range")
+        out.append((n, m2, m4))
     return out
 
 

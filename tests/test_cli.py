@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
-from symcheb.chebyshev import orbit_lines, orbit_rows
+from symcheb.chebyshev import orbit_rows
 from symcheb.cli import build_parser, run
 from symcheb.laurent import format_exact, parse_exact
 
@@ -171,19 +171,23 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("family", [["--c", "2", "--k", "1"], ["--fg-r", "2"]], ids=["c", "fg"])
-    def test_float_clt_stops_at_the_budget(self, capsys, monkeypatch, family):
-        # the O(n) float recurrence had no bound: n = 10^23 never returned
-        argv = ["clt", *family, "--mode", "float_normalized", "--n"]
-        message = (
-            "resource error: float moments to n = {} are over the budget of {} "
-            "recurrence steps (raise SYMCHEB_ENUM_BUDGET)\n"
-        )
-        huge = "99999999999999999999999"
-        assert capture(capsys, [*argv, huge]) == (3, "", message.format(huge, 10**8))
-        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "1000")
-        code, out, err = capture(capsys, [*argv, "4,1000"])
-        assert (code, err) == (0, "") and out.splitlines()[-1].startswith("1000,")
-        assert capture(capsys, [*argv, "4,1001"]) == (3, "", message.format(1001, 1000))
+    def test_float_clt_is_finite_or_refused(self, capsys, monkeypatch, family):
+        # float moments take O(log n) steps, so no step budget bounds them;
+        # past the float range a row read inf or NaN, and n = 10^309 did not
+        # convert to a float at all
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "1000")  # the budget plays no part
+        argv = ["clt", *family, "--mode", "float_normalized", "--format", "json", "--n"]
+        code, out, err = capture(capsys, [*argv, f"4,{10**9},{10**153}"])
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        for row in report["rows"]:
+            assert all(map(math.isfinite, (row["m2_over_n"], row["kurtosis"])))
+        middle = report["rows"][1]  # m2/n -> lambda/t, the rederived constant, and kurtosis -> 3
+        assert middle["m2_over_n"] == pytest.approx(report["sigma2_rederived"], rel=1e-12)
+        assert middle["kurtosis"] == pytest.approx(3, rel=1e-8)
+        for n in (10**154, 10**155, 10**309):
+            message = f"domain error: the float moments at n = {n} are past the float range\n"
+            assert capture(capsys, [*argv, f"4,{n}"]) == (1, "", message)
 
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
@@ -951,7 +955,7 @@ class TestOrbitWriter:
     def test_k1_terms_come_in_runs_of_64_kib(self):
         # one piece per term cost a yield, a separator and a copy per term
         ((reps, row, _),) = symmetrized._rows(ChebKind.FIRST, parse_exact("11/10"), 1, [1200])
-        pieces = list(orbit_lines(reps, row, str, ("", ",", ",", "", "\n")))
+        pieces = list(cli._orbit_lines(reps, row, str, ("", ",", ",", "", "\n")))
         assert len(pieces) > 10 and min(map(len, pieces[:-1])) >= 1 << 16
         entries = {j: entry for (j,), entry in zip(reps, row)}
         terms = [f"{x},{entries[abs(x)]}" for x in range(-1200, 1201, 2)]
@@ -1018,9 +1022,9 @@ def check_texts(q0, kq, rows):
 
 
 class TestRatioTexts:
-    """The reduction rule of ``coeffs`` and ``table``: a remainder by a
-    word-sized part M of the scale, the full gcd where a prime of M is
-    saturated."""
+    """The reduction rule of ``coeffs`` and ``table``, one path for every
+    scale and base: a remainder by a part M of the scale, the full gcd only
+    where a prime of M is saturated."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1045,6 +1049,8 @@ class TestRatioTexts:
     @example(q0=1, kq=2, rows=[(0, [(0, 0), (3, 0)]), (200, [(3, 1)])])  # m = 0
     @example(q0=1, kq=1_000_000_000_007, rows=[(40, [(-9, 40), (9, 39)])])
     @example(q0=1, kq=10, rows=[(50, [(7, 20), (-7, 9), (7, 10)])])  # saturated
+    @example(q0=2, kq=15, rows=[(3, [(1, 0), (4, 1), (-2, 3)])])  # M stops growing below 2^30
+    @example(q0=1, kq=2 * 1_000_000_007, rows=[(30, [(3, 0), (-5, 1), (7, 2)])])  # b > 2^30
     def test_matches_the_one_gcd_reference(self, q0, kq, rows):
         # an entry is a unit times gcd(s, b^i), so it shares from none to
         # all of the scale, and often more of a prime than M holds; s stays
@@ -1075,7 +1081,7 @@ class TestRatioTexts:
         assert cli._ratio_text(1, 11 * 2)(0) == "0/1"
         assert format_exact(Fraction(0, 1)) == "0/1"
 
-    def test_big_gcd_only_for_small_scales_and_saturated_entries(self, monkeypatch):
+    def test_big_gcd_only_for_saturated_entries(self, monkeypatch):
         # a gcd of two ints past 64 bits is the quadratic step the rule avoids
         big = []
 
@@ -1094,9 +1100,18 @@ class TestRatioTexts:
         assert len(big) > len(row) and not any(big)
         # 20^6 < 2^30: 7 10^100 holds every 2 and 5 of M and more
         assert text(7 * 10**100) == f"7/{2 * 10**50}" and sum(big) == 1
-        text = cli._ratio_text(2 * 10**38, 20)  # 127 bits: one gcd each
         big.clear()
-        assert text(3 * 10**40 + 1) == f"{3 * 10**40 + 1}/{2 * 10**38}" and big == [True]
+        text = cli._ratio_text(2 * 10**38, 20)  # 127 bits, reduced as any other scale
+        assert text(3 * 10**40 + 1) == f"{3 * 10**40 + 1}/{2 * 10**38}" and not any(big)
+        # a base b = 2 d over 2^30: M = b, and only an entry that d divides is saturated
+        d = 1_000_000_007
+        ((_, row, scale),) = symmetrized._rows(ChebKind.FIRST, Fraction(1, d), 1, [150])
+        assert scale == 2 * d**150
+        text = cli._ratio_text(scale, 2 * d)
+        for entry in row:
+            assert text(entry) == ratio_text(entry, scale)
+        assert len(big) > len(row) and not any(big)
+        assert text(5 * d**3) == f"5/{2 * d**147}" and sum(big) == 1
 
 
 BATCH = 1 << 16

@@ -59,6 +59,22 @@ def test_one_row_source():
     }
 
 
+def test_one_term_writer():
+    # term text is the command line's: the writer of coeffs and fgcount term
+    # lists is defined in ``cli`` alone, and no other module imports it, so
+    # ``chebyshev`` holds only arithmetic
+    defined, imported = set(), set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "orbit_lines":
+                defined.add((path.stem, node.name))
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name.lstrip("_") for alias in node.names}
+                if "orbit_lines" in names:
+                    imported.add((path.stem, node.module))
+    assert (defined, imported) == ({("cli", "_orbit_lines")}, set())
+
+
 def test_package_does_not_import_dataclasses():
     found = []
     for path, tree in _trees():
@@ -162,7 +178,7 @@ def test_univariate_route_prints_the_same_bytes_optimized():
 
 
 def test_table_prints_the_same_bytes_optimized():
-    # rows past 128 bits take the word-sized reduction of ``cli._ratio_text``
+    # every row takes the word-sized reduction of ``cli._ratio_text``
     argv = ["table", "--kind", "U", "--c", "-7/5", "--n-max", "120", "--format", "json"]
     plain, optimized = (
         subprocess.run(
