@@ -163,19 +163,24 @@ def row_size(k: int, n: int) -> int:
 
 def _check_row_size(k: int, n_max: int) -> None:
     """Raise ResourceBudgetError when row n_max has more terms than the
-    enumeration budget allows, before any row or index is allocated."""
+    enumeration budget allows, or else terms of more coordinates than it
+    (row 0 has one term at any k), before any row or index is allocated."""
     budget = resolve_enum_budget()
     m = min(k, n_max)
     if m >= budget.bit_length():  # row n_max has at least 2^m terms (i = m above)
-        size = f"at least 2^{m}"
+        what = f"at least 2^{m} terms"
     else:
         count = row_size(k, n_max)
-        if count <= budget:
+        if count > budget:
+            low = (count - 1).bit_length() - 1  # 2^low < count, also at a power of two
+            size = str(count) if low < 128 else f"more than 2^{low}"
+            what = f"{size} terms"
+        elif k > budget:  # each term is a tuple of k coordinates
+            what = f"terms of {k} coordinates"
+        else:
             return
-        low = (count - 1).bit_length() - 1  # 2^low < count, also at a power of two
-        size = str(count) if low < 128 else f"more than 2^{low}"
     raise ResourceBudgetError(
-        f"row {n_max} of the recurrence has {size} terms, over the budget of {budget} "
+        f"row {n_max} of the recurrence has {what}, over the budget of {budget} "
         f"(raise {ENUM_BUDGET_ENV})"
     )
 

@@ -9,15 +9,15 @@ with the label and exit code that its class carries.
 Each command's handler runs all of its checks and builds its kernel rows
 when it is called, then returns its output as an iterable of text pieces:
 the head, each table row or each run of terms that share a prefix (at
-k = 1, each run of whole terms of at least 64 KiB), the tail.  ``run``
-joins them into batches of at least 64 KiB and writes each batch, so no
-byte is written and no --out file is opened before the last check has
-passed, and memory tracks a row of output, not the whole document.  Term
-lists are written from the kernel's orbit representatives by
-``_orbit_lines``: the lines of the last coordinates are made once per
-block of an orbit and shared by every prefix, with no tuple, sort or
-format per term; only ``fgcount --method oracle``, the independent route,
-formats term by term.  Only a failed write can leave partial output.
+k = 1, each term), the tail.  ``_copy`` alone joins them into batches of
+at least 64 KiB and writes each batch, so no byte is written and no --out
+file is opened before the last check has passed, and memory tracks a row
+of output, not the whole document.  Term lists are written from the
+kernel's orbit representatives by ``_orbit_lines``: the lines of the last
+coordinates are made once per block of an orbit and shared by every
+prefix, with no tuple, sort or format per term; only ``fgcount --method
+oracle``, the independent route, formats term by term.  Only a failed
+write can leave partial output.
 
 ``coeffs`` and ``table`` write each nonzero kernel entry once as p/q in
 lowest terms, reduced against its row's scale s = q0 d^m by
@@ -144,9 +144,9 @@ def _orbit_lines(
 ) -> Iterator[str]:
     """The terms of ``chebyshev.orbit_terms(reps, row, value)`` in the
     layout of ``_terms_text``, in order: one piece per run of terms that
-    share a prefix of their coordinates, or at k = 1 per run of at least
-    _BATCH characters, one write batch of ``_copy``.  value is called once
-    per nonzero entry, before the first piece.
+    share a prefix of their coordinates, or at k = 1 per term; ``_copy``
+    joins the pieces into write batches.  value is called once per nonzero
+    entry, before the first piece.
 
     The members with e_1 = -v or v of a representative holding v are
     (e_1, *f), f in the orbit of the representative with one copy of v taken
@@ -222,15 +222,8 @@ def _orbit_lines(
             if entry:
                 texts[e] = value(entry)
         del reps, row  # the texts stand for them from here on: their ints can go
-        terms, size = [], 0
         for x in sorted({*texts, *map(neg, texts)}):
-            terms.append(f"{head}{x}{tail}{texts[abs(x)]}{end}")
-            size += len(terms[-1])
-            if size >= _BATCH:
-                piece, terms, size = joint.join(terms), [], 0
-                yield piece
-        if terms:
-            yield joint.join(terms)
+            yield f"{head}{x}{tail}{texts[abs(x)]}{end}"
         return
     buckets = {}  # each nonzero representative under each of its entries
     for e, entry in zip(reps, row):

@@ -41,14 +41,13 @@ class InternalError(RuntimeError):
     label, exit_code = "internal error", 4
 
 
-def resolve_enum_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the SYMCHEB_ENUM_BUDGET variable, else 10^8."""
-    if budget is None:
-        raw = os.environ.get(ENUM_BUDGET_ENV, str(DEFAULT_ENUM_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"{ENUM_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+def resolve_enum_budget() -> int:
+    """The SYMCHEB_ENUM_BUDGET variable, else 10^8: the one budget setting."""
+    raw = os.environ.get(ENUM_BUDGET_ENV, str(DEFAULT_ENUM_BUDGET))
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise UsageError(f"{ENUM_BUDGET_ENV} must be an integer, got {raw!r}") from exc
     if budget < 1:
         raise UsageError(f"the enumeration budget must be positive, got {budget}")
     return budget

@@ -132,7 +132,7 @@ def _check_rank_length(r: int, n: int) -> None:
         raise UsageError(f"word length must be an integer >= 1, got {n!r}")
 
 
-def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCountTable:
+def enumerate_counts(r: int, n: int) -> HomologyCountTable:
     """Brute-force tally of all cyclically reduced words of length n in rank r.
 
     Enumeration is depth first in lexicographic code order, pruning any
@@ -140,7 +140,7 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
     filtered at full length.
     """
     _check_rank_length(r, n)
-    _check_words(r, n, budget)
+    _check_words(r, n)
     counts: dict[HomologyClass, int] = {}
     alphabet = range(2 * r)
     exponents = [0] * r
@@ -168,13 +168,13 @@ def enumerate_counts(r: int, n: int, budget: int | None = None) -> HomologyCount
     return HomologyCountTable(r=r, n=n, counts=counts)
 
 
-def _check_words(r: int, n: int, budget: int | None = None) -> None:
+def _check_words(r: int, n: int) -> None:
     """Raise ResourceBudgetError when the 2r (2r-1)^(n-1) words that
     ``enumerate_counts`` visits are over the budget, before any is visited.
     A bound over 2^128 is written as "more than 2^b", with 2^b < bound <=
     2^(b+1).  A bound known from (2r-1)^(n-1) >= 2^low to be over both the
     budget and 2^65536 is not computed, and b is low."""
-    budget = resolve_enum_budget(budget)
+    budget = resolve_enum_budget()
     low = (n - 1) * ((2 * r - 1).bit_length() - 1)  # (2r - 1)^(n - 1) >= 2^low
     if low < max(budget.bit_length(), 1 << 16):
         bound = 2 * r * (2 * r - 1) ** (n - 1)
@@ -183,8 +183,7 @@ def _check_words(r: int, n: int, budget: int | None = None) -> None:
         low = (bound - 1).bit_length() - 1  # 2^low < bound, also at a power of two
     size = str(bound) if low < 128 else f"more than 2^{low}"
     raise ResourceBudgetError(
-        f"enumeration of {size} words exceeds the budget of {budget} "
-        f"(raise {ENUM_BUDGET_ENV} or pass a larger budget)"
+        f"enumeration of {size} words exceeds the budget of {budget} (raise {ENUM_BUDGET_ENV})"
     )
 
 

@@ -200,12 +200,13 @@ def _rows(
     on reps: the one row source.  One row at k = 1 comes from
     ``univariate_row``, without rows 0..n - 1; anything else from one
     kernel walk to ns[-1].  The arguments and the budget are checked at
-    the call."""
+    the call, before anything is built; ns may be a range of any length."""
     a, g, q0, d = _kernel_args(kind, c, k)
-    if k == 1 and len(ns) == 1:
-        (n,) = ns
+    if k == 1 and ns[0] == ns[-1]:
+        n = ns[0]
+        row = univariate_row(a, g, q0, n)  # checks the budget before reps is listed
         reps = [(j,) for j in range(n % 2, n + 1, 2)]
-        return iter([(reps, univariate_row(a, g, q0, n), q0 * d**n)])
+        return iter([(reps, row, q0 * d**n)])
     walk = enumerate(orbit_rows(a, g, q0, k, ns[-1]))
     return ((reps, row, q0 * d**m) for m, (reps, row) in walk if m in ns)
 

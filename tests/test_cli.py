@@ -189,6 +189,48 @@ class TestExitCodes:
             message = f"domain error: the float moments at n = {n} are past the float range\n"
             assert capture(capsys, [*argv, f"4,{n}"]) == (1, "", message)
 
+    @pytest.mark.parametrize("command", ["coeffs", "positivity"])
+    def test_one_row_at_k1_checks_the_budget_first(self, capsys, monkeypatch, command):
+        # the n/2 + 1 representatives of row n were listed before the budget
+        # was checked, 88 MB at n = 2 * 10^6
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        argv = [command, "--kind", "T", "--n", str(2 * 10**6), "--c", "2"]
+        tracemalloc.start()
+        try:
+            code, out, err = capture(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("resource error: row 2000000 ") and err.count("\n") == 1
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--kind", "T", "--c", "2"],
+         ["sign-survey", "--kind", "T", "--k", "1", "--c", "2"]],
+        ids=["table", "sign-survey"],
+    )
+    def test_n_max_past_the_index_range_is_a_budget_error(self, capsys, argv):
+        # len() of range(2^63 + 1) raised OverflowError, with a traceback
+        code, out, err = capture(capsys, [*argv, "--n-max", str(2**63)])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"resource error: row {2**63} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k,code", [(10, 0), (10**7, 3), (10**30, 3)])
+    @pytest.mark.parametrize("command", ["coeffs", "positivity"])
+    def test_row_0_is_over_the_budget_past_its_arity(self, capsys, monkeypatch, command, k, code):
+        # row 0 has one term at any k, but that term is a tuple of k zeros:
+        # k = 10^7 built 80 MB, and k = 10^30 raised OverflowError
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        argv = [command, "--kind", "T", "--n", "0", "--c", "2", "--k", str(k)]
+        message = (
+            f"resource error: row 0 of the recurrence has terms of {k} coordinates, "
+            "over the budget of 10 (raise SYMCHEB_ENUM_BUDGET)\n"
+        )
+        returned, _, err = capture(capsys, argv)
+        assert (returned, err) == (code, message if code else "")
+
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
         code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"])
@@ -952,14 +994,13 @@ class TestOrbitWriter:
         argv = ["fgcount", "--r", str(k), "--n", str(n), "--format", "json"]
         assert run_text(argv) == (0, fgcount_text(k, n, "json"), "")
 
-    def test_k1_terms_come_in_runs_of_64_kib(self):
-        # one piece per term cost a yield, a separator and a copy per term
+    def test_k1_pieces_are_whole_terms(self):
+        # ``_copy`` alone sizes the write batches: at k = 1 each piece is one
+        # term, and the list writer puts the joint between pieces
         ((reps, row, _),) = symmetrized._rows(ChebKind.FIRST, parse_exact("11/10"), 1, [1200])
         pieces = list(cli._orbit_lines(reps, row, str, ("", ",", ",", "", "\n")))
-        assert len(pieces) > 10 and min(map(len, pieces[:-1])) >= 1 << 16
         entries = {j: entry for (j,), entry in zip(reps, row)}
-        terms = [f"{x},{entries[abs(x)]}" for x in range(-1200, 1201, 2)]
-        assert "\n".join(pieces) == "\n".join(terms)
+        assert pieces == [f"{x},{entries[abs(x)]}" for x in range(-1200, 1201, 2)]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_value_text_per_representative(self, capsys, monkeypatch, fmt):
@@ -1203,9 +1244,10 @@ class TestStreamedOutput:
                 self.writes += 1
                 return super().write(text)
 
-        stdout = CountingStdout()
-        with contextlib.redirect_stdout(stdout):
-            assert run(TABLE_150) == 0
-        size = len(stdout.getvalue())
-        assert size == 2835291
-        assert stdout.writes <= size // BATCH + 2
+        coeffs_k1 = ["coeffs", "--kind", "T", "--n", "1200", "--c", "11/10", "--format", "json"]
+        for argv, size in [(TABLE_150, 2835291), (coeffs_k1, 3131729)]:
+            stdout = CountingStdout()
+            with contextlib.redirect_stdout(stdout):
+                assert run(argv) == 0
+            assert len(stdout.getvalue()) == size
+            assert stdout.writes <= size // BATCH + 2

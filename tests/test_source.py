@@ -59,6 +59,31 @@ def test_one_row_source():
     }
 
 
+def test_one_batcher():
+    # write batches are sized by ``cli._copy`` alone: a writer that read
+    # _BATCH too would join pieces that ``_copy`` then joins again
+    found = set()
+    for path, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name == "_BATCH" and isinstance(node.ctx, ast.Load):
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("cli", "_copy")}
+
+
+def test_one_budget_setting():
+    # SYMCHEB_ENUM_BUDGET is the one way to set the enumeration budget: no
+    # function takes it as an argument
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.arg == "budget"
+    ]
+    assert found == []
+
+
 def test_one_term_writer():
     # term text is the command line's: the writer of coeffs and fgcount term
     # lists is defined in ``cli`` alone, and no other module imports it, so

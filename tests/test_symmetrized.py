@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from symcheb import (
     build,
     build_sequence,
     cheb_coeffs,
+    distribution,
     fullform_coeff,
     positivity_report,
     sign_survey,
@@ -354,6 +356,35 @@ class TestLowestTerms:
 
 
 class TestUnivariateTable:
+    @pytest.mark.parametrize(
+        "route",
+        [lambda n: build(SymChebSpec(T, n, F(2), 1)), lambda n: distribution(n, F(2), 1)],
+        ids=["build", "distribution"],
+    )
+    def test_one_row_checks_the_budget_first(self, monkeypatch, route):
+        # the n/2 + 1 representatives of row n were listed before the budget
+        # was checked, 88 MB at n = 2 * 10^6
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
+        n = 2 * 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError, match=rf"^row {n} of .* has {n + 1} terms"):
+                route(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "route",
+        [lambda n: build_sequence(T, F(2), 1, n), lambda n: univariate_table(T, F(2), n)],
+        ids=["build_sequence", "univariate_table"],
+    )
+    def test_n_max_past_the_index_range_is_a_budget_error(self, route):
+        # len() of range(2^63 + 1) raised OverflowError
+        with pytest.raises(ResourceBudgetError, match=rf"^row {2**63} of .* has {2**63 + 1} terms"):
+            route(2**63)
+
     def test_rows_check_the_budget_at_the_call(self, monkeypatch):
         # row 20 at k = 1 has 21 terms; the command line writes rows as they
         # are read, so the budget must fail before the first one
