@@ -15,9 +15,9 @@ file is opened before the last check has passed, and memory tracks a row
 of output, not the whole document.  Term lists are written from the
 kernel's orbit representatives by ``_orbit_lines``: the lines of the last
 coordinates are made once per block of an orbit and shared by every
-prefix, with no tuple, sort or format per term; only ``fgcount --method
-oracle``, the independent route, formats term by term.  Only a failed
-write can leave partial output.
+prefix, with no tuple, sort or format per term.  Brute-force enumeration,
+the independent route, is reached only through ``fgverify``, which diffs
+it against the kernel.  Only a failed write can leave partial output.
 
 ``coeffs`` and ``table`` write each nonzero kernel entry once as p/q in
 lowest terms, reduced against its row's scale s = q0 d^m by
@@ -110,27 +110,19 @@ def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
 
 
 def _terms_text(
-    fmt: str, head: dict, key: str, name: str, k: int, lines: Callable[[tuple], Iterable[str]],
-    quote: str = "",
+    fmt: str, head: dict, key: str, name: str, k: int, reps: Sequence[tuple[int, ...]],
+    row: Sequence[int], value: Callable[[int], str], quote: str = "",
 ) -> Iterator[str]:
-    """A term list, as ``lines(layout)`` writes its terms: in JSON,
-    under ``key`` after the ``head`` fields, each text between two quotes;
-    in CSV, as columns e1..ek and ``name``.  With layout (head, sep, tail,
-    end, joint), a term is head e_1 sep ... sep e_k tail text end, and the
-    terms of a piece are joined by joint."""
+    """The term list of a kernel row, as ``_orbit_lines(reps, row, value,
+    layout)`` writes it: in JSON, under ``key`` after the ``head`` fields,
+    each text between two quotes; in CSV, as columns e1..ek and ``name``.
+    With layout (head, sep, tail, end, joint), a term is head e_1 sep ...
+    sep e_k tail text end, and the terms of a piece are joined by joint."""
     if fmt == "json":
         layout = ('{"e": [', ", ", f"], {json.dumps(name)}: {quote}", f"{quote}}}", ", ")
-        return _json_list(head, key, lines(layout))
+        return _json_list(head, key, _orbit_lines(reps, row, value, layout))
     header = ",".join([*map("e{}".format, range(1, k + 1)), name])
-    return _csv_lines(header, lines(("", ",", ",", "", "\n")))
-
-
-def _plain_lines(terms: Iterable[tuple[tuple, int]], layout: tuple) -> Iterator[str]:
-    """Each (exponents, count) term as one piece in the layout of
-    ``_terms_text``: the term-by-term writer of the enumeration route."""
-    head, sep, tail, end, _ = layout
-    for e, count in terms:
-        yield f"{head}{sep.join(map(str, e))}{tail}{count}{end}"
+    return _csv_lines(header, _orbit_lines(reps, row, value, ("", ",", ",", "", "\n")))
 
 
 # A zero level of ``_orbit_lines`` with at most this many coordinates is a
@@ -303,8 +295,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     ((reps, row, scale),) = symmetrized._rows(spec.kind, spec.c, spec.k, [spec.n])
     _, _, q0, d = symmetrized._kernel_args(spec.kind, spec.c, spec.k)
-    lines = partial(_orbit_lines, reps, row, _ratio_text(scale, q0 * d))
-    return _terms_text(args.format, head, "terms", "coeff", args.k, lines, '"')
+    text = _ratio_text(scale, q0 * d)
+    return _terms_text(args.format, head, "terms", "coeff", args.k, reps, row, text, '"')
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
@@ -353,11 +345,9 @@ def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
-    if args.method == "oracle":
-        lines = partial(_plain_lines, freegroup.enumerate_counts(args.r, args.n).sorted_items())
-    else:
-        lines = partial(_orbit_lines, *freegroup._formula_row(args.r, args.n), str)
-    return _terms_text(args.format, {"r": args.r, "n": args.n}, "counts", "count", args.r, lines)
+    reps, row = freegroup._formula_row(args.r, args.n)
+    head = {"r": args.r, "n": args.n}
+    return _terms_text(args.format, head, "counts", "count", args.r, reps, row, str)
 
 
 def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:
@@ -518,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fgcount", help="cyclically reduced word counts by homology class")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("formula", "oracle"), default="formula")
     _add_common(p)
     p.set_defaults(handler=_cmd_fgcount)
 

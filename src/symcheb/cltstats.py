@@ -82,7 +82,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, _root_x2_minus_1, check_arity, orbit_size
+from .chebyshev import ChebKind, _check_row_size, _root_x2_minus_1, check_arity, orbit_size
 from .errors import DomainError, InternalError, UsageError
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
@@ -370,13 +370,15 @@ def _certify(c: Fraction, k: int, ns: list[int]) -> None:
     ns, or raise DomainError; c > 1 (a float c enters at its exact value).
 
     * c >= c_k = k/sqrt(2k-1), tested as c^2 (2k-1) >= k^2: by the theorem
-      in ``symmetrized`` only n = 2 can fail, at c^2/k - 1 < 0.
+      in ``symmetrized`` only n = 2 can fail, at c^2/k - 1 < 0; its witness
+      is a term of k coordinates, so a k over the budget is refused first.
     * 1 < c < c_k: the kernel's rows certify n <= FULL_TABLE_CEILING, and
       a larger n is refused as uncertified before any row is walked.
     """
     p, q = c.numerator, c.denominator
     if p * p * (2 * k - 1) >= k * k * q * q:
         if 2 in ns and p * p < k * q * q:
+            _check_row_size(k, 0)  # the witness is one term of k coordinates
             raise _negative((0,) * k, p * p - k * q * q, k * q * q)  # c^2/k - 1
         return
     if ns[-1] > FULL_TABLE_CEILING:

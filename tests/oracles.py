@@ -5,7 +5,7 @@ line are checked against.  They are deliberately separate code, not used by
 import json
 import math
 
-from symcheb import SymChebSpec, build, counts_by_formula, univariate_table
+from symcheb import SymChebSpec, build, counts_by_formula, enumerate_counts, univariate_table
 from symcheb.laurent import format_exact
 
 
@@ -125,4 +125,11 @@ def table_text(kind, c, n_max, fmt):
 def fgcount_text(r, n, fmt):
     """Oracle: ``symcheb fgcount`` output from ``counts_by_formula``."""
     table = counts_by_formula(r, n)
+    return _terms_text(fmt, {"r": r, "n": n}, "counts", "count", r, table.sorted_items())
+
+
+def enumeration_text(r, n, fmt):
+    """Oracle: ``symcheb fgcount`` output by brute-force enumeration of the
+    words, from ``enumerate_counts``."""
+    table = enumerate_counts(r, n)
     return _terms_text(fmt, {"r": r, "n": n}, "counts", "count", r, table.sorted_items())

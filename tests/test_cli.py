@@ -22,7 +22,7 @@ from symcheb.chebyshev import orbit_rows
 from symcheb.cli import build_parser, run
 from symcheb.laurent import format_exact, parse_exact
 
-from oracles import coeffs_text, fgcount_text, ratio_text, table_text
+from oracles import coeffs_text, enumeration_text, fgcount_text, ratio_text, table_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HUGE = "1" + "0" * 400  # beyond the float range
@@ -131,7 +131,7 @@ class TestExitCodes:
 
     def test_budget_error_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "10")
-        code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "5", "--method", "oracle"])
+        code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "5"])
         assert code == 3 and "resource error" in err
 
     @pytest.mark.parametrize("argv", HUGE_ARITY_ARGVS, ids=lambda argv: argv[0])
@@ -231,10 +231,29 @@ class TestExitCodes:
         returned, _, err = capture(capsys, argv)
         assert (returned, err) == (code, message if code else "")
 
+    @pytest.mark.parametrize(
+        "c,k,budget", [(8 * 10**14, 10**30, None), (3, 10, "5")], ids=["k1e30", "k10_budget5"]
+    )
+    @pytest.mark.parametrize("mode", ["exact", "float_normalized"])
+    def test_n_2_witness_checks_the_budget(self, capsys, monkeypatch, mode, c, k, budget):
+        # at c_k <= c < sqrt(k) the n = 2 witness is a tuple of k zeros:
+        # k = 10^30 raised OverflowError, with a traceback
+        if budget is None:
+            monkeypatch.delenv("SYMCHEB_ENUM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", budget)
+        argv = ["clt", "--c", str(c), "--k", str(k), "--n", "2", "--mode", mode]
+        assert capture(capsys, argv) == (
+            3,
+            "",
+            f"resource error: row 0 of the recurrence has terms of {k} coordinates, "
+            f"over the budget of {budget or 10**8} (raise SYMCHEB_ENUM_BUDGET)\n",
+        )
+
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "-5")
-        code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"])
-        assert code == 2 and err.startswith("usage error:")
+        code, _, err = capture(capsys, ["fgcount", "--r", "2", "--n", "3"])
+        assert (code, err) == (2, "usage error: the enumeration budget must be positive, got -5\n")
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -437,10 +456,7 @@ class TestOutputs:
 
     def test_fgcount_paths_are_byte_identical(self, capsys):
         _, formula, _ = capture(capsys, ["fgcount", "--r", "2", "--n", "4"])
-        _, oracle, _ = capture(
-            capsys, ["fgcount", "--r", "2", "--n", "4", "--method", "oracle"]
-        )
-        assert formula == oracle
+        assert formula == enumeration_text(2, 4, "json")
 
     def test_clt_csv_header_and_digits(self, capsys):
         _, out, _ = capture(capsys, ["clt", "--c", "2", "--k", "1", "--n", "2,4"])
@@ -690,8 +706,6 @@ PARSER_STRUCTURE = {
         (("-h", "--help"), "help", "==SUPPRESS==", False, None, None, "_HelpAction", None),
         (("--r",), "r", None, True, None, None, "_StoreAction", "int"),
         (("--n",), "n", None, True, None, None, "_StoreAction", "int"),
-        (("--method",), "method", "formula", False, ("formula", "oracle"), None,
-         "_StoreAction", None),
         (("--format",), "format", "json", False, ("json", "csv"), None, "_StoreAction", None),
         (("--out",), "out", None, False, None, "PATH", "_StoreAction", None),
     ],
@@ -774,7 +788,8 @@ USAGE_ERROR_ARGVS = [
     ["coeffs"],
     ["coeffs", "--kind", "T", "--n", "two", "--c", "2"],
     ["coeffs", "--kind", "T", "--n", "2", "--c", "1.5"],
-    ["fgcount", "--r", "2", "--n", "3", "--method", "guess"],
+    ["fgcount", "--r", "2", "--n", "3", "--format", "xml"],
+    ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"],  # the option is gone
     ["clt", "--c", "2", "--k", "1", "--n", "4", "--extra"],
 ]
 
@@ -969,15 +984,13 @@ class TestOrbitWriter:
     @given(r=st.integers(2, 6), n=st.integers(1, 12), fmt=FORMATS)
     @example(r=5, n=4, fmt="json")
     @example(r=6, n=12, fmt="csv")
-    @example(r=4, n=6, fmt="csv")  # the most words that the oracle route is run on
+    @example(r=4, n=6, fmt="csv")  # the most words that are enumerated
     def test_fgcount_matches_the_table_route(self, out_dir, r, n, fmt):
         expected = fgcount_text(r, n, fmt)
-        methods = ["formula"]
+        argv = ["fgcount", "--r", str(r), "--n", str(n), "--format", fmt]
+        assert run_to_both(argv, out_dir) == (0, expected, "")
         if 2 * r * (2 * r - 1) ** (n - 1) <= 134_456:  # words enumerated; every r <= 4, n <= 6
-            methods.append("oracle")
-        for method in methods:
-            argv = ["fgcount", "--r", str(r), "--n", str(n), "--method", method, "--format", fmt]
-            assert run_to_both(argv, out_dir) == (0, expected, "")
+            assert expected == enumeration_text(r, n, fmt)
 
     @pytest.mark.parametrize(
         "k,n",

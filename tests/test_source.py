@@ -59,6 +59,33 @@ def test_one_row_source():
     }
 
 
+def test_enumeration_is_reached_only_by_fgverify():
+    # brute-force enumeration is the independent check of the kernel's word
+    # counts: the command line runs it only to diff the two, never to write
+    # a term list
+    found = set()
+    for path, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "enumerate_counts":
+                        found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("cli", "_cmd_fgverify")}
+
+
+def test_one_term_list_route():
+    # every term list is written by ``cli._orbit_lines`` through
+    # ``cli._terms_text``: no command picks a second writer
+    found = set()
+    for path, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if getattr(node, "id", getattr(node, "attr", None)) == "_orbit_lines":
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("cli", "_terms_text")}
+
+
 def test_one_batcher():
     # write batches are sized by ``cli._copy`` alone: a writer that read
     # _BATCH too would join pieces that ``_copy`` then joins again
@@ -167,7 +194,7 @@ def test_readme_examples_run():
         for line in block.splitlines()
         if line.startswith("symcheb ")
     ]
-    assert len(commands) == 11
+    assert len(commands) == 10
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert (argv, run(argv)) == (argv, 0)
