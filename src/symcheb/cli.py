@@ -63,7 +63,7 @@ def _parse_kind(text: str) -> ChebKind:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of integers, got {text!r}"
@@ -392,18 +392,13 @@ def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, s
     try:
         c = parse_exact(args.c)
         c_text = format_exact(c)
-    except UsageError as exc:
+    except UsageError:
+        if args.mode != cltstats.MODE_FLOAT:
+            raise
         try:
             c = float(args.c)
         except ValueError:
-            if args.mode != cltstats.MODE_FLOAT:
-                raise exc from None  # no decimal either: parse_exact's message
             raise UsageError(f"cannot parse c: {args.c!r}") from None
-        if args.mode != cltstats.MODE_FLOAT:
-            raise UsageError(
-                f"exact mode takes c as p/q or an integer, got {args.c!r} "
-                "(decimals are float-mode only)"
-            ) from None
         c_text = repr(c)
     report = cltstats.convergence_report(
         c, args.k, args.n, mode=args.mode, exact_ceiling=args.exact_ceiling

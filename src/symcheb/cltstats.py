@@ -50,8 +50,8 @@ dense one.  Checked: the division at every n, V_n^2 - D U_n^2 = 4 g^n at
 the last, and M0 against the word total, or against the kernel's row sum
 wherever a row is walked.
 
-Signs are certified once, by ``_certify``, in both modes (float mode at
-the float's exact value): for c >= c_k = k/sqrt(2k-1) by one exact test,
+Signs are certified once, by ``_certify``, in both modes, at the c given
+(a float at its exact value): for c >= c_k = k/sqrt(2k-1) by one exact test,
 from the theorem in ``symmetrized``; below c_k by the kernel's rows up to
 n = 32, refusing a larger n as uncertified.  Off-diagonal covariances
 vanish at every n, since each coordinate can be mirrored independently.
@@ -231,7 +231,7 @@ def _above_one(c: Scalar | float, message: str) -> float:
     """c as a float, after checking that c > 1 at its exact value (else
     DomainError ``message``) and that its float is not 1.0."""
     c_float = _to_float(c, "c")
-    if (c_float <= 1.0) if isinstance(c, float) else (c <= 1):
+    if c <= 1:
         raise DomainError(f"{message}, got c = {c_float}")
     if c_float == 1.0:
         raise DomainError(
@@ -415,17 +415,17 @@ def marginal_moments_exact(
 
 
 def marginal_moments_float(
-    c: float, k: int, n_list: Sequence[int]
+    c: Scalar | float, k: int, n_list: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Float-normalized (n, m2, m4) of one coordinate, per n.
 
     The closed form in tanh(n acosh c), O(log n) float steps per n, with t
     formed to keep its bits near c = 1 and not overflow.  Signs are certified
-    as in ``marginal_moments_exact``, at the float's exact value."""
+    as in ``marginal_moments_exact``, at the c given (a float at its value)."""
     check_arity(k)
     ns = _check_n_list(n_list)
     c_float = _above_one(c, "coefficient distributions need c > 1")
-    _certify(Fraction(c_float), k, ns)
+    _certify(Fraction(c), k, ns)
     t = math.sqrt(c_float - 1.0) * math.sqrt(c_float + 1.0) / c_float
     return _float_moments(1 / k, t, ns)
 

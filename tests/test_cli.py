@@ -343,6 +343,31 @@ class TestExitCodes:
         assert err_f.startswith(prefix) and err_e.startswith(prefix)
         assert err_e == f"{prefix} (-122157/640000); the coefficient distribution is undefined\n"
 
+    @pytest.mark.parametrize(
+        "params,code,witness",
+        [
+            (["--c", "499999999999999997/300000000000000000", "--k", "5", "--n", "3"], 1,
+             [-1, 0, 0, 0, 0]),
+            (["--c", "199999999999999999/100000000000000000", "--k", "4", "--n", "2"], 1,
+             [0, 0, 0, 0]),
+            (["--c", "4100000000000000009/900000000000000000", "--k", "41", "--n", "3"], 0,
+             None),
+        ],
+        ids=["below_c_5", "below_sqrt_4", "above_c_41"],
+    )
+    def test_both_modes_certify_at_the_c_given(self, capsys, params, code, witness):
+        # float mode certified at the c of its float, on the other side of
+        # c_k = k/sqrt(2k-1) or sqrt(k) from the p/q given, and so exited 0
+        # on the first two and 1 on the third
+        exact = capture(capsys, ["clt", *params])
+        approx = capture(capsys, ["clt", *params, "--mode", "float_normalized"])
+        assert (approx[0], approx[2]) == (exact[0], exact[2])
+        assert exact[0] == code
+        if witness is None:
+            assert exact[2] == "" and approx[1] == exact[1]
+        else:
+            assert exact[2].startswith(f"domain error: coefficient at {witness} is negative")
+
     @pytest.mark.parametrize("argv,message", FLOAT_JOINT_ARGVS)
     def test_float_mode_certifies_joint_signs(self, capsys, argv, message):
         # float mode used to return numbers where exact mode gives the witness
@@ -545,6 +570,10 @@ class TestDeterminism:
              ["clt", "--c", "9/7", "--k", "3", "--n", "4,8,16", "--format", "csv"]),
             ("clt_c3_k3_exact.json",
              ["clt", "--c", "3", "--k", "3", "--n", "2,4,8,16", "--format", "json"]),
+            # a p/q in float mode below c_k: rows certified at 9/7 itself
+            ("clt_c9-7_k3_float.json",
+             ["clt", "--c", "9/7", "--k", "3", "--n", "4,8,16", "--mode", "float_normalized",
+              "--format", "json"]),
         ],
     )
     def test_golden_files(self, capsys, name, argv):
@@ -791,6 +820,9 @@ USAGE_ERROR_ARGVS = [
     ["fgcount", "--r", "2", "--n", "3", "--format", "xml"],
     ["fgcount", "--r", "2", "--n", "3", "--method", "oracle"],  # the option is gone
     ["clt", "--c", "2", "--k", "1", "--n", "4", "--extra"],
+    ["clt", "--c", "2", "--k", "1", "--n", "3,,4"],  # an empty part used to be dropped
+    ["clt", "--c", "2", "--k", "1", "--n", "3,"],
+    ["clt", "--c", "2", "--k", "1", "--n", ","],
 ]
 
 
@@ -807,11 +839,16 @@ USAGE_ERROR_ARGVS = [
          "argument --c: not an exact rational (use p/q or an integer): '1/0'"),
         (["clt", "--c", "abc", "--k", "1", "--n", "4", "--mode", "float_normalized"],
          "cannot parse c: 'abc'"),
-        # was "exact mode takes c as p/q ... (decimals are float-mode only)"
+        # exact-mode clt parses c as every other --c is parsed
         (["clt", "--c", "2/0", "--k", "1", "--n", "4"],
          "not an exact rational (use p/q or an integer): '2/0'"),
+        (["clt", "--c", "1.5", "--k", "1", "--n", "4"],
+         "not an exact rational (use p/q or an integer): '1.5'"),
+        (["clt", "--c", "2", "--k", "1", "--n", "3,,4"],
+         "argument --n: expected a comma-separated list of integers, got '3,,4'"),
     ],
-    ids=["kind", "n_list", "c", "c_zero_denominator", "float_c", "clt_c_zero_denominator"],
+    ids=["kind", "n_list", "c", "c_zero_denominator", "float_c", "clt_c_zero_denominator",
+         "clt_decimal_c_in_exact_mode", "n_list_empty_part"],
 )
 def test_usage_error_keeps_the_package_message(capsys, argv, message):
     # argparse used to print "invalid _parse_kind value: 'X'", naming a

@@ -12,6 +12,7 @@ from symcheb import (
     ChebKind,
     DomainError,
     InternalError,
+    ResourceBudgetError,
     SymChebSpec,
     UsageError,
     build,
@@ -41,6 +42,22 @@ from symcheb.cltstats import (
 from oracles import constant_term, lattice_rows, walk_counts
 
 T = ChebKind.FIRST
+
+
+@st.composite
+def near_thresholds(draw):
+    """(c, k, ns): c = p/q with p the floor or ceiling of x q, x = c_k =
+    k/sqrt(2k-1) or sqrt(k), for q in [10^15, 10^19], so that c and its float
+    may fall on opposite sides of x; ns within 1..32 holds 2 or 3."""
+    k = draw(st.integers(2, 8))
+    q = draw(st.integers(10**15, 10**19))
+    num, den = draw(st.sampled_from([(k * k, 2 * k - 1), (k, 1)]))  # x^2 = num/den
+    p = math.isqrt(num * q * q // den)
+    if draw(st.booleans()) and p * p * den < num * q * q:
+        p += 1
+    ns = draw(st.sets(st.integers(1, 32), max_size=4))
+    ns.add(draw(st.sampled_from([2, 3])))
+    return F(p, q), k, sorted(ns)
 
 
 @pytest.mark.parametrize(
@@ -510,8 +527,8 @@ class TestMarginalEngine:
         assert m4 == report.fourth_moment_diag[0]
 
     def test_float_rows_are_scanned_like_exact_rows(self):
-        # both modes certify the same way, float mode at the float's exact
-        # value, and report the joint witness
+        # both modes certify the same way, at the c given (a float at its
+        # exact value), and report the joint witness
         cases = [(F(21, 20), 1.05, 2, [4, 8], (-1, -1))]
         cases += [(F(11, 10), 1.1, k, [2, 3, 4, 8, 16], (0,) * k) for k in (2, 3)]
         for c_exact, c_float, k, ns, witness in cases:
@@ -690,12 +707,31 @@ class TestMomentRecurrence:
         with pytest.raises(DomainError) as info:
             convergence_report(given, k, ns, mode=mode, exact_ceiling=ns[-1])
         assert info.value.witness == (0,) * k
-        exact = F(given)  # float mode certifies at the float's exact value
+        exact = F(given)  # a float c is certified at its exact value
         assert str(info.value) == (
             f"coefficient at {[0] * k} is negative ({exact * exact / k - 1}); "
             "the coefficient distribution is undefined"
         )
         assert convergence_report(c, k, [n for n in ns if n != 2], exact_ceiling=ns[-1]).rows
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=near_thresholds())
+    @example(case=(F(499999999999999997, 300000000000000000), 5, [3]))  # just below c_5 = 5/3
+    @example(case=(F(199999999999999999, 100000000000000000), 4, [2]))  # just below sqrt(4)
+    @example(case=(F(4100000000000000009, 900000000000000000), 41, [3]))  # just above c_41
+    def test_float_mode_refuses_what_exact_mode_refuses(self, case):
+        # float mode used to certify at the c of its float, which falls on
+        # the other side of c_k or sqrt(k) when c is that close to either
+        c, k, ns = case
+
+        def outcome(mode):
+            try:
+                convergence_report(c, k, ns, mode=mode, exact_ceiling=32)
+            except (DomainError, ResourceBudgetError) as exc:  # a row over the budget
+                return type(exc), getattr(exc, "witness", None), str(exc)
+            return None
+
+        assert outcome(MODE_FLOAT) == outcome(MODE_EXACT)
 
     def test_certificate_above_c_k_is_constant_time(self, monkeypatch):
         # the closed-walk counts it replaced took seconds at n = 4000

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 import shlex
@@ -171,6 +172,34 @@ print(before, sys.get_int_max_str_digits())
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     before, after = result.stdout.split()
     assert before == after
+
+
+def _code_lines_tool():
+    path = PACKAGE.parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path, module
+
+
+def test_code_lines_totals_are_the_sum_of_the_modules():
+    path, tool = _code_lines_tool()
+    result = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, check=True)
+    header, *rows, total = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    assert [row[0] for row in rows] == sorted(p.name for p in PACKAGE.glob("*.py"))
+    for name, lines, code in rows:
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert (int(lines), int(code)) == tool.counts(source)
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2))]
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    _, tool = _code_lines_tool()
+    source = '"""Module\ndocstring."""\n\n# a comment\n\n   \n'
+    assert tool.counts(source) == (6, 0)
+    source += 'def f():\n    """Doc."""\n    return """not\na docstring"""  # end\n'
+    assert tool.counts(source) == (10, 3)  # def, return and the string it returns
 
 
 def _readme_blocks(language):
