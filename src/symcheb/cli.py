@@ -25,6 +25,14 @@ lowest terms, reduced against its row's scale s = q0 d^m by
 q0 d is larger, in place of a big-int gcd, which only an entry that holds
 a prime to its full power in M still takes.
 
+Command lines are read from one option table per command, ``_COMMANDS``.
+``_read`` takes a command and its ``--option value`` pairs from the table
+alone and returns the namespace that argparse would make of them, or
+declines: an option not named in full, a value that starts with "-", a
+missing or rejected value, help.  Only a declined command line imports
+argparse, which ``_argparse_parser`` builds from the same table, so help
+text and every error message are argparse's.
+
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
 --mode float_normalized), so nothing exact ever passes through binary
@@ -33,7 +41,6 @@ floating point.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -42,6 +49,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from operator import neg
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import cltstats, freegroup, symmetrized
@@ -54,27 +62,32 @@ _KINDS = {"T": ChebKind.FIRST, "U": ChebKind.SECOND}
 
 # Option types raise ArgumentTypeError: argparse replaces the message of
 # any other exception with its generic "invalid <function name> value".
+# argparse is imported for a rejected value only, which argparse reports.
+def _type_error(message: str) -> Exception:
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_kind(text: str) -> ChebKind:
     try:
         return _KINDS[text]
     except KeyError:
-        raise argparse.ArgumentTypeError(f"kind must be T or U, got {text!r}") from None
+        raise _type_error(f"kind must be T or U, got {text!r}") from None
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
-        ) from None
+        raise _type_error(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
 def _parse_c(text: str) -> Fraction:
     try:
         return parse_exact(text)
     except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _type_error(str(exc)) from None
 
 
 def _cell(value: object) -> str:
@@ -275,7 +288,7 @@ def _ratio_text(scale: int, base: int) -> Callable[[int], str]:
     return text
 
 
-def _spec_head(args: argparse.Namespace) -> tuple[symmetrized.SymChebSpec, dict]:
+def _spec_head(args: SimpleNamespace) -> tuple[symmetrized.SymChebSpec, dict]:
     """The polynomial that ``coeffs`` and ``positivity`` name, and its JSON fields."""
     spec = symmetrized.SymChebSpec(kind=args.kind, n=args.n, c=args.c, k=args.k)
     return spec, {"kind": args.kind.value, "n": args.n, "c": format_exact(args.c), "k": args.k}
@@ -291,7 +304,7 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 # formatted a run of terms or a row at a time, as ``run`` reads it.
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_coeffs(args: SimpleNamespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     ((reps, row, scale),) = symmetrized._rows(spec.kind, spec.c, spec.k, [spec.n])
     _, _, q0, d = symmetrized._kernel_args(spec.kind, spec.c, spec.k)
@@ -299,7 +312,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> Iterable[str]:
     return _terms_text(args.format, head, "terms", "coeff", args.k, reps, row, text, '"')
 
 
-def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_table(args: SimpleNamespace) -> Iterable[str]:
     _, _, q0, q = symmetrized._kernel_args(args.kind, args.c, 1)
     texts = partial(_ratio_text, base=q0 * q)
     rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, texts)
@@ -315,7 +328,7 @@ def _cmd_table(args: argparse.Namespace) -> Iterable[str]:
     return _csv_lines("n,j,value", lines)
 
 
-def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_positivity(args: SimpleNamespace) -> Iterable[str]:
     spec, head = _spec_head(args)
     report = symmetrized.positivity_report(spec)
     fields = {
@@ -329,7 +342,7 @@ def _cmd_positivity(args: argparse.Namespace) -> Iterable[str]:
     return _csv_lines(",".join(fields), [",".join(map(_cell, fields.values()))])
 
 
-def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_sign_survey(args: SimpleNamespace) -> Iterable[str]:
     names = ("n", "e", "value")  # the witness fields, witness_n ... in CSV
     items, lines = [], []
     for row in symmetrized.sign_survey(args.kind, args.k, args.n_max, args.c):
@@ -344,13 +357,13 @@ def _cmd_sign_survey(args: argparse.Namespace) -> Iterable[str]:
     return _csv_lines(",".join(["c", "classification", *map("witness_{}".format, names)]), lines)
 
 
-def _cmd_fgcount(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_fgcount(args: SimpleNamespace) -> Iterable[str]:
     reps, row = freegroup._formula_row(args.r, args.n)
     head = {"r": args.r, "n": args.n}
     return _terms_text(args.format, head, "counts", "count", args.r, reps, row, str)
 
 
-def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_fgverify(args: SimpleNamespace) -> Iterable[str]:
     freegroup._check_budgets(args.r, args.n)
     formula = freegroup.counts_by_formula(args.r, args.n)
     oracle = freegroup.enumerate_counts(args.r, args.n)
@@ -379,7 +392,7 @@ def _cmd_fgverify(args: argparse.Namespace) -> Iterable[str]:
     return _csv_lines("status,total_formula,total_oracle,mismatch_classes", [row])
 
 
-def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, str]:
+def _clt_report(args: SimpleNamespace) -> tuple[cltstats.ConvergenceReport, str]:
     if args.fg_r is not None:
         if args.c is not None or args.k is not None:
             raise UsageError("--fg-r cannot be combined with --c/--k")
@@ -411,7 +424,7 @@ def _clt_report(args: argparse.Namespace) -> tuple[cltstats.ConvergenceReport, s
 _CLT_FIELDS = ("n", "m2_over_n", "kurtosis", "max_offdiag", "dist_paper", "dist_rederived")
 
 
-def _cmd_clt(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_clt(args: SimpleNamespace) -> Iterable[str]:
     report, c_text = _clt_report(args)
     if args.format == "json":
         payload = {
@@ -427,104 +440,126 @@ def _cmd_clt(args: argparse.Namespace) -> Iterable[str]:
     return _csv_lines(",".join(_CLT_FIELDS), lines)
 
 
-# --- parser -----------------------------------------------------------------
+# --- options ----------------------------------------------------------------
+# One table per command, option string: the keywords of argparse's
+# add_argument.  ``_read`` reads a well-formed command line from the tables
+# alone; ``_argparse_parser`` builds argparse from them for whatever
+# ``_read`` declines, so help text and every error message are argparse's.
+
+_FORMATS = ("json", "csv")
+_KIND = {"type": _parse_kind, "required": True, "metavar": "T|U"}
+_C = {"type": _parse_c, "required": True, "metavar": "p/q"}
+_INT = {"type": int, "required": True}
+_K = {"type": int, "default": 1}
+_JSON = {"choices": _FORMATS, "default": "json"}
+_OUT = {"metavar": "PATH", "help": "write output to PATH"}
+_SPEC = {"--kind": _KIND, "--n": _INT, "--c": _C, "--k": _K, "--format": _JSON, "--out": _OUT}
+_RANK = {"--r": _INT, "--n": _INT, "--format": _JSON, "--out": _OUT}
+
+# command: (help, handler, options), in the order of --help
+_COMMANDS = {
+    "coeffs": ("emit the term list of T_n(A) or U_n(A)", _cmd_coeffs, _SPEC),
+    "table": ("univariate coefficient table rows 0..n_max", _cmd_table, {
+        "--kind": _KIND, "--c": _C, "--n-max": _INT, "--format": _JSON, "--out": _OUT,
+    }),
+    "positivity": ("coefficient sign report for one polynomial", _cmd_positivity, _SPEC),
+    "sign-survey": ("classify sign behaviour over a grid of c", _cmd_sign_survey, {
+        "--kind": _KIND, "--k": _K, "--n-max": _INT,
+        "--c": {**_C, "action": "append", "help": "repeatable: one survey row per value"},
+        "--format": _JSON, "--out": _OUT,
+    }),
+    "fgcount": ("cyclically reduced word counts by homology class", _cmd_fgcount, _RANK),
+    "fgverify": ("diff the formula counts against brute force", _cmd_fgverify, _RANK),
+    "clt": ("convergence report toward the Gaussian limit", _cmd_clt, {
+        "--c": {"metavar": "p/q",
+                "help": "rational parameter (decimal allowed in float mode only)"},
+        "--k": {"type": int},
+        "--fg-r": {"type": int,
+                   "help": "use the rank-r word-count distributions instead of --c/--k"},
+        "--n": {"type": _parse_n_list, "required": True, "metavar": "N1,N2,..."},
+        "--mode": {"choices": (cltstats.MODE_EXACT, cltstats.MODE_FLOAT),
+                   "default": cltstats.MODE_EXACT},
+        "--exact-ceiling": {"type": int},
+        "--format": {"choices": _FORMATS, "default": "csv"},
+        "--out": _OUT,
+    }),
+}
 
 
-# argparse's own pattern, r"^-\d+$|^-\d*\.\d+$" in Python 3.11, plus -p/q
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse makes of argv, read from ``_COMMANDS``;
+    None, a decline, unless argv is a command and --option value pairs
+    that argparse takes as they stand.  So it declines an option that is
+    not named in full (an abbreviation, --opt=value, -h, --), a value that
+    starts with "-", a missing value or required option, and a value that
+    its type rejects or that is not one of its choices: argparse then
+    parses argv and reports what it finds.  A repeated option keeps its
+    last value, or with "append" all of them, as in argparse."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    given = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(option)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # whatever it is, argparse meets it again
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        if keywords.get("action") == "append":
+            value = [*given.get(option, ()), value]
+        given[option] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for option, keywords in options.items():
+        if option not in given and keywords.get("required"):
+            return None
+        # argparse's dest of a long option
+        setattr(args, option[2:].replace("-", "_"), given.get(option, keywords.get("default")))
+    return args
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises UsageError for a rejected command line and takes
-    a negative ``-p/q`` for a value, as it takes -2 and -1.5; subparsers
-    inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message: str):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        # to standard output through run's writer: argparse would swallow a failed write
-        _write([self.format_help()], None)
+def build_parser() -> Callable[[list[str]], SimpleNamespace | None]:
+    """The parser of a command line: ``_read``, which builds nothing; ``run``
+    turns to ``_argparse_parser`` only where it declines."""
+    return _read
 
 
-def _add_spec(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--c", type=_parse_c, required=True, metavar="p/q")
-    parser.add_argument("--k", type=int, default=1)
+def _argparse_parser():
+    """argparse built from ``_COMMANDS``: it raises UsageError for a rejected
+    command line, writes help through ``_write``, and takes a negative
+    ``-p/q`` for a value, as it takes -2 and -1.5."""
+    import argparse
 
+    # argparse's own pattern, r"^-\d+$|^-\d*\.\d+$" in Python 3.11, plus -p/q
+    negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str = "json") -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default=default_format)
-    parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
+    class Parser(argparse.ArgumentParser):  # subparsers inherit the class
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = negative_number
 
+        def error(self, message: str):
+            raise UsageError(message)
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+        def print_help(self, file=None):
+            # to standard output through run's writer: argparse would swallow a failed write
+            _write([self.format_help()], None)
+
+    parser = Parser(
         prog="symcheb",
         description="Exact symmetrized Chebyshev Laurent polynomials: "
         "coefficients, sign structure, free-group word counts, and "
         "coefficient-distribution convergence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="emit the term list of T_n(A) or U_n(A)")
-    _add_spec(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_coeffs)
-
-    p = sub.add_parser("table", help="univariate coefficient table rows 0..n_max")
-    p.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    p.add_argument("--c", type=_parse_c, required=True, metavar="p/q")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("positivity", help="coefficient sign report for one polynomial")
-    _add_spec(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_positivity)
-
-    p = sub.add_parser("sign-survey", help="classify sign behaviour over a grid of c")
-    p.add_argument("--kind", type=_parse_kind, required=True, metavar="T|U")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument(
-        "--c", type=_parse_c, action="append", required=True, metavar="p/q",
-        help="repeatable: one survey row per value",
-    )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sign_survey)
-
-    p = sub.add_parser("fgcount", help="cyclically reduced word counts by homology class")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fgcount)
-
-    p = sub.add_parser("fgverify", help="diff the formula counts against brute force")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fgverify)
-
-    p = sub.add_parser("clt", help="convergence report toward the Gaussian limit")
-    p.add_argument("--c", default=None, metavar="p/q",
-                   help="rational parameter (decimal allowed in float mode only)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--fg-r", dest="fg_r", type=int, default=None,
-                   help="use the rank-r word-count distributions instead of --c/--k")
-    p.add_argument("--n", type=_parse_n_list, required=True, metavar="N1,N2,...")
-    p.add_argument("--mode", choices=(cltstats.MODE_EXACT, cltstats.MODE_FLOAT),
-                   default=cltstats.MODE_EXACT)
-    p.add_argument("--exact-ceiling", dest="exact_ceiling", type=int, default=None)
-    _add_common(p, default_format="csv")
-    p.set_defaults(handler=_cmd_clt)
-
+    for command, (text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -569,9 +604,11 @@ def _write(pieces: Iterable[str], out: str | None) -> None:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one command; returns 0, or the exit code of the error that stopped it."""
-    parser = build_parser()
+    read = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        # a declined command line is parsed, or refused, by argparse
+        args = read(argv) or _argparse_parser().parse_args(argv, SimpleNamespace())
         _write(args.handler(args), args.out)
     except (UsageError, DomainError, ResourceBudgetError, InternalError) as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -51,8 +51,9 @@ the last, and M0 against the word total, or against the kernel's row sum
 wherever a row is walked.
 
 Signs are certified once, by ``_certify``, in both modes, at the c given
-(a float at its exact value): for c >= c_k = k/sqrt(2k-1) by one exact test,
-from the theorem in ``symmetrized``; below c_k by the kernel's rows up to
+(a float at its exact value): n = 2 first, refused by one exact test
+wherever c^2 < k; then for c >= c_k = k/sqrt(2k-1) by one exact test, from
+the theorem in ``symmetrized``; below c_k by the kernel's rows up to
 n = 32, refusing a larger n as uncertified.  Off-diagonal covariances
 vanish at every n, since each coordinate can be mirrored independently.
 
@@ -369,17 +370,20 @@ def _certify(c: Fraction, k: int, ns: list[int]) -> None:
     """Certify that every coefficient of T_n(A) is nonnegative at each n in
     ns, or raise DomainError; c > 1 (a float c enters at its exact value).
 
+    * n = 2 fails wherever c^2 < k, at the constant term c^2/k - 1; its
+      witness is a term of k coordinates, so a k over the budget is refused
+      first.  It is tested first, since c < c_k <= sqrt(k) makes every
+      request below c_k that holds n = 2 fail there.
     * c >= c_k = k/sqrt(2k-1), tested as c^2 (2k-1) >= k^2: by the theorem
-      in ``symmetrized`` only n = 2 can fail, at c^2/k - 1 < 0; its witness
-      is a term of k coordinates, so a k over the budget is refused first.
+      in ``symmetrized`` no other n can fail.
     * 1 < c < c_k: the kernel's rows certify n <= FULL_TABLE_CEILING, and
       a larger n is refused as uncertified before any row is walked.
     """
     p, q = c.numerator, c.denominator
+    if 2 in ns and p * p < k * q * q:
+        _check_row_size(k, 0)  # the witness is one term of k coordinates
+        raise _negative((0,) * k, p * p - k * q * q, k * q * q)  # c^2/k - 1
     if p * p * (2 * k - 1) >= k * k * q * q:
-        if 2 in ns and p * p < k * q * q:
-            _check_row_size(k, 0)  # the witness is one term of k coordinates
-            raise _negative((0,) * k, p * p - k * q * q, k * q * q)  # c^2/k - 1
         return
     if ns[-1] > FULL_TABLE_CEILING:
         n = next(n for n in ns if n > FULL_TABLE_CEILING)
@@ -538,7 +542,8 @@ def convergence_report(
     Exact mode requires a rational c and every n at or below the ceiling
     (1024 unless overridden; an explicit ceiling must be a positive
     integer); beyond it, use float-normalized mode.  Below c_k =
-    k/sqrt(2k-1), an n above 32 is refused as uncertified in either mode.
+    k/sqrt(2k-1), a list that holds n = 2 is refused at n = 2, and else
+    an n above 32 is refused as uncertified, in either mode.
     Exact moments come from the closed form in the Lucas pair, with its checks.
     Signs are certified by the marginal moment functions, the same way in
     both modes (module docstring).  Off-diagonal covariances are reported as

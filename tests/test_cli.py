@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from symcheb import ChebKind, InternalError, cli, cltstats, freegroup, symmetrized
 from symcheb.chebyshev import orbit_rows
-from symcheb.cli import build_parser, run
+from symcheb.cli import run
 from symcheb.laurent import format_exact, parse_exact
 
 from oracles import coeffs_text, enumeration_text, fgcount_text, ratio_text, table_text
@@ -232,7 +232,9 @@ class TestExitCodes:
         assert (returned, err) == (code, message if code else "")
 
     @pytest.mark.parametrize(
-        "c,k,budget", [(8 * 10**14, 10**30, None), (3, 10, "5")], ids=["k1e30", "k10_budget5"]
+        "c,k,budget",
+        [(8 * 10**14, 10**30, None), (3, 10, "5"), ("101/100", 10**30, None)],
+        ids=["k1e30", "k10_budget5", "below_c_k"],
     )
     @pytest.mark.parametrize("mode", ["exact", "float_normalized"])
     def test_n_2_witness_checks_the_budget(self, capsys, monkeypatch, mode, c, k, budget):
@@ -248,6 +250,27 @@ class TestExitCodes:
             "",
             f"resource error: row 0 of the recurrence has terms of {k} coordinates, "
             f"over the budget of {budget or 10**8} (raise SYMCHEB_ENUM_BUDGET)\n",
+        )
+
+    @pytest.mark.parametrize(
+        "params,witness",
+        [
+            (["--c", "1941450686788301/1000000000000000", "--k", "7", "--n", "1,2,25"],
+             "[0, 0, 0, 0, 0, 0, 0] is negative "
+             "(-3230769230769234368929609533399/7000000000000000000000000000000)"),
+            (["--c", "11/10", "--k", "2", "--n", "2,40", "--exact-ceiling", "40"],
+             "[0, 0] is negative (-79/200)"),
+        ],
+        ids=["row_budget", "uncertified"],
+    )
+    @pytest.mark.parametrize("mode", ["exact", "float_normalized"])
+    def test_n_2_witness_comes_first_below_c_k(self, capsys, params, witness, mode):
+        # below c_k every list that holds n = 2 fails there, at c^2/k - 1 < 0,
+        # but the row walk's budget for n = 25 (exit 3) or the uncertified
+        # n = 40 was reported first
+        assert capture(capsys, ["clt", *params, "--mode", mode]) == (
+            1, "", f"domain error: coefficient at {witness}; "
+            "the coefficient distribution is undefined\n",
         )
 
     def test_nonpositive_budget_exit_2(self, capsys, monkeypatch):
@@ -761,7 +784,8 @@ PARSER_STRUCTURE = {
 
 
 def test_parser_structure_is_pinned():
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = cli._argparse_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     structure = {
         name: [
             (
@@ -779,6 +803,65 @@ def test_parser_structure_is_pinned():
         for name, parser in sub.choices.items()
     }
     assert structure == PARSER_STRUCTURE
+
+
+# A well-formed command line of each command: its required options, once.
+WELL_FORMED = {
+    "coeffs": ["--kind", "T", "--n", "3", "--c", "3/2"],
+    "table": ["--kind", "U", "--c", "2", "--n-max", "4"],
+    "positivity": ["--kind", "T", "--n", "3", "--c", "11/10"],
+    "sign-survey": ["--kind", "T", "--n-max", "4", "--c", "2"],
+    "fgcount": ["--r", "2", "--n", "3"],
+    "fgverify": ["--r", "2", "--n", "2"],
+    "clt": ["--n", "2,4"],
+}
+# values that each option's type and choices take
+OPTION_VALUES = {
+    "--kind": ["T", "U"], "--n": ["3"], "--c": ["3/2", "2"], "--k": ["2"], "--n-max": ["4"],
+    "--r": ["2"], "--fg-r": ["3"], "--mode": ["exact", "float_normalized"],
+    "--exact-ceiling": ["8"], "--format": ["json", "csv"], "--out": ["out.txt"],
+}
+# abbreviations, --opt=value, "--", help, negative and empty values, bad values
+EDGE_TOKENS = ["--form", "--n", "--c=-1/2", "--format=csv", "--", "-h", "--help", "--bogus",
+               "-1/2", "-3", "", "X", "1.5", "3,,4", "xml", "bogus"]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, or an unknown command, with a required
+    option dropped, options of its command repeated or added, and edge
+    tokens put in anywhere."""
+    command = draw(st.sampled_from([*WELL_FORMED, "bogus"]))
+    required = WELL_FORMED.get(command, ["--r", "2"])
+    drop = 2 * draw(st.integers(0, len(required)))  # past the end: none dropped
+    argv = [command, *required[:drop], *required[drop + 2 :]]
+    options = list(cli._COMMANDS.get(command, (None, None, {"--r": {}}))[2])
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(options))
+        values = st.sampled_from(OPTION_VALUES[option]) | st.sampled_from(EDGE_TOKENS)
+        argv += [option, draw(values)]
+    for _ in range(draw(st.integers(0, 1))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(EDGE_TOKENS)))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+@example(["table", "--n", "4", "--kind", "U", "--c", "2"])
+@example(["clt", "--c=-1/2", "--k", "1", "--n", "4"])
+@example(["sign-survey", "--kind", "T", "--n-max", "4", "--c", "2", "--c", "3/2", "--c", "2"])
+def test_reader_agrees_with_argparse(argv):
+    # the option table's reader either declines or returns argparse's namespace
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._argparse_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", WELL_FORMED)
+def test_reader_reads_well_formed_lines(command):
+    argv = [command, *WELL_FORMED[command]]
+    args = cli._read(argv)
+    assert args is not None and vars(args) == vars(cli._argparse_parser().parse_args(argv))
 
 
 # Every command that takes --c, with a negative p/q as its own argument.

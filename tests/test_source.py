@@ -155,6 +155,31 @@ def test_cli_import_leaves_slow_modules_unloaded(flags):
     assert result.stdout == "\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_well_formed_command_lines_leave_argparse_unloaded(flags):
+    # the option table reads them; argparse (and gettext with it) is built
+    # only for a command line that the table declines, such as a bad value
+    code = """
+import contextlib, io, sys
+before = set(sys.modules)
+def loaded():
+    print(",".join(m for m in ("argparse", "gettext") if m in set(sys.modules) - before))
+import symcheb.cli
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    symcheb.cli.run(["coeffs", "--kind", "T", "--n", "4", "--c", "3/2", "--k", "2"])
+    symcheb.cli.run(["clt", "--c", "2", "--k", "1", "--n", "4,8", "--mode", "float_normalized"])
+loaded()
+symcheb.cli.run(["coeffs", "--kind", "X", "--n", "4", "--c", "3/2"])
+loaded()
+"""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "\n\nargparse,gettext\n"
+    assert result.stderr == "usage error: argument --kind: kind must be T or U, got 'X'\n"
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="no int <-> str digit limit before Python 3.10.7",
