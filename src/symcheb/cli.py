@@ -28,10 +28,10 @@ a prime to its full power in M still takes.
 Command lines are read from one option table per command, ``_COMMANDS``.
 ``_read`` takes a command and its ``--option value`` pairs from the table
 alone and returns the namespace that argparse would make of them, or
-declines: an option not named in full, a value that starts with "-", a
-missing or rejected value, help.  Only a declined command line imports
-argparse, which ``_argparse_parser`` builds from the same table, so help
-text and every error message are argparse's.
+declines: an option not named in full, a value that starts with "-" and
+is not a negative number, a missing or rejected value, help.  Only a
+declined command line imports argparse, which ``_argparse_parser`` builds
+from the same table, so help text and every error message are argparse's.
 
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
@@ -486,22 +486,28 @@ _COMMANDS = {
 }
 
 
+# a value that argparse takes for a negative number, not an option: its own
+# pattern, r"^-\d+$|^-\d*\.\d+$" in Python 3.11, plus -p/q
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 def _read(argv: list[str]) -> SimpleNamespace | None:
     """The namespace that argparse makes of argv, read from ``_COMMANDS``;
     None, a decline, unless argv is a command and --option value pairs
     that argparse takes as they stand.  So it declines an option that is
     not named in full (an abbreviation, --opt=value, -h, --), a value that
-    starts with "-", a missing value or required option, and a value that
-    its type rejects or that is not one of its choices: argparse then
-    parses argv and reports what it finds.  A repeated option keeps its
-    last value, or with "append" all of them, as in argparse."""
+    starts with "-" but is not a negative number of ``_NEGATIVE_NUMBER``,
+    a missing value or required option, and a value that its type rejects
+    or that is not one of its choices: argparse then parses argv and
+    reports what it finds.  A repeated option keeps its last value, or
+    with "append" all of them, as in argparse."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
     _, handler, options = _COMMANDS[argv[0]]
     given = {}
     for option, text in zip(argv[1::2], argv[2::2]):
         keywords = options.get(option)
-        if keywords is None or text.startswith("-"):
+        if keywords is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
             return None
         try:
             value = keywords.get("type", str)(text)
@@ -533,13 +539,10 @@ def _argparse_parser():
     ``-p/q`` for a value, as it takes -2 and -1.5."""
     import argparse
 
-    # argparse's own pattern, r"^-\d+$|^-\d*\.\d+$" in Python 3.11, plus -p/q
-    negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
-
     class Parser(argparse.ArgumentParser):  # subparsers inherit the class
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = negative_number
+            self._negative_number_matcher = _NEGATIVE_NUMBER
 
         def error(self, message: str):
             raise UsageError(message)

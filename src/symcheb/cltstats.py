@@ -51,10 +51,11 @@ the last, and M0 against the word total, or against the kernel's row sum
 wherever a row is walked.
 
 Signs are certified once, by ``_certify``, in both modes, at the c given
-(a float at its exact value): n = 2 first, refused by one exact test
-wherever c^2 < k; then for c >= c_k = k/sqrt(2k-1) by one exact test, from
-the theorem in ``symmetrized``; below c_k by the kernel's rows up to
-n = 32, refusing a larger n as uncertified.  Off-diagonal covariances
+(a float at its exact value), through ``symmetrized._first_negative``,
+where the theorem of ``symmetrized`` is applied: n = 2 is refused wherever
+c^2 < k, nothing else fails from c_k = k/sqrt(2k-1) up, and below c_k the
+kernel's rows certify n <= 32, each row sum checked against M0, while a
+larger n is refused as uncertified.  Off-diagonal covariances
 vanish at every n, since each coordinate can be mirrored independently.
 
 Float-normalized mode evaluates the same closed form in floats.  With
@@ -83,14 +84,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, _check_row_size, _root_x2_minus_1, check_arity, orbit_size
+from .chebyshev import ChebKind, _root_x2_minus_1, check_arity, orbit_size
 from .errors import DomainError, InternalError, UsageError
 from .freegroup import check_rank, total_count, trivial_class_correction
 from .laurent import Exponents, Scalar, as_scalar
-from .symmetrized import _first, _fractions, _kernel_args, _rows
+from .symmetrized import _first, _first_negative, _fractions, _kernel_args, _rows
 
 DEFAULT_EXACT_CEILING = 1024
-FULL_TABLE_CEILING = 32  # how far ``_certify`` walks kernel rows below c_k
 
 _ZERO = Fraction(0)
 
@@ -157,7 +157,7 @@ def distribution(n: int, c: Scalar, k: int) -> LatticeDistribution:
     c = as_scalar(c)
     if c <= 1:
         raise DomainError(f"coefficient distributions need c > 1, got c = {c}")
-    ((_, reps, row, total),) = _certified_rows(c, k, [n])
+    ((reps, row, _, total),) = _certified_rows(c, k, [n])
     return LatticeDistribution(arity=k, n=n, probabilities=_fractions(reps, row, total))
 
 
@@ -341,59 +341,38 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _negative(exponents: Exponents, coeff: int, scale: int) -> DomainError:
+def _negative(exponents: Exponents, value: Fraction) -> DomainError:
     return DomainError(
-        f"coefficient at {list(exponents)} is negative ({Fraction(coeff, scale)}); "
+        f"coefficient at {list(exponents)} is negative ({value}); "
         "the coefficient distribution is undefined",
         witness=exponents,
     )
 
 
-def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[int, tuple, list, int]]:
-    """(n, reps, Q_n, sum of Q_n) per n in ns for the kernel rows Q_n =
-    2 d^n T_n(A) of ``_rows``.  Raises the DomainError of ``distribution``
+def _certified_rows(c: Fraction, k: int, ns: list[int]) -> Iterator[tuple[tuple, list, int, int]]:
+    """(reps, Q_n, s_n, sum of Q_n) per n in ns for the kernel rows Q_n =
+    s_n T_n(A) of ``_rows``.  Raises the DomainError of ``distribution``
     at the first negative coefficient, and InternalError unless the row
     sum, sum_e |orbit(e)| Q_n[e], is M0 = 2 d^n T_n(c)."""
     a, g, _, _ = _kernel_args(ChebKind.FIRST, c, k)
     rows, moments = _rows(ChebKind.FIRST, c, k, ns), _moments(a, g, k, ns, f"for c = {c}, k = {k}")
-    for n, (reps, row, scale), (_, m0, _, _) in zip(ns, rows, moments):
-        negative = _first(reps, row, -1)
+    for (reps, row, scale), (_, m0, _, _) in zip(rows, moments):
+        negative = _first(reps, row)
         if negative is not None:
-            raise _negative(*negative, scale)
-        total = sum(orbit_size(e) * entry for e, entry in zip(reps, row))
-        if total != m0:
+            raise _negative(negative[0], Fraction(negative[1], scale))
+        if sum(orbit_size(e) * entry for e, entry in zip(reps, row)) != m0:
             raise InternalError("normalizer mismatch between build and direct evaluation")
-        yield n, reps, row, total
+        yield reps, row, scale, m0
 
 
 def _certify(c: Fraction, k: int, ns: list[int]) -> None:
     """Certify that every coefficient of T_n(A) is nonnegative at each n in
     ns, or raise DomainError; c > 1 (a float c enters at its exact value).
-
-    * n = 2 fails wherever c^2 < k, at the constant term c^2/k - 1; its
-      witness is a term of k coordinates, so a k over the budget is refused
-      first.  It is tested first, since c < c_k <= sqrt(k) makes every
-      request below c_k that holds n = 2 fail there.
-    * c >= c_k = k/sqrt(2k-1), tested as c^2 (2k-1) >= k^2: by the theorem
-      in ``symmetrized`` no other n can fail.
-    * 1 < c < c_k: the kernel's rows certify n <= FULL_TABLE_CEILING, and
-      a larger n is refused as uncertified before any row is walked.
-    """
-    p, q = c.numerator, c.denominator
-    if 2 in ns and p * p < k * q * q:
-        _check_row_size(k, 0)  # the witness is one term of k coordinates
-        raise _negative((0,) * k, p * p - k * q * q, k * q * q)  # c^2/k - 1
-    if p * p * (2 * k - 1) >= k * k * q * q:
-        return
-    if ns[-1] > FULL_TABLE_CEILING:
-        n = next(n for n in ns if n > FULL_TABLE_CEILING)
-        raise DomainError(
-            f"the distribution at n = {n} is uncertified: for c < k/sqrt(2k-1) "
-            f"(k = {k}) coefficient signs are certified row by row only up to "
-            f"n = {FULL_TABLE_CEILING}"
-        )
-    for _ in _certified_rows(c, k, ns):
-        pass
+    ``symmetrized._first_negative`` decides, by the theorem where it
+    applies and else by the rows of ``_certified_rows``."""
+    witness = _first_negative(ChebKind.FIRST, c, k, ns, partial(_certified_rows, c, k, ns))
+    if witness is not None:
+        raise _negative(witness.exponents, witness.value)
 
 
 def marginal_moments_exact(

@@ -17,17 +17,18 @@ the command line's ``coeffs``) comes from ``chebyshev.univariate_row``
 instead: the Chebyshev equation of P_n, run as a recurrence in the
 exponent j from x^n down, in O(n) steps with one exact division each, a
 remainder raising InternalError.
-``table``, ``sign_survey`` and ``build_sequence`` read every row and keep
-the kernel.  Only rows a caller reads become Fractions, one per
-representative, shared by its orbit.  Signs and witnesses need no orbit:
+``table`` and ``build_sequence`` read every row and keep the kernel;
+``sign_survey`` reads rows only where ``_first_negative`` needs them.
+Only rows a caller reads become Fractions, one per representative, shared
+by its orbit.  Signs and witnesses need no orbit:
 the lexicographically first member of the orbit of e is (-e_1, ..., -e_k).
 
 For k = 1 and c > 1 all coefficients on the parity support (|j| <= n,
 n - j even) are strictly positive; for c < -1 every coefficient has sign
 (-1)^n; for |c| < 1 neither pattern survives.  For k > 1 the coefficient of
 x_1 at n = 3 is 3 (c/2k) ((2k-1) c^2/k^2 - 1), negative for 0 < c < c_k =
-k/sqrt(2k-1), the paper's parameter point; ``sign_survey`` maps that region
-empirically.  From c_k up, every coefficient off the origin is >= 0:
+k/sqrt(2k-1), the paper's parameter point, below which only rows decide
+signs.  From c_k up, every coefficient off the origin is >= 0:
 
 (a) At c = c_k, 2 (2k-1)^(n/2) T_n(A) is the count polynomial W_n of
     cyclically reduced words in the rank-k free group, tallied by homology
@@ -62,8 +63,9 @@ c^2 < k, and at even n >= 4 it is >= 0 from c_k up:
     beta_{n,0} - beta_{n,2}/2 >= 0 for even n >= 4, by CT(T_0) = 1, (b),
     (iii) and (ii).
 
-So for c >= c_k only n = 2 with c^2 < k has a negative coefficient, which
-is how ``cltstats`` certifies signs there in O(1).
+So for c >= c_k only n = 2 with c^2 < k has a negative coefficient.
+``_first_negative`` is the one place that applies this, for ``sign_survey``
+and ``cltstats``: for T_n at c > 0 it reads no row where it decides.
 """
 
 from __future__ import annotations
@@ -72,13 +74,15 @@ import enum
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .chebyshev import ChebKind, check_arity, check_kind, orbit_rows, orbit_terms, univariate_row
-from .errors import UsageError
+from .chebyshev import ChebKind, _check_row_size, check_arity, check_kind, orbit_rows
+from .chebyshev import orbit_terms, univariate_row
+from .errors import DomainError, UsageError
 from .laurent import Exponents, LaurentPoly, Scalar, as_scalar
 
 _ZERO = Fraction(0)
+FULL_TABLE_CEILING = 32  # how far ``_first_negative`` reads rows of T below c_k
 
 
 class _SymChebSpecFields(NamedTuple):
@@ -238,11 +242,46 @@ def _univariate_rows(
     return mirrored()
 
 
-def _first(reps: Sequence[Exponents], row: list[int], sign: int) -> tuple[Exponents, int] | None:
-    """(exponents, entry) at the lexicographically first term with the sign
-    of ``sign``, or None: (-e_1, ..., -e_k) for the largest such e."""
-    found = max(((e, entry) for e, entry in zip(reps, row) if entry * sign > 0), default=None)
+def _first(reps: Sequence[Exponents], row: list[int]) -> tuple[Exponents, int] | None:
+    """(exponents, entry) at the lexicographically first negative term, or
+    None: (-e_1, ..., -e_k) for the largest such e."""
+    found = max(((e, entry) for e, entry in zip(reps, row) if entry < 0), default=None)
     return None if found is None else (tuple(-x for x in found[0]), found[1])
+
+
+def _first_negative(
+    kind: ChebKind, c: Fraction, k: int, ns: Sequence[int],
+    rows: Callable[[], Iterable] | None = None,
+) -> SurveyWitness | None:
+    """The lexicographically first negative coefficient of the first P_n,
+    n in the increasing ns, that has one, or None: the one place where the
+    theorem of the module docstring decides signs.  For the first kind at
+    c > 0, with no row read, n = 2 has the constant term c^2/k - 1 < 0
+    wherever c^2 < k (its witness is a term of k coordinates, so a k over
+    the budget is refused first), and from c_k up nothing else is negative;
+    below c_k, an n above FULL_TABLE_CEILING is refused as uncertified.
+    Where the theorem does not decide, rows() (default ``_rows``), giving
+    (reps, Q_n, s_n, ...) per n in ns, is read up to the first negative
+    entry."""
+    p, q = c.numerator, c.denominator
+    if kind is ChebKind.FIRST and p > 0:
+        if 2 in ns and p * p < k * q * q:
+            _check_row_size(k, 0)
+            return SurveyWitness(2, (0,) * k, Fraction(p * p - k * q * q, k * q * q))
+        if p * p * (2 * k - 1) >= k * k * q * q:
+            return None
+        if ns[-1] > FULL_TABLE_CEILING:
+            n = next(n for n in ns if n > FULL_TABLE_CEILING)
+            raise DomainError(
+                f"the distribution at n = {n} is uncertified: for c < k/sqrt(2k-1) "
+                f"(k = {k}) coefficient signs are certified row by row only up to "
+                f"n = {FULL_TABLE_CEILING}"
+            )
+    for n, (reps, row, scale, *_) in zip(ns, rows() if rows else _rows(kind, c, k, ns)):
+        negative = _first(reps, row)
+        if negative is not None:
+            return SurveyWitness(n, negative[0], Fraction(negative[1], scale))
+    return None
 
 
 def build_sequence(kind: ChebKind, c: Scalar, k: int, n_max: int) -> list[LaurentPoly]:
@@ -301,7 +340,7 @@ def positivity_report(spec: SymChebSpec) -> PositivityReport:
     s_n > 0) without expanding an orbit.  Rows keep cancelled zeros, so the
     minimum is taken over nonzero entries; it is the only Fraction made."""
     ((reps, row, scale),) = _rows(spec.kind, spec.c, spec.k, [spec.n])
-    negative = _first(reps, row, -1)
+    negative = _first(reps, row)
     # at k = 1 the row holds exactly the j = 0..n with n - j even
     pattern_ok = None if spec.k > 1 else all(entry > 0 for entry in row)
     return PositivityReport(
@@ -322,25 +361,16 @@ def sign_survey(
     holds; the witness records the first (n, exponent) ruling out the last
     surviving pattern, scanning n upward and exponents lexicographically:
     in its row, the later of the first term that breaks each pattern.
+    P_n(-A) = (-1)^n P_n(A), so a term breaks the alternating pattern at c
+    where it is negative at -c: each pattern is one ``_first_negative``.
     """
     ns = _row_range(kind, k, n_max)
     out = []
-    for c in c_grid:
-        c = as_scalar(c)
-        nonneg_ok, alternating_ok = True, True
-        witness = None
-        for n, (reps, row, scale) in enumerate(_rows(kind, c, k, ns)):
-            negative = _first(reps, row, -1) if nonneg_ok or n % 2 == 0 else None
-            off_sign = (_first(reps, row, 1) if n % 2 else negative) if alternating_ok else None
-            nonneg_ok = nonneg_ok and negative is None
-            alternating_ok = alternating_ok and off_sign is None
-            if not nonneg_ok and not alternating_ok:
-                exponents, entry = max(hit for hit in (negative, off_sign) if hit is not None)
-                witness = SurveyWitness(n, exponents, Fraction(entry, scale))
-                break
-        classification = (
-            SignClass.ALL_NONNEG if nonneg_ok else
-            SignClass.ALTERNATING if alternating_ok else SignClass.MIXED
-        )
-        out.append(SurveyRow(c=c, classification=classification, witness=witness))
+    for c in map(as_scalar, c_grid):
+        _check_row_size(k, n_max)  # the rows that the theorem spares are refused too
+        negative = _first_negative(kind, c, k, ns)
+        flipped = negative and _first_negative(kind, -c, k, ns)
+        off_sign = flipped and flipped._replace(value=flipped.value * (-1) ** flipped.n)
+        broken = (negative is not None) + (off_sign is not None)  # SignClass is in this order
+        out.append(SurveyRow(c, list(SignClass)[broken], off_sign and max(negative, off_sign)))
     return out

@@ -217,6 +217,20 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith(f"resource error: row {2**63} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("c", ["2", "-2", "1/2"])
+    @pytest.mark.parametrize("kind", ["T", "U"])
+    def test_survey_is_refused_at_its_last_row(self, capsys, monkeypatch, kind, c):
+        # the theorem reads no row of T at c > 0, and at k = 10^9 its n = 2
+        # witness would be refused as "row 0 ... terms of 10^9 coordinates"
+        monkeypatch.delenv("SYMCHEB_ENUM_BUDGET", raising=False)
+        argv = ["sign-survey", "--kind", kind, "--k", str(10**9), "--n-max", "2", "--c", c]
+        assert capture(capsys, argv) == (
+            3,
+            "",
+            "resource error: row 2 of the recurrence has 2000000000000000001 terms, "
+            "over the budget of 100000000 (raise SYMCHEB_ENUM_BUDGET)\n",
+        )
+
     @pytest.mark.parametrize("k,code", [(10, 0), (10**7, 3), (10**30, 3)])
     @pytest.mark.parametrize("command", ["coeffs", "positivity"])
     def test_row_0_is_over_the_budget_past_its_arity(self, capsys, monkeypatch, command, k, code):
@@ -823,7 +837,8 @@ OPTION_VALUES = {
 }
 # abbreviations, --opt=value, "--", help, negative and empty values, bad values
 EDGE_TOKENS = ["--form", "--n", "--c=-1/2", "--format=csv", "--", "-h", "--help", "--bogus",
-               "-1/2", "-3", "", "X", "1.5", "3,,4", "xml", "bogus"]
+               "-1/2", "-3", "-1.5", "-.5", "-1/2/3", "-1,2", "", "X", "1.5", "3,,4", "xml",
+               "bogus"]
 
 
 @st.composite
@@ -888,6 +903,7 @@ def _attach_c(argv):
 @pytest.mark.parametrize("argv", NEGATIVE_C_ARGVS, ids=lambda argv: argv[0])
 def test_negative_fraction_is_a_value_of_c(capsys, argv):
     # argparse used to take "-1/2" for an option: "expected one argument", exit 2
+    assert cli._read(argv) is not None
     separate = capture(capsys, argv)
     assert separate == capture(capsys, _attach_c(argv))
     assert separate[0] == (1 if argv[0] == "clt" else 0)

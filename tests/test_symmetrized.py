@@ -239,20 +239,28 @@ class TestKernelDifferential:
                     assert poly.coeff((j,)) == fullform_coeff(n, c, j)
 
 
+@st.composite
+def arity_and_c(draw):
+    """(k, c): k in 1..4 and c = p/q, small, or with q up to 1000 and p
+    next to +-x q, x = c_k = k/sqrt(2k-1) or sqrt(k), on either side."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        p = draw(st.one_of(st.integers(-30, 30), st.sampled_from([0, 9, 11, -9, -11])))
+        return k, F(p, draw(st.sampled_from([1, 2, 3, 10])))
+    q = draw(st.integers(1, 1000))
+    num, den = draw(st.sampled_from([(k * k, 2 * k - 1), (k, 1)]))  # x^2 = num/den
+    p = math.isqrt(num * q * q // den) + draw(st.integers(-1, 2))  # floor(x q) - 1 .. + 2
+    return k, draw(st.sampled_from([1, -1])) * F(p, q)
+
+
 class TestLatticeDifferential:
     """The public functions against the full-lattice rows, coefficient by
     coefficient and witness by witness."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        kind=st.sampled_from([T, U]),
-        p=st.one_of(st.integers(-30, 30), st.sampled_from([0, 9, 11, -9, -11])),
-        q=st.sampled_from([1, 2, 3, 10]),
-        k=st.integers(1, 4),
-        n_max=st.integers(0, 10),
-    )
-    def test_public_functions_match(self, kind, p, q, k, n_max):
-        c = F(p, q)
+    @given(kind=st.sampled_from([T, U]), case=arity_and_c(), n_max=st.integers(0, 10))
+    def test_public_functions_match(self, kind, case, n_max):
+        k, c = case
         if k == 4:
             n_max = min(n_max, 7)
         oracle = lattice_polys(kind, c, k, n_max)
@@ -274,11 +282,18 @@ class TestLatticeDifferential:
         # Chebyshev rows reach an odd n with both patterns alive only at
         # n = 1, where every entry is a; crafted rows pin the general rule:
         # the witness is the later of the first negative and the first
-        # positive term.
+        # positive term.  The rows at -c are those at c times (-1)^n, as
+        # P_n(-A) = (-1)^n P_n(A); kind U, since the theorem decides kind T
+        # at c = 2 without rows.
         reps = ([(0, 0)], [(1, 0), (3, 0), (2, 1)])
         rows = [(reps[0], [1], 1), (reps[1], [5, -2, 7], 4)]
-        monkeypatch.setattr(symmetrized, "_rows", lambda *args: iter(rows))
-        (row,) = sign_survey(T, 2, 1, [F(2)])
+
+        def crafted(kind, c, k, ns):
+            sign = 1 if c > 0 else -1
+            return iter((e, [sign**n * v for v in row], s) for n, (e, row, s) in enumerate(rows))
+
+        monkeypatch.setattr(symmetrized, "_rows", crafted)
+        (row,) = sign_survey(U, 2, 1, [F(2)])
         polys = [
             LaurentPoly(2, symmetrized._fractions(members, entries, scale))
             for members, entries, scale in rows
@@ -621,6 +636,24 @@ class TestSignSurvey:
         assert witness is not None
         assert (witness.n, witness.exponents, witness.value) == (2, (0,), F(-3, 4))
         assert rows[0].witness is None and rows[1].witness is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4), p=st.integers(1, 60), q=st.integers(1, 30), n_max=st.integers(2, 16)
+    )
+    def test_kind_t_reads_no_row_at_positive_c(self, k, p, q, n_max):
+        # the theorem decides every sign of T at c > 0 from n_max >= 2 on;
+        # only the alternating pattern reads rows, at -c
+        asked, rows = [], symmetrized._rows
+
+        def recording(kind, c, k, ns):
+            asked.append(c)
+            return rows(kind, c, k, ns)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetrized, "_rows", recording)
+            sign_survey(T, k, n_max, [F(p, q)])
+        assert all(c < 0 for c in asked)
 
     def test_alternating_signs_hold(self):
         for n, poly in enumerate(build_sequence(T, F(-2), 1, 20)):
