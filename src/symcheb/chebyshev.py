@@ -5,10 +5,12 @@ they differ in the degree-1 seed (T_1 = x, U_1 = 2x).  Coefficients are exact
 Python ints; evaluation is generic Horner, so it works with floats
 and Fractions alike.  ``orbit_rows`` runs the same recurrence on integer
 Laurent polynomials in k variables, one entry per orbit of the sign flips and
-permutations of the variables (``orbit``); every construction in the package
-uses it but one: a single row at k = 1, which ``univariate_row`` reads off
-the Chebyshev differential equation instead, a recurrence in the exponent j
-of O(n) steps rather than O(n^2), each a checked exact division.
+permutations of the variables (``orbit``), on an orbit graph that each walk
+builds one level per row it reads (``_orbit_levels``) and nothing caches;
+every construction in the package uses it but one: a single row at k = 1,
+which ``univariate_row`` reads off the Chebyshev differential equation
+instead, a recurrence in the exponent j of O(n) steps rather than O(n^2),
+each a checked exact division.
 
 The module is arithmetic only: the kernel, the orbits and the oracles
 (``cheb_coeffs``, ``coeff_formula_T``, ``eval_closed_T``).  Term text is
@@ -21,7 +23,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, count, product, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -185,31 +187,34 @@ def _check_row_size(k: int, n_max: int) -> None:
     )
 
 
-@lru_cache(maxsize=8)
-def _orbit_graph(k: int, n_max: int) -> tuple:
-    """(reps, ends, pulls): reps[p] lists the e_1 >= ... >= e_k >= 0 with
-    |e|_1 <= n_max, |e|_1 = p (mod 2) by |e|_1, row m is on the first ends[m]
-    of reps[m % 2], and pulls[p][i] indexes each canon(e +- u_j) of e =
-    reps[p][i] in reps[1 - p], as often as it occurs.  Raising the first copy
-    of v in e keeps it sorted (count(v) ways, twice for v = 0); lowering the
-    last copy of v + 1 undoes it."""
-    origin = (0,) * k
-    reps, pulls, index, ends = ([origin], []), ([[]], []), {origin: 0}, [1]
-    for level in range(n_max):
-        p = level % 2
-        for i in range(ends[level - 2] if level > 1 else 0, len(reps[p])):
-            e = reps[p][i]
+def _orbit_levels(k: int) -> Iterator[tuple[tuple[list, list], tuple[list, list]]]:
+    """Yield (reps, pulls) at levels m = 0, 1, 2, ...: reps[p] lists the
+    e_1 >= ... >= e_k >= 0 with |e|_1 <= m, |e|_1 = p (mod 2) by |e|_1, and
+    pulls[p][i] indexes each canon(e +- u_j) of e = reps[p][i] with
+    |e +- u_j|_1 <= m in reps[1 - p], as often as it occurs.  Each next()
+    raises level m to m + 1, in place: it appends the new reps to
+    reps[1 - m % 2] and their pulls, and adds the raised pulls of level m.
+    Raising the first copy of v in e keeps it sorted (count(v) ways, twice
+    for v = 0); lowering the last copy of v + 1 undoes it.  The caller owns
+    what is yielded: nothing else keeps it."""
+    reps, pulls, start = ([(0,) * k], []), ([[]], []), 0  # level m starts at reps[m % 2][start]
+    for m in count():
+        yield reps, pulls
+        low, high, down, up = reps[m % 2], reps[1 - m % 2], pulls[m % 2], pulls[1 - m % 2]
+        top, index = len(high), {}  # level m + 1 starts at high[top]
+        for i in range(start, len(low)):
+            e = low[i]
             for v in set(e):
                 first = e.index(v)
                 f = e[:first] + (v + 1,) + e[first + 1 :]
-                if f not in index:
-                    index[f] = len(reps[1 - p])
-                    reps[1 - p].append(f)
-                    pulls[1 - p].append([])
-                pulls[p][i] += [index[f]] * (e.count(v) << (not v))
-                pulls[1 - p][index[f]] += [i] * f.count(v + 1)
-        ends.append(len(reps[1 - p]))
-    return tuple(map(tuple, reps)), ends, pulls  # callers share reps: immutable
+                j = index.get(f)
+                if j is None:
+                    j = index[f] = len(high)
+                    high.append(f)
+                    up.append([])
+                down[i] += [j] * (e.count(v) << (not v))
+                up[j] += [i] * f.count(v + 1)
+        start = top
 
 
 def orbit_rows(
@@ -225,25 +230,24 @@ def orbit_rows(
     Q_m[i] is the coefficient at every member of the ``orbit`` of reps[i]
     = (e_1 >= ... >= e_k >= 0), |e|_1 <= m, |e|_1 = m (mod 2); cancelled
     entries may stay as zeros.  Rows run in pull form,
-    Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f].
+    Q_{m+1}[f] = a sum_j Q_m[canon(f +- u_j)] - g Q_{m-1}[f], and the
+    walk raises its own ``_orbit_levels`` to level m + 1 just before row
+    m + 1, so a reader that stops early builds only the levels it read.
     Raises ResourceBudgetError when row n_max has too many terms, at the
-    call, before any row is made.
+    call, before any level is built.
     """
     _check_row_size(k, n_max)
-    reps, ends, pulls = _orbit_graph(k, n_max)
 
     def rows() -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
-        prev, cur = [q0], [a]
-        yield reps[0], prev
-        if n_max:
-            yield reps[1], cur
-        for m in range(1, n_max):
-            # zeros stand for the levels above rows m and m - 1 that row m + 1
-            # reads; level n_max has no pulls from above, so no padding there
-            get = (cur + [0] * (ends[min(m + 2, n_max)] - len(cur))).__getitem__
-            pulled = zip(pulls[(m + 1) % 2], prev + [0] * (ends[m + 1] - len(prev)))
-            prev, cur = cur, [a * sum(map(get, pull)) - g * q for pull, q in pulled]
-            yield reps[(m + 1) % 2], cur
+        prev, cur = [], [q0]
+        for m, (reps, pulls) in zip(range(n_max + 1), _orbit_levels(k)):
+            if m == 1:  # Q_1 = a S, the seed of both kinds
+                prev, cur = cur, [a]
+            elif m:  # every pull is in cur; prev ends below level m, where it is zero
+                get = cur.__getitem__
+                pulled = zip_longest(pulls[m % 2], prev, fillvalue=0)
+                prev, cur = cur, [a * sum(map(get, pull)) - g * q for pull, q in pulled]
+            yield tuple(reps[m % 2]), cur
 
     return rows()
 

@@ -20,10 +20,28 @@ from symcheb import (
 )
 from symcheb import chebyshev
 from symcheb.chebyshev import orbit, orbit_rows, orbit_size, row_size, univariate_row
+from symcheb.symmetrized import SignClass, SurveyWitness, sign_survey
 
 from oracles import lattice_rows, scaled_rows, unpack_exponents
 
 T, U = ChebKind.FIRST, ChebKind.SECOND
+
+
+@pytest.fixture
+def levels_built(monkeypatch):
+    """The number of levels each walk's ``_orbit_levels`` has yielded, one
+    entry per walk in the order the walks started their builders."""
+    walks, real = [], chebyshev._orbit_levels
+
+    def counted(k):
+        walks.append(0)
+        index = len(walks) - 1
+        for level in real(k):
+            walks[index] += 1
+            yield level
+
+    monkeypatch.setattr(chebyshev, "_orbit_levels", counted)
+    return walks
 
 
 class TestScaledRows:
@@ -82,16 +100,16 @@ class TestRowBudget:
             orbit_rows(1, 1, 2, 2, 3)
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "16")
         *_, (reps, row) = orbit_rows(1, 1, 2, 2, 3)
-        assert sum(orbit_size(e) for e in reps[: len(row)]) == 16  # the budget counts terms
+        assert sum(map(orbit_size, reps)) == 16  # the budget counts terms
 
-    def test_budget_fires_before_the_index_is_built(self, monkeypatch):
-        def no_index(*args):
-            raise AssertionError("the representative index was built over budget")
-
-        monkeypatch.setattr(chebyshev, "_orbit_graph", no_index)
+    def test_budget_fires_before_the_index_is_built(self, monkeypatch, levels_built):
         monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "15")
         with pytest.raises(ResourceBudgetError, match=r"^row 3 of .* has 16 terms, over .* 15 "):
             orbit_rows(1, 1, 2, 2, 3)
+        assert levels_built == []  # no walk started a level builder
+        monkeypatch.setenv("SYMCHEB_ENUM_BUDGET", "16")
+        list(orbit_rows(1, 1, 2, 2, 3))
+        assert levels_built == [4]  # levels 0..3, one per row
 
     @pytest.mark.parametrize(
         "k,n_max,size",
@@ -144,15 +162,56 @@ class TestOrbitRows:
     def test_rows_hold_one_sorted_representative_per_orbit(self, k):
         n_max = 9
         for m, (reps, row) in enumerate(orbit_rows(1, 2 * k - 1, 2, k, n_max)):
-            held = reps[: len(row)]
-            assert len(set(held)) == len(held)
-            assert all(list(e) == sorted(e, reverse=True) and e[-1] >= 0 for e in held)
-            assert sum(map(orbit_size, held)) == row_size(k, m)
+            assert len(set(reps)) == len(reps) == len(row)
+            assert all(list(e) == sorted(e, reverse=True) and e[-1] >= 0 for e in reps)
+            assert sum(map(orbit_size, reps)) == row_size(k, m)
 
     def test_storage_holds_only_representatives(self):
         # row 32 at k = 3 has 23969 terms on 648 representatives
         *_, (reps, row) = orbit_rows(3, 49, 2, 3, 32)
-        assert len(row) * 19 < row_size(3, 32) == sum(map(orbit_size, reps[: len(row)]))
+        assert len(row) * 19 < row_size(3, 32) == sum(map(orbit_size, reps))
+
+    def test_reps_index_their_row_and_stay_unchanged(self):
+        # each row has its own reps, entry for entry: a later level appended
+        # to the builder's list does not reach the reps a reader holds
+        seen = []
+        for reps, row in orbit_rows(3, 25, 1, 3, 9):
+            assert len(reps) == len(row)
+            seen.append((reps, row, list(reps), list(row)))
+        for reps, row, reps_then, row_then in seen:
+            assert (list(reps), list(row)) == (reps_then, row_then)
+
+    @pytest.mark.parametrize("n_max", [7, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_interleaved_walks_are_independent(self, k, n_max):
+        # two walks at the same (k, n_max) each own their levels: advanced
+        # in turn, each equals its solo walk and the full lattice
+        g = 4 * k * k
+        for a, b in [(1, 3), (3, -3), (-3, 1)]:
+            first, second = orbit_rows(a, g, 2, k, n_max), orbit_rows(b, g, 1, k, n_max)
+            rows = [(next(first), next(second)) for _ in range(n_max + 1)]
+            for (x, y), (solo_x, solo_y), full_x, full_y in zip(
+                rows,
+                zip(orbit_rows(a, g, 2, k, n_max), orbit_rows(b, g, 1, k, n_max)),
+                lattice_rows(a, g, 2, k, n_max),
+                lattice_rows(b, g, 1, k, n_max),
+            ):
+                assert (x, y) == (solo_x, solo_y)
+                for (reps, row), full in ((x, full_x), (y, full_y)):
+                    assert {m: q for e, q in zip(reps, row) for m in orbit(e)} == full
+
+    def test_a_walk_builds_the_levels_it_reads(self, levels_built):
+        walk = orbit_rows(1, 3, 2, 2, 400)
+        for _ in range(3):
+            next(walk)
+        assert levels_built == [3]  # levels 0..2 for rows 0..2, not 400
+
+    def test_survey_scan_at_minus_c_stops_at_row_one(self, levels_built):
+        # P_1(-A) = -A is negative, so the scan at -c reads rows 0 and 1; the
+        # theorem decides c = 11/10 > 0 without a row (one walk: at -c)
+        witness = SurveyWitness(2, (0, 0), F(-79, 200))
+        assert sign_survey(T, 2, 2000, [F(11, 10)]) == [(F(11, 10), SignClass.MIXED, witness)]
+        assert len(levels_built) == 1 and max(levels_built) <= 3  # no level above 2
 
     def test_orbit_costs_its_size_at_a_large_arity(self):
         # all k! orderings of (1, 0, ..., 0) would be 30! tuples

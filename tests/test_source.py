@@ -128,6 +128,21 @@ def test_one_term_writer():
     assert (defined, imported) == ({("cli", "_orbit_lines")}, set())
 
 
+def test_only_the_oracle_is_cached():
+    # the kernel's orbit graph belongs to its walk and goes with it; the one
+    # cache in ``chebyshev`` is the oracle's, whose statistics are read by
+    # bench/child.py and test_records.py
+    tree = next(tree for path, tree in _trees() if path.stem == "chebyshev")
+    cached = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if "cache" in ast.unparse(decorator)
+    }
+    assert cached == {"cheb_coeffs"}
+
+
 def test_package_does_not_import_dataclasses():
     found = []
     for path, tree in _trees():
@@ -199,16 +214,16 @@ print(before, sys.get_int_max_str_digits())
     assert before == after
 
 
-def _code_lines_tool():
-    path = PACKAGE.parents[1] / "tools" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
+def _tool(name):
+    path = PACKAGE.parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return path, module
 
 
 def test_code_lines_totals_are_the_sum_of_the_modules():
-    path, tool = _code_lines_tool()
+    path, tool = _tool("code_lines")
     result = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, check=True)
     header, *rows, total = [line.split() for line in result.stdout.splitlines()]
     assert header == ["module", "lines", "code"]
@@ -220,11 +235,44 @@ def test_code_lines_totals_are_the_sum_of_the_modules():
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
-    _, tool = _code_lines_tool()
+    _, tool = _tool("code_lines")
     source = '"""Module\ndocstring."""\n\n# a comment\n\n   \n'
     assert tool.counts(source) == (6, 0)
     source += 'def f():\n    """Doc."""\n    return """not\na docstring"""  # end\n'
     assert tool.counts(source) == (10, 3)  # def, return and the string it returns
+
+
+def _run_record(python="3.11.9", nproc=2):
+    """A bench/run.py run record, cut to what the record builder reads and
+    a little of what it drops."""
+    metric = {"value": 0.07, "unit": "s", "samples": 39, "note": "median over ops"}
+    return {
+        "workload": "lattice_exact", "python": python, "nproc": nproc, "op_count": 39,
+        "argv_sha256": "0123456789abcdef", "argv": [["coeffs"]], "attempted": 117,
+        "failed": 0, "end_to_end": {"setup_s": metric}, "per_layer": {}, "ops": [{}],
+    }
+
+
+def test_bench_record_keeps_the_end_to_end_numbers():
+    _, tool = _tool("bench_record")
+    runs = {"lattice_exact": _run_record(), "float_limits": _run_record()}
+    record = tool.bench_record(runs, 7, 30.0, {"head": "f" * 40, "dirty": False})
+    assert record == {
+        "python": "3.11.9", "nproc": 2, "seed": 7, "seconds": 30.0,
+        "git": {"head": "f" * 40, "dirty": False},
+        "workloads": {
+            name: {
+                "argv_sha256": "0123456789abcdef", "op_count": 39, "attempted": 117,
+                "failed": 0,
+                "end_to_end": {"setup_s": {"value": 0.07, "unit": "s", "samples": 39}},
+            }
+            for name in ("lattice_exact", "float_limits")
+        },
+    }
+    assert list(record["workloads"]) == list(runs)
+    assert tool.bench_record(runs, 7, 30.0, None)["git"] is None  # no git: no commit
+    with pytest.raises(ValueError, match="disagree"):
+        tool.bench_record({"a": _run_record(), "b": _run_record(nproc=4)}, 7, 30.0, None)
 
 
 def _readme_blocks(language):
