@@ -33,6 +33,19 @@ is not a negative number, a missing or rejected value, help.  Only a
 declined command line imports argparse, which ``_argparse_parser`` builds
 from the same table, so help text and every error message are argparse's.
 
+The module imports no compute module.  Each command's entry in
+``_COMMANDS`` names the modules that its handler runs (``symmetrized``,
+``freegroup``, or for clt both and then ``cltstats``), and ``run``
+imports them first, before ``build_parser``, so a process compiles only
+the modules its command uses, and the import is start-up like every
+other import: the benchmark's child starts the op clock when
+``build_parser`` returns.  ``run`` passes the last of them to the
+handler, so the table is the one place that names them.  clt lists the
+two modules that ``cltstats`` imports ahead of it.  Imported from inside
+the import of ``cltstats`` instead, they left the clt op that follows
+100-170 us (30-50%) slower, though no import and no garbage collection
+ran in it (2-core Xeon VM, Python 3.11.7; the cause was not found).
+
 Exact parameters are written as ``p/q`` or integer literals; decimal input
 is accepted only where a computation is explicitly float-mode (clt with
 --mode float_normalized), so nothing exact ever passes through binary
@@ -48,11 +61,11 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from operator import neg
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from . import cltstats, freegroup, symmetrized
 from .chebyshev import ChebKind
 from .errors import DomainError, InternalError, ResourceBudgetError, UsageError
 from .laurent import format_exact, parse_exact
@@ -288,7 +301,9 @@ def _ratio_text(scale: int, base: int) -> Callable[[int], str]:
     return text
 
 
-def _spec_head(args: SimpleNamespace) -> tuple[symmetrized.SymChebSpec, dict]:
+def _spec_head(
+    args: SimpleNamespace, symmetrized: ModuleType
+) -> tuple[symmetrized.SymChebSpec, dict]:
     """The polynomial that ``coeffs`` and ``positivity`` name, and its JSON fields."""
     spec = symmetrized.SymChebSpec(kind=args.kind, n=args.n, c=args.c, k=args.k)
     return spec, {"kind": args.kind.value, "n": args.n, "c": format_exact(args.c), "k": args.k}
@@ -304,15 +319,15 @@ def _exact_or_float(value: Fraction | float) -> str | float:
 # formatted a run of terms or a row at a time, as ``run`` reads it.
 
 
-def _cmd_coeffs(args: SimpleNamespace) -> Iterable[str]:
-    spec, head = _spec_head(args)
+def _cmd_coeffs(args: SimpleNamespace, symmetrized: ModuleType) -> Iterable[str]:
+    spec, head = _spec_head(args, symmetrized)
     ((reps, row, scale),) = symmetrized._rows(spec.kind, spec.c, spec.k, [spec.n])
     _, _, q0, d = symmetrized._kernel_args(spec.kind, spec.c, spec.k)
     text = _ratio_text(scale, q0 * d)
     return _terms_text(args.format, head, "terms", "coeff", args.k, reps, row, text, '"')
 
 
-def _cmd_table(args: SimpleNamespace) -> Iterable[str]:
+def _cmd_table(args: SimpleNamespace, symmetrized: ModuleType) -> Iterable[str]:
     _, _, q0, q = symmetrized._kernel_args(args.kind, args.c, 1)
     texts = partial(_ratio_text, base=q0 * q)
     rows = symmetrized._univariate_rows(args.kind, args.c, args.n_max, texts)
@@ -328,8 +343,8 @@ def _cmd_table(args: SimpleNamespace) -> Iterable[str]:
     return _csv_lines("n,j,value", lines)
 
 
-def _cmd_positivity(args: SimpleNamespace) -> Iterable[str]:
-    spec, head = _spec_head(args)
+def _cmd_positivity(args: SimpleNamespace, symmetrized: ModuleType) -> Iterable[str]:
+    spec, head = _spec_head(args, symmetrized)
     report = symmetrized.positivity_report(spec)
     fields = {
         "all_nonnegative": report.all_nonnegative,
@@ -342,7 +357,7 @@ def _cmd_positivity(args: SimpleNamespace) -> Iterable[str]:
     return _csv_lines(",".join(fields), [",".join(map(_cell, fields.values()))])
 
 
-def _cmd_sign_survey(args: SimpleNamespace) -> Iterable[str]:
+def _cmd_sign_survey(args: SimpleNamespace, symmetrized: ModuleType) -> Iterable[str]:
     names = ("n", "e", "value")  # the witness fields, witness_n ... in CSV
     items, lines = [], []
     for row in symmetrized.sign_survey(args.kind, args.k, args.n_max, args.c):
@@ -357,13 +372,13 @@ def _cmd_sign_survey(args: SimpleNamespace) -> Iterable[str]:
     return _csv_lines(",".join(["c", "classification", *map("witness_{}".format, names)]), lines)
 
 
-def _cmd_fgcount(args: SimpleNamespace) -> Iterable[str]:
+def _cmd_fgcount(args: SimpleNamespace, freegroup: ModuleType) -> Iterable[str]:
     reps, row = freegroup._formula_row(args.r, args.n)
     head = {"r": args.r, "n": args.n}
     return _terms_text(args.format, head, "counts", "count", args.r, reps, row, str)
 
 
-def _cmd_fgverify(args: SimpleNamespace) -> Iterable[str]:
+def _cmd_fgverify(args: SimpleNamespace, freegroup: ModuleType) -> Iterable[str]:
     freegroup._check_budgets(args.r, args.n)
     formula = freegroup.counts_by_formula(args.r, args.n)
     oracle = freegroup.enumerate_counts(args.r, args.n)
@@ -392,7 +407,9 @@ def _cmd_fgverify(args: SimpleNamespace) -> Iterable[str]:
     return _csv_lines("status,total_formula,total_oracle,mismatch_classes", [row])
 
 
-def _clt_report(args: SimpleNamespace) -> tuple[cltstats.ConvergenceReport, str]:
+def _clt_report(
+    args: SimpleNamespace, cltstats: ModuleType
+) -> tuple[cltstats.ConvergenceReport, str]:
     if args.fg_r is not None:
         if args.c is not None or args.k is not None:
             raise UsageError("--fg-r cannot be combined with --c/--k")
@@ -424,8 +441,8 @@ def _clt_report(args: SimpleNamespace) -> tuple[cltstats.ConvergenceReport, str]
 _CLT_FIELDS = ("n", "m2_over_n", "kurtosis", "max_offdiag", "dist_paper", "dist_rederived")
 
 
-def _cmd_clt(args: SimpleNamespace) -> Iterable[str]:
-    report, c_text = _clt_report(args)
+def _cmd_clt(args: SimpleNamespace, cltstats: ModuleType) -> Iterable[str]:
+    report, c_text = _clt_report(args, cltstats)
     if args.format == "json":
         payload = {
             "c": c_text,
@@ -456,20 +473,28 @@ _OUT = {"metavar": "PATH", "help": "write output to PATH"}
 _SPEC = {"--kind": _KIND, "--n": _INT, "--c": _C, "--k": _K, "--format": _JSON, "--out": _OUT}
 _RANK = {"--r": _INT, "--n": _INT, "--format": _JSON, "--out": _OUT}
 
-# command: (help, handler, options), in the order of --help
+# command: (help, handler, options, the modules its handler runs), in the
+# order of --help; ``run`` imports the modules in order before the options
+# are read and calls handler(args, the last module)
 _COMMANDS = {
-    "coeffs": ("emit the term list of T_n(A) or U_n(A)", _cmd_coeffs, _SPEC),
+    "coeffs": ("emit the term list of T_n(A) or U_n(A)", _cmd_coeffs, _SPEC, ("symmetrized",)),
     "table": ("univariate coefficient table rows 0..n_max", _cmd_table, {
         "--kind": _KIND, "--c": _C, "--n-max": _INT, "--format": _JSON, "--out": _OUT,
-    }),
-    "positivity": ("coefficient sign report for one polynomial", _cmd_positivity, _SPEC),
+    }, ("symmetrized",)),
+    "positivity": (
+        "coefficient sign report for one polynomial", _cmd_positivity, _SPEC, ("symmetrized",)
+    ),
     "sign-survey": ("classify sign behaviour over a grid of c", _cmd_sign_survey, {
         "--kind": _KIND, "--k": _K, "--n-max": _INT,
         "--c": {**_C, "action": "append", "help": "repeatable: one survey row per value"},
         "--format": _JSON, "--out": _OUT,
-    }),
-    "fgcount": ("cyclically reduced word counts by homology class", _cmd_fgcount, _RANK),
-    "fgverify": ("diff the formula counts against brute force", _cmd_fgverify, _RANK),
+    }, ("symmetrized",)),
+    "fgcount": (
+        "cyclically reduced word counts by homology class", _cmd_fgcount, _RANK, ("freegroup",)
+    ),
+    "fgverify": (
+        "diff the formula counts against brute force", _cmd_fgverify, _RANK, ("freegroup",)
+    ),
     "clt": ("convergence report toward the Gaussian limit", _cmd_clt, {
         "--c": {"metavar": "p/q",
                 "help": "rational parameter (decimal allowed in float mode only)"},
@@ -477,12 +502,12 @@ _COMMANDS = {
         "--fg-r": {"type": int,
                    "help": "use the rank-r word-count distributions instead of --c/--k"},
         "--n": {"type": _parse_n_list, "required": True, "metavar": "N1,N2,..."},
-        "--mode": {"choices": (cltstats.MODE_EXACT, cltstats.MODE_FLOAT),
-                   "default": cltstats.MODE_EXACT},
+        # cltstats.MODE_EXACT and MODE_FLOAT, written out so that the table needs no cltstats
+        "--mode": {"choices": ("exact", "float_normalized"), "default": "exact"},
         "--exact-ceiling": {"type": int},
         "--format": {"choices": _FORMATS, "default": "csv"},
         "--out": _OUT,
-    }),
+    }, ("freegroup", "symmetrized", "cltstats")),
 }
 
 
@@ -503,7 +528,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     with "append" all of them, as in argparse."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
-    _, handler, options = _COMMANDS[argv[0]]
+    _, handler, options, _ = _COMMANDS[argv[0]]
     given = {}
     for option, text in zip(argv[1::2], argv[2::2]):
         keywords = options.get(option)
@@ -558,7 +583,7 @@ def _argparse_parser():
         "coefficient-distribution convergence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, handler, options) in _COMMANDS.items():
+    for command, (text, handler, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for option, keywords in options.items():
             p.add_argument(option, **keywords)
@@ -605,14 +630,23 @@ def _write(pieces: Iterable[str], out: str | None) -> None:
         raise UsageError(f"cannot write {where}: {exc.strerror}") from None
 
 
+def _modules(command: str) -> ModuleType:
+    """Import the modules that the command's ``_COMMANDS`` entry names, in
+    order, and return the last, the one its handler calls."""
+    return [import_module(f"{__package__}.{name}") for name in _COMMANDS[command][3]][-1]
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one command; returns 0, or the exit code of the error that stopped it."""
-    read = build_parser()
     argv = list(argv)
+    # the command's modules, before its options are read; argparse too takes
+    # the command only from argv[0], as its top level has no option but -h
+    module = _modules(argv[0]) if argv and argv[0] in _COMMANDS else None
+    read = build_parser()
     try:
         # a declined command line is parsed, or refused, by argparse
         args = read(argv) or _argparse_parser().parse_args(argv, SimpleNamespace())
-        _write(args.handler(args), args.out)
+        _write(args.handler(args, module), args.out)
     except (UsageError, DomainError, ResourceBudgetError, InternalError) as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -195,6 +195,97 @@ loaded()
     assert result.stderr == "usage error: argument --kind: kind must be T or U, got 'X'\n"
 
 
+# ``symcheb.__all__`` as written out when the package imported every module
+PUBLIC_NAMES = [
+    "ChebCoeffVector", "ChebKind", "ConvergenceReport", "ConvergenceRow", "DomainError",
+    "HomologyCountTable", "InternalError", "LatticeDistribution", "LaurentPoly", "MomentReport",
+    "PositivityReport", "ResourceBudgetError", "SignClass", "SurveyRow", "SurveyWitness",
+    "SymChebSpec", "UnivariateCoeffTable", "UsageError", "Word", "build", "build_sequence",
+    "char_fn", "cheb_coeffs", "coeff_formula_T", "convergence_report", "counts_by_formula",
+    "distribution", "enumerate_counts", "eval_closed_T", "format_exact",
+    "freegroup_convergence_report", "fullform_coeff", "homology_of", "inverse_letter",
+    "is_cyclically_reduced", "moments", "parse_exact", "positivity_report", "sigma2_rederived",
+    "sigma2_reported", "sign_survey", "total_count", "univariate_table",
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_package_names_load_lazily(flags):
+    # ``import symcheb`` loads no submodule; each public name is the object
+    # that the module defining it holds
+    code = """
+import sys
+import symcheb
+print(sorted(m for m in sys.modules if m.startswith("symcheb.")))
+print(symcheb.__all__)
+for name in symcheb.__all__:
+    value = getattr(symcheb, name)
+    home = value.__module__
+    if not home.startswith("symcheb.") or getattr(sys.modules[home], name) is not value:
+        print("not its module's:", name)
+print(set(symcheb.__all__) <= set(dir(symcheb)))
+try:
+    symcheb.no_such_name
+except AttributeError as exc:
+    print(exc)
+names = {}
+exec("from symcheb import *", names)
+print(sorted(names.keys() - {"__builtins__"}) == symcheb.__all__)
+"""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == [
+        "[]", repr(PUBLIC_NAMES), "True", "module 'symcheb' has no attribute 'no_such_name'", "True"
+    ]
+
+
+# one command line per command, and the modules its process loads besides
+# the package, chebyshev, cli, errors and laurent, which every command loads
+STARTUP = {
+    "coeffs": (["--kind", "T", "--n", "4", "--c", "3/2", "--k", "2"], {"symmetrized"}),
+    "table": (["--kind", "U", "--c", "3/2", "--n-max", "4"], {"symmetrized"}),
+    "positivity": (["--kind", "T", "--n", "4", "--c", "11/10", "--k", "2"], {"symmetrized"}),
+    "sign-survey": (["--kind", "U", "--k", "2", "--n-max", "4", "--c", "3/2"], {"symmetrized"}),
+    "fgcount": (["--r", "2", "--n", "4"], {"freegroup"}),
+    "fgverify": (["--r", "2", "--n", "4"], {"freegroup"}),
+    "clt": (["--c", "2", "--k", "1", "--n", "4,8"], {"cltstats", "freegroup", "symmetrized"}),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_each_command_loads_its_modules_before_its_op(flags):
+    # tools/startup.py runs bench/child.py's main behind a wrapped
+    # cli.build_parser, where the child starts the op clock: every module
+    # the command runs is loaded by then, no other compute module at all,
+    # and the op imports none
+    path, _ = _tool("startup")
+    argvs = [shlex.join([command, *options]) for command, (options, _) in STARTUP.items()]
+    result = subprocess.run(
+        [sys.executable, *flags, str(path), "--runs", "1", *argvs],
+        capture_output=True, text=True, check=True,
+    )
+    header, *rows, summary = result.stdout.splitlines()
+    assert header.split()[:4] == ["wall_s", "setup_s", "gc0", "gc_in_op"]
+    assert len(rows) == len(STARTUP)
+    common = {"chebyshev", "cli", "errors", "laurent"}
+    for row, (command, (_, runs)) in zip(rows, STARTUP.items()):
+        wall, setup, count, in_op, modules, late, name, *_ = row.split()
+        assert 0 < float(setup) <= float(wall) and int(count) >= 0 and int(in_op) >= 0
+        assert (name, modules, late) == (command, ",".join(sorted(common | runs)), "-")
+    assert summary == "7 command lines, 0 with a module first imported in the op"
+
+
+def test_clt_modes_are_the_cltstats_modes():
+    # the option table writes them out, so that reading it needs no cltstats
+    from symcheb import cli, cltstats
+
+    mode = cli._COMMANDS["clt"][2]["--mode"]
+    assert mode == {
+        "choices": (cltstats.MODE_EXACT, cltstats.MODE_FLOAT), "default": cltstats.MODE_EXACT
+    }
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
     reason="no int <-> str digit limit before Python 3.10.7",
